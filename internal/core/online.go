@@ -626,6 +626,11 @@ type Stream struct {
 	// arrival.
 	degraded      bool
 	degradedEpoch uint64
+	// firstFit is the degraded path's scratch. Its tracker serves the goal
+	// of epoch firstFitEpoch of the stream's registry and is rebuilt when
+	// the serving epoch differs; a pooled stream starts with none.
+	firstFit      heuristics.Scratch
+	firstFitEpoch uint64
 	// eventDeadline, when non-zero, bounds the model acquisition of the
 	// current arrival event (set per event by SubmitDeadline). It is a
 	// budget, not a wall instant: each event gets its own window.
@@ -683,6 +688,7 @@ func (o *OnlineScheduler) acquireStreamOn(reg *ModelRegistry, pool *sync.Pool, c
 	s.done = false
 	s.degraded = false
 	s.degradedEpoch = 0
+	s.firstFit.Tracker = nil
 	s.eventDeadline = 0
 	clear(s.seenShifted)
 	clear(s.seenAug)
@@ -989,16 +995,24 @@ func (s *Stream) noteDegraded() {
 // scheduleDegraded schedules the batch with the first-fit heuristic on the
 // engine's fallback VM type — no model, no training search, just the §4
 // greedy baseline. Its placements are approximate but always servable, and
-// the goal's penalty still judges the true latencies at Finish.
+// the goal's penalty still judges the true latencies at Finish. Like the
+// model path it builds into the stream's schedule skeleton, which place
+// consumes before the next event, so a degraded arrival allocates nothing
+// in steady state (pinned by TestDegradedArrivalSteadyStateAllocFree).
 func (s *Stream) scheduleDegraded(epoch *ModelEpoch) (*schedule.Schedule, error) {
-	ft := s.eng.fallbackType
 	s.queries = s.queries[:0]
 	for _, tag := range s.batch {
 		s.queries = append(s.queries, workload.Query{TemplateID: int(s.tags[tag].template), Tag: tag})
 	}
-	s.wl = workload.Workload{Templates: s.eng.env.Templates, Queries: s.queries}
 	goal := epoch.Model.Goal
-	return heuristics.FirstFit(&s.wl, s.eng.env, goal, ft, heuristics.OrderFor(goal)), nil
+	// The tracker is bound to one goal; the goal can change only with the
+	// epoch (goals are not comparable: PerQuery holds a slice).
+	if s.firstFit.Tracker == nil || s.firstFitEpoch != epoch.Epoch {
+		s.firstFit.Tracker = sla.NewTracker(goal)
+		s.firstFitEpoch = epoch.Epoch
+	}
+	s.sched, s.backing = s.firstFit.FirstFit(s.queries, s.eng.env, s.eng.fallbackType, heuristics.OrderFor(goal), s.sched, s.backing)
+	return s.sched, nil
 }
 
 // triggerDrift asks the registry to retrain toward the stream's observed

@@ -97,7 +97,7 @@ func (c *Config) clairvoyantCost(env *schedule.Env, goal sla.Goal, w *workload.W
 		for _, q := range vm.Queue {
 			lat, ok := env.Latency(q.TemplateID, vm.TypeID)
 			if !ok {
-				lat = 1000 * time.Hour
+				lat = schedule.UnrunnableLatency
 			}
 			start := free
 			if a := arrival[q.Tag]; a > start {

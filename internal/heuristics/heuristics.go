@@ -6,7 +6,8 @@
 package heuristics
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"wisedb/internal/schedule"
@@ -68,71 +69,170 @@ func Pack9(w *workload.Workload, env *schedule.Env, goal sla.Goal, vmType int) *
 // a newly rented VM when none fits. Queries that cannot avoid a penalty
 // anywhere are still placed (on a fresh VM), mirroring WiSeDB's policy of
 // scheduling every query as cheaply as possible rather than rejecting it.
+// The workload is not modified and the returned schedule shares no storage
+// with it or with any other call.
 func FirstFit(w *workload.Workload, env *schedule.Env, goal sla.Goal, vmType int, order Order) *schedule.Schedule {
-	queries := orderedQueries(w, env, vmType, order)
-	sched := &schedule.Schedule{}
-	waits := []time.Duration{} // per-VM queued execution time
-	acc := sla.NewAccumulator(goal)
-	for _, q := range queries {
-		lat, ok := env.Latency(q.TemplateID, vmType)
-		if !ok {
-			lat = 1000 * time.Hour
-		}
-		placed := false
-		for i := range sched.VMs {
-			completion := waits[i] + lat
-			next := acc.Add(q.TemplateID, completion)
-			if next.Penalty() <= acc.Penalty()+eps {
-				sched.VMs[i].Queue = append(sched.VMs[i].Queue, schedule.Placed{TemplateID: q.TemplateID, Tag: q.Tag})
-				waits[i] = completion
-				acc = next
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			sched.VMs = append(sched.VMs, schedule.VM{TypeID: vmType, Queue: []schedule.Placed{{TemplateID: q.TemplateID, Tag: q.Tag}}})
-			waits = append(waits, lat)
-			acc = acc.Add(q.TemplateID, lat)
-		}
-	}
+	sc := Scratch{Tracker: sla.NewTracker(goal)}
+	sched, _ := sc.FirstFit(w.Queries, env, vmType, order, nil, nil)
 	return sched
 }
 
-// orderedQueries returns the workload's queries in the pass order.
-func orderedQueries(w *workload.Workload, env *schedule.Env, vmType int, order Order) []workload.Query {
-	qs := append([]workload.Query(nil), w.Queries...)
-	lat := func(q workload.Query) time.Duration {
-		l, ok := env.Latency(q.TemplateID, vmType)
-		if !ok {
-			return 1000 * time.Hour
-		}
-		return l
-	}
-	sort.SliceStable(qs, func(i, j int) bool { return lat(qs[i]) < lat(qs[j]) })
-	switch order {
-	case Increasing:
-		return qs
-	case Decreasing:
-		for i, j := 0, len(qs)-1; i < j; i, j = i+1, j-1 {
-			qs[i], qs[j] = qs[j], qs[i]
-		}
-		return qs
-	case Pack9Order:
-		out := make([]workload.Query, 0, len(qs))
-		lo, hi := 0, len(qs)-1
-		for lo <= hi {
-			for n := 0; n < 9 && lo <= hi; n++ {
-				out = append(out, qs[lo])
-				lo++
-			}
-			if lo <= hi {
-				out = append(out, qs[hi])
-				hi--
-			}
-		}
-		return out
-	default:
+// Scratch holds the working storage of a first-fit pass, so a caller that
+// runs pass after pass — the serving engine's degraded path runs one per
+// arrival event — allocates nothing once the buffers have grown to its
+// batch size. The zero value is ready once Tracker is set. A Scratch serves
+// one pass at a time.
+type Scratch struct {
+	// Tracker carries the committed penalty of the schedule under
+	// construction. The caller sets it to a tracker of the pass's goal and
+	// replaces it when the goal changes; FirstFit resets it on entry.
+	Tracker *sla.Tracker
+
+	tpls   []tplLatency    // per template, plus one last slot standing for unknown template IDs
+	byLat  []int           // template slots sorted by latency, to rank them
+	start  []int           // per latency class, the counting sort's next write position
+	asc    []int           // indices into the pass's queries, stable ascending by latency
+	placed []placement     // in visiting order: each query and the VM it went to
+	waits  []time.Duration // per VM, queued execution time
+	fill   []int           // per VM, queue length
+}
+
+// tplLatency is a template's latency on the pass's VM type and the rank of
+// that latency among the distinct latencies of all templates.
+type tplLatency struct {
+	lat   time.Duration
+	class int
+}
+
+type placement struct {
+	q  schedule.Placed
+	vm int
+}
+
+// FirstFit is the package-level FirstFit on caller-owned storage: queries
+// are the workload's, the goal is Tracker's, and the schedule is built into
+// dst with every queue carved out of backing (capacity-capped, so appending
+// to one queue cannot clobber a neighbour). Both are reused when large
+// enough and allocated otherwise — nil/nil yields an independent schedule —
+// and are returned for the next call. A schedule built into recycled
+// storage is valid until that storage is passed in again.
+func (sc *Scratch) FirstFit(queries []workload.Query, env *schedule.Env, vmType int, order Order, dst *schedule.Schedule, backing []schedule.Placed) (*schedule.Schedule, []schedule.Placed) {
+	if order != Decreasing && order != Increasing && order != Pack9Order {
 		panic("heuristics: unknown order")
 	}
+	sc.sortByLatency(queries, env, vmType)
+
+	tr := sc.Tracker
+	tr.Reset()
+	cur := tr.Penalty()
+	sc.placed = sc.placed[:0]
+	sc.waits = sc.waits[:0]
+	sc.fill = sc.fill[:0]
+	// Visit the ascending order from its front (Increasing), its back
+	// (Decreasing: the reverse of the stable order), or nine from the front
+	// then one from the back (Pack9).
+	for lo, hi, run := 0, len(queries)-1, 0; lo <= hi; {
+		var q workload.Query
+		if order == Increasing || (order == Pack9Order && run < 9) {
+			q = queries[sc.asc[lo]]
+			lo, run = lo+1, run+1
+		} else {
+			q = queries[sc.asc[hi]]
+			hi, run = hi-1, 0
+		}
+		lat := sc.tpl(q.TemplateID).lat
+		vm := -1
+		for i, wait := range sc.waits {
+			if tr.PeekAdd(q.TemplateID, wait+lat) <= cur+eps {
+				vm = i
+				break
+			}
+		}
+		if vm < 0 {
+			vm = len(sc.waits)
+			sc.waits = append(sc.waits, 0)
+			sc.fill = append(sc.fill, 0)
+		}
+		sc.waits[vm] += lat
+		sc.fill[vm]++
+		tr.Add(q.TemplateID, sc.waits[vm])
+		cur = tr.Penalty()
+		sc.placed = append(sc.placed, placement{q: schedule.Placed{TemplateID: q.TemplateID, Tag: q.Tag}, vm: vm})
+	}
+
+	if dst == nil {
+		dst = &schedule.Schedule{}
+	}
+	dst.VMs = resize(dst.VMs, len(sc.fill))
+	backing = resize(backing, len(queries))
+	off := 0
+	for i, n := range sc.fill {
+		dst.VMs[i] = schedule.VM{TypeID: vmType, Queue: backing[off : off : off+n]}
+		off += n
+	}
+	for _, p := range sc.placed {
+		vm := &dst.VMs[p.vm]
+		vm.Queue = append(vm.Queue, p.q)
+	}
+	return dst, backing
+}
+
+// sortByLatency fills sc.asc with the indices of queries in stable
+// ascending order of latency on vmType (ties keep input order). Templates
+// the type cannot run, and template IDs env does not know, take
+// schedule.UnrunnableLatency. Latencies take at most one distinct value per
+// template, so the order is a counting sort over those values' ranks.
+func (sc *Scratch) sortByLatency(queries []workload.Query, env *schedule.Env, vmType int) {
+	unknown := len(env.Templates)
+	sc.tpls = resize(sc.tpls, unknown+1)
+	sc.byLat = resize(sc.byLat, unknown+1)
+	for t := range sc.tpls {
+		lat, ok := env.Latency(t, vmType) // not ok for t == unknown
+		if !ok {
+			lat = schedule.UnrunnableLatency
+		}
+		sc.tpls[t].lat = lat
+		sc.byLat[t] = t
+	}
+	slices.SortFunc(sc.byLat, func(a, b int) int { return cmp.Compare(sc.tpls[a].lat, sc.tpls[b].lat) })
+	classes := 0
+	for i, t := range sc.byLat {
+		if i > 0 && sc.tpls[t].lat != sc.tpls[sc.byLat[i-1]].lat {
+			classes++
+		}
+		sc.tpls[t].class = classes
+	}
+	classes++
+
+	sc.start = resize(sc.start, classes)
+	clear(sc.start)
+	for _, q := range queries {
+		sc.start[sc.tpl(q.TemplateID).class]++
+	}
+	at := 0
+	for c, n := range sc.start {
+		sc.start[c] = at
+		at += n
+	}
+	sc.asc = resize(sc.asc, len(queries))
+	for i, q := range queries {
+		c := sc.tpl(q.TemplateID).class
+		sc.asc[sc.start[c]] = i
+		sc.start[c]++
+	}
+}
+
+// tpl returns the table entry of a template ID, the last one for IDs
+// outside the table.
+func (sc *Scratch) tpl(id int) tplLatency {
+	return sc.tpls[min(uint(id), uint(len(sc.tpls)-1))]
+}
+
+// resize returns s with length n, reusing its array when that is large
+// enough; the elements are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -1,6 +1,9 @@
 package heuristics
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -169,6 +172,168 @@ func TestOrderFor(t *testing.T) {
 	for _, c := range cases {
 		if got := OrderFor(c.goal); got != c.want {
 			t.Errorf("OrderFor(%T) = %v, want %v", c.goal, got, c.want)
+		}
+	}
+}
+
+// referenceFirstFit is the first-fit pass as it was written before the
+// scratch-taking rewrite — copy, comparison sort, one immutable accumulator
+// per probe, one append-grown queue per VM — kept verbatim as the oracle
+// the production code must agree with placement for placement.
+func referenceFirstFit(w *workload.Workload, env *schedule.Env, goal sla.Goal, vmType int, order Order) *schedule.Schedule {
+	queries := referenceOrderedQueries(w, env, vmType, order)
+	sched := &schedule.Schedule{}
+	waits := []time.Duration{} // per-VM queued execution time
+	acc := sla.NewAccumulator(goal)
+	for _, q := range queries {
+		lat, ok := env.Latency(q.TemplateID, vmType)
+		if !ok {
+			lat = 1000 * time.Hour
+		}
+		placed := false
+		for i := range sched.VMs {
+			completion := waits[i] + lat
+			next := acc.Add(q.TemplateID, completion)
+			if next.Penalty() <= acc.Penalty()+eps {
+				sched.VMs[i].Queue = append(sched.VMs[i].Queue, schedule.Placed{TemplateID: q.TemplateID, Tag: q.Tag})
+				waits[i] = completion
+				acc = next
+				placed = true
+				break
+			}
+		}
+		if !placed {
+			sched.VMs = append(sched.VMs, schedule.VM{TypeID: vmType, Queue: []schedule.Placed{{TemplateID: q.TemplateID, Tag: q.Tag}}})
+			waits = append(waits, lat)
+			acc = acc.Add(q.TemplateID, lat)
+		}
+	}
+	return sched
+}
+
+// referenceOrderedQueries returns the workload's queries in the pass order.
+func referenceOrderedQueries(w *workload.Workload, env *schedule.Env, vmType int, order Order) []workload.Query {
+	qs := append([]workload.Query(nil), w.Queries...)
+	lat := func(q workload.Query) time.Duration {
+		l, ok := env.Latency(q.TemplateID, vmType)
+		if !ok {
+			return 1000 * time.Hour
+		}
+		return l
+	}
+	sort.SliceStable(qs, func(i, j int) bool { return lat(qs[i]) < lat(qs[j]) })
+	switch order {
+	case Increasing:
+		return qs
+	case Decreasing:
+		for i, j := 0, len(qs)-1; i < j; i, j = i+1, j-1 {
+			qs[i], qs[j] = qs[j], qs[i]
+		}
+		return qs
+	case Pack9Order:
+		out := make([]workload.Query, 0, len(qs))
+		lo, hi := 0, len(qs)-1
+		for lo <= hi {
+			for n := 0; n < 9 && lo <= hi; n++ {
+				out = append(out, qs[lo])
+				lo++
+			}
+			if lo <= hi {
+				out = append(out, qs[hi])
+				hi--
+			}
+		}
+		return out
+	default:
+		panic("heuristics: unknown order")
+	}
+}
+
+// sameSchedule reports the first difference between two schedules, VM by
+// VM and tag by tag.
+func sameSchedule(got, want *schedule.Schedule) error {
+	if len(got.VMs) != len(want.VMs) {
+		return fmt.Errorf("%d VMs, want %d", len(got.VMs), len(want.VMs))
+	}
+	for i := range want.VMs {
+		g, w := got.VMs[i], want.VMs[i]
+		if g.TypeID != w.TypeID || len(g.Queue) != len(w.Queue) {
+			return fmt.Errorf("vm %d: type %d with %d queries, want type %d with %d", i, g.TypeID, len(g.Queue), w.TypeID, len(w.Queue))
+		}
+		for j := range w.Queue {
+			if g.Queue[j] != w.Queue[j] {
+				return fmt.Errorf("vm %d slot %d: %+v, want %+v", i, j, g.Queue[j], w.Queue[j])
+			}
+		}
+	}
+	return nil
+}
+
+// The scratch-taking first-fit must reproduce the reference placement for
+// placement. One Scratch, one schedule skeleton and one backing array serve
+// every call of a goal, through batch sizes that shrink and grow, so a
+// buffer carrying state from an earlier pass cannot go unnoticed. The
+// templates include two of equal latency (ties must keep input order across
+// templates), and VM type 1 cannot run the high-RAM ones; every fifth
+// query of the larger batches names a template the env does not know.
+func TestFirstFitMatchesReference(t *testing.T) {
+	templates := []workload.Template{
+		{ID: 0, Name: "A", BaseLatency: 2 * time.Minute},
+		{ID: 1, Name: "B", BaseLatency: 3 * time.Minute},
+		{ID: 2, Name: "C", BaseLatency: 3 * time.Minute},
+		{ID: 3, Name: "D", BaseLatency: 5 * time.Minute, HighRAM: true},
+		{ID: 4, Name: "E", BaseLatency: 7 * time.Minute},
+		{ID: 5, Name: "F", BaseLatency: 4 * time.Minute, HighRAM: true},
+	}
+	vmTypes := cloud.DefaultVMTypes(2)
+	vmTypes[1].SupportsHighRAM = false
+	e := schedule.NewEnv(templates, vmTypes)
+	goals := []sla.Goal{
+		sla.NewMaxLatency(15*time.Minute, templates, 1),
+		sla.NewPerQuery(3, templates, 1),
+		sla.NewAverage(10*time.Minute, templates, 1),
+		sla.NewPercentile(90, 10*time.Minute, templates, 1),
+	}
+	sizes := []int{100, 0, 11, 1, 10, 9, 100, 1, 0, 9, 11, 10}
+	rng := rand.New(rand.NewSource(20160905))
+	for _, goal := range goals {
+		sc := Scratch{Tracker: sla.NewTracker(goal)}
+		var sched *schedule.Schedule
+		var backing []schedule.Placed
+		for _, n := range sizes {
+			w := &workload.Workload{Templates: templates, Queries: make([]workload.Query, n)}
+			for i := range w.Queries {
+				w.Queries[i] = workload.Query{TemplateID: rng.Intn(len(templates)), Tag: i}
+				if n > 11 && i%5 == 4 {
+					w.Queries[i].TemplateID = []int{-1, len(templates), len(templates) + 3}[rng.Intn(3)]
+				}
+			}
+			input := append([]workload.Query(nil), w.Queries...)
+			for vmType := range vmTypes {
+				for _, order := range []Order{Decreasing, Increasing, Pack9Order} {
+					name := fmt.Sprintf("%s vm%d order %d n=%d", goal.Name(), vmType, order, n)
+					want := referenceFirstFit(w, e, goal, vmType, order)
+					sched, backing = sc.FirstFit(w.Queries, e, vmType, order, sched, backing)
+					if err := sameSchedule(sched, want); err != nil {
+						t.Fatalf("%s, reused scratch: %v", name, err)
+					}
+					fresh := FirstFit(w, e, goal, vmType, order)
+					if err := sameSchedule(fresh, want); err != nil {
+						t.Fatalf("%s, wrapper: %v", name, err)
+					}
+					// The wrapper's result is independent: the next pass
+					// over recycled storage must not reach it.
+					sched, backing = sc.FirstFit(w.Queries, e, vmType, order, sched, backing)
+					if err := sameSchedule(fresh, want); err != nil {
+						t.Fatalf("%s, wrapper result changed by a later pass: %v", name, err)
+					}
+					for i := range input {
+						if w.Queries[i] != input[i] {
+							t.Fatalf("%s: input workload modified at %d", name, i)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -101,6 +101,11 @@ func (e *Env) Latency(templateID, typeID int) (time.Duration, bool) {
 	return lat, true
 }
 
+// UnrunnableLatency is the latency charged to a query placed on a VM type
+// that cannot run its template: large enough that any goal's penalty and
+// any first-fit ordering surface the mistake rather than hide it.
+const UnrunnableLatency = 1000 * time.Hour
+
 // CheapestLatencyCost returns the minimum over VM types of
 // f_r × l(template, type) — the cheapest possible processing cost for one
 // instance of the template. It is the per-query term of the A* heuristic
@@ -204,7 +209,7 @@ func (s *Schedule) Perf(env *Env) []sla.QueryPerf {
 		for _, q := range vm.Queue {
 			lat, ok := env.Latency(q.TemplateID, vm.TypeID)
 			if !ok {
-				lat = 1000 * time.Hour
+				lat = UnrunnableLatency
 			}
 			elapsed += lat
 			perf = append(perf, sla.QueryPerf{TemplateID: q.TemplateID, Latency: elapsed})
@@ -223,7 +228,7 @@ func (s *Schedule) ProvisioningCost(env *Env) float64 {
 		for _, q := range vm.Queue {
 			lat, ok := env.Latency(q.TemplateID, vm.TypeID)
 			if !ok {
-				lat = 1000 * time.Hour
+				lat = UnrunnableLatency
 			}
 			total += vt.RunningCost(lat)
 		}
