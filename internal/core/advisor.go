@@ -489,16 +489,19 @@ func runtimeProblem(env *schedule.Env, goal sla.Goal) *graph.Problem {
 // (features, action-label) training instance, ingested as one batch per
 // path (dt.Ingest is defined as Add row by row, so batching changes
 // nothing about the dataset). The caller-owned feature state is reused
-// across paths; each row still gets its own vector, which the dataset
-// retains.
+// across paths. The path's rows are carved from one backing array, each
+// capped at its own length, so the dataset still owns rows no append can
+// run into one another.
 func addPathToDataset(ds *dt.Dataset, fs *features.State, path []search.Step) {
 	k := fs.NumTemplates()
-	x := make([][]float64, 0, len(path))
-	y := make([]int, 0, len(path))
-	for _, step := range path {
+	width := features.VectorLen(k)
+	slab := make([]float64, len(path)*width)
+	x := make([][]float64, len(path))
+	y := make([]int, len(path))
+	for i, step := range path {
 		fs.Reset(step.State)
-		x = append(x, fs.AppendTo(make([]float64, 0, features.VectorLen(k)), step.State))
-		y = append(y, step.Action.Label(k))
+		x[i] = fs.AppendTo(slab[i*width:i*width:(i+1)*width], step.State)
+		y[i] = step.Action.Label(k)
 	}
 	ds.Ingest(x, y)
 }

@@ -93,6 +93,13 @@ func EncodeModel(m *Model) ([]byte, error) {
 
 // encodeModel is EncodeModel also returning the content hash, which the
 // registry records in checkpoint lineage.
+//
+// The container is built in one allocation of exactly its final size: every
+// section's encoder runs once against a counting store.Sizer, the builder
+// lays the container out from those sizes, and the same encoders then write
+// straight into their spans of it. Nothing is staged in a growing buffer
+// and no payload is copied; the closed sets and cache keys are read through
+// views of the model's own immutable storage.
 func encodeModel(m *Model) ([]byte, uint64, error) {
 	if m == nil || m.env == nil {
 		return nil, 0, errors.New("core: EncodeModel requires a model bound to an environment")
@@ -100,54 +107,54 @@ func encodeModel(m *Model) ([]byte, uint64, error) {
 	if m.Tree == nil {
 		return nil, 0, errors.New("core: EncodeModel requires a model with a decision tree")
 	}
-	goalPayload, err := encodeGoal(m.Goal)
-	if err != nil {
+	if err := persistableGoal(m.Goal); err != nil {
 		return nil, 0, err
 	}
-	envPayload := encodeEnv(m.env)
-	mixPayload := encodeMix(m.trainingMix)
-	treePayload, err := encodeTree(m.Tree)
-	if err != nil {
-		return nil, 0, err
-	}
-	var trainPayload []byte
-	if len(m.samples) > 0 {
-		if trainPayload, err = encodeTrainData(m.samples); err != nil {
-			return nil, 0, err
-		}
-	}
-	var cachePayload []byte
+	nodes := m.Tree.Export()
+	var cache []search.CacheEntry
 	if m.searchCache != nil {
-		if entries := m.searchCache.Export(maxPersistedCacheEntries); len(entries) > 0 {
-			cachePayload = encodeCacheData(entries)
-		}
+		cache = m.searchCache.Export(maxPersistedCacheEntries)
 	}
-
-	// Content hash: serving behavior only. Training data and the search
-	// cache are covered by the auxiliary hash — see the codec comment.
-	h := fnv.New64a()
-	h.Write(goalPayload)
-	h.Write(envPayload)
-	h.Write(mixPayload)
-	h.Write(treePayload)
-	hash := h.Sum64()
-	ah := fnv.New64a()
-	ah.Write(trainPayload) // nil when absent: hashes as absent
-	ah.Write(cachePayload)
-	auxHash := ah.Sum64()
+	var hash, auxHash uint64
+	type section struct {
+		id    uint32
+		write func(e *store.Enc)
+	}
+	sections := []section{
+		{secMeta, func(e *store.Enc) { encodeMeta(e, m, hash, auxHash) }},
+		{secGoal, func(e *store.Enc) { encodeGoal(e, m.Goal) }},
+		{secEnv, func(e *store.Enc) { encodeEnv(e, m.env) }},
+		{secMix, func(e *store.Enc) { encodeMix(e, m.trainingMix) }},
+		{secTree, func(e *store.Enc) { encodeTree(e, m.Tree, nodes) }},
+	}
+	if len(m.samples) > 0 {
+		sections = append(sections, section{secTrain, func(e *store.Enc) { encodeTrainData(e, m.samples) }})
+	}
+	if len(cache) > 0 {
+		sections = append(sections, section{secCache, func(e *store.Enc) { encodeCacheData(e, cache) }})
+	}
 
 	var b store.Builder
-	b.AddSection(secMeta, encodeMeta(m, hash, auxHash))
-	b.AddSection(secGoal, goalPayload)
-	b.AddSection(secEnv, envPayload)
-	b.AddSection(secMix, mixPayload)
-	b.AddSection(secTree, treePayload)
-	if trainPayload != nil {
-		b.AddSection(secTrain, trainPayload)
+	for _, sec := range sections {
+		size := store.Sizer()
+		sec.write(size)
+		b.Reserve(sec.id, size.Len())
 	}
-	if cachePayload != nil {
-		b.AddSection(secCache, cachePayload)
+	// Content hash: serving behavior only. Training data and the search
+	// cache are covered by the auxiliary hash — see the codec comment. The
+	// meta section records both, so it is written last.
+	h, ah := fnv.New64a(), fnv.New64a()
+	for i, sec := range sections[1:] {
+		e := b.Section(i + 1)
+		sec.write(e)
+		if sec.id == secTrain || sec.id == secCache {
+			ah.Write(e.Bytes())
+		} else {
+			h.Write(e.Bytes())
+		}
 	}
+	hash, auxHash = h.Sum64(), ah.Sum64()
+	sections[0].write(b.Section(0))
 	return b.Bytes(), hash, nil
 }
 
@@ -373,8 +380,7 @@ type modelMeta struct {
 	warmSamples, coldSamples int
 }
 
-func encodeMeta(m *Model, hash, auxHash uint64) []byte {
-	var e store.Enc
+func encodeMeta(e *store.Enc, m *Model, hash, auxHash uint64) {
 	e.U64(hash)
 	e.Duration(m.TrainingTime)
 	e.Int(m.TrainingRows)
@@ -395,15 +401,12 @@ func encodeMeta(m *Model, hash, auxHash uint64) []byte {
 	e.Bool(cfg.SampleWeights != nil)
 	if cfg.SampleWeights != nil {
 		e.Int(len(cfg.SampleWeights))
-		for _, w := range cfg.SampleWeights {
-			e.F64(w)
-		}
+		e.F64s(cfg.SampleWeights)
 	}
 	// v2 tail: auxiliary hash and the warm/cold sample split.
 	e.U64(auxHash)
 	e.Int(m.WarmSamples)
 	e.Int(m.ColdSamples)
-	return e.Bytes()
 }
 
 // decodeMeta decodes a secMeta payload; version is the container's format
@@ -446,8 +449,17 @@ func decodeMeta(p []byte, version uint16) (modelMeta, error) {
 
 // ---- goal section ----
 
-func encodeGoal(g sla.Goal) ([]byte, error) {
-	var e store.Enc
+// persistableGoal rejects the goal families encodeGoal cannot write.
+func persistableGoal(g sla.Goal) error {
+	switch g.(type) {
+	case sla.MaxLatency, sla.PerQuery, sla.Average, sla.Percentile:
+		return nil
+	}
+	return fmt.Errorf("core: cannot persist goal family %T (want MaxLatency, PerQuery, Average, or Percentile)", g)
+}
+
+// encodeGoal writes a goal persistableGoal accepted.
+func encodeGoal(e *store.Enc, g sla.Goal) {
 	switch g := g.(type) {
 	case sla.MaxLatency:
 		e.U8(goalTagMax)
@@ -476,10 +488,7 @@ func encodeGoal(g sla.Goal) ([]byte, error) {
 		e.Duration(g.Deadline)
 		e.Duration(g.Strictest)
 		e.F64(g.Rate)
-	default:
-		return nil, fmt.Errorf("core: cannot persist goal family %T (want MaxLatency, PerQuery, Average, or Percentile)", g)
 	}
-	return e.Bytes(), nil
 }
 
 func decodeGoal(p []byte) (sla.Goal, error) {
@@ -563,8 +572,7 @@ type storedEnv struct {
 	lat       []time.Duration
 }
 
-func encodeEnv(env *schedule.Env) []byte {
-	var e store.Enc
+func encodeEnv(e *store.Enc, env *schedule.Env) {
 	e.Int(len(env.Templates))
 	for _, t := range env.Templates {
 		e.String(t.Name)
@@ -589,7 +597,6 @@ func encodeEnv(env *schedule.Env) []byte {
 			}
 		}
 	}
-	return e.Bytes()
 }
 
 func decodeEnv(p []byte) (*storedEnv, error) {
@@ -733,16 +740,12 @@ func (p *matrixPredictor) Latency(t workload.Template, v cloud.VMType) (time.Dur
 
 // ---- mix section ----
 
-func encodeMix(mix []float64) []byte {
-	var e store.Enc
+func encodeMix(e *store.Enc, mix []float64) {
 	e.Bool(mix != nil)
 	if mix != nil {
 		e.Int(len(mix))
-		for _, w := range mix {
-			e.F64(w)
-		}
+		e.F64s(mix)
 	}
-	return e.Bytes()
 }
 
 func decodeMix(p []byte) ([]float64, error) {
@@ -765,14 +768,13 @@ func decodeMix(p []byte) ([]float64, error) {
 
 // ---- tree section ----
 
-func encodeTree(t *dt.Tree) ([]byte, error) {
-	var e store.Enc
+// encodeTree writes the tree section; nodes is t.Export().
+func encodeTree(e *store.Enc, t *dt.Tree, nodes []dt.FlatTreeNode) {
 	e.Int(t.NumLabels)
 	e.Int(len(t.FeatureNames))
 	for _, n := range t.FeatureNames {
 		e.String(n)
 	}
-	nodes := t.Export()
 	e.Int(len(nodes))
 	for _, n := range nodes {
 		e.Bool(n.Leaf)
@@ -782,7 +784,6 @@ func encodeTree(t *dt.Tree) ([]byte, error) {
 		e.U32(uint32(n.N))
 		e.U32(uint32(n.Errs))
 	}
-	return e.Bytes(), nil
 }
 
 func decodeTree(p []byte) (*dt.Tree, error) {
@@ -826,8 +827,7 @@ func decodeTree(p []byte) (*dt.Tree, error) {
 
 // ---- training-data section ----
 
-func encodeTrainData(samples []trainSample) ([]byte, error) {
-	var e store.Enc
+func encodeTrainData(e *store.Enc, samples []trainSample) {
 	e.Int(len(samples))
 	for _, s := range samples {
 		e.Int(len(s.w.Queries))
@@ -841,15 +841,9 @@ func encodeTrainData(samples []trainSample) ([]byte, error) {
 			ce := s.reuse.Closed.Export()
 			e.Bytes32(ce.Keys)
 			e.Int(len(ce.Offs))
-			for _, off := range ce.Offs {
-				e.U32(off)
-			}
-			for _, l := range ce.Lens {
-				e.U32(l)
-			}
-			for _, g := range ce.G {
-				e.F64(g)
-			}
+			e.U32s(ce.Offs)
+			e.U32s(ce.Lens)
+			e.F64s(ce.G)
 		}
 		// v2 appends the sample's solved action path, so a registry
 		// restored from a checkpoint replays unchanged samples instead of
@@ -857,18 +851,20 @@ func encodeTrainData(samples []trainSample) ([]byte, error) {
 		// to reuse-assisted re-search), and the weighted draw's unit
 		// variates, so a restored warm retrain rebins the stored draws
 		// instead of reseeding 500 samplers.
-		e.Int(len(s.actions))
-		for _, a := range s.actions {
-			e.U8(uint8(a.Kind))
-			e.U32(uint32(int32(a.Template)))
-			e.U32(uint32(int32(a.VMType)))
-		}
+		encodeActions(e, s.actions)
 		e.Int(len(s.variates))
-		for _, v := range s.variates {
-			e.F64(v)
-		}
+		e.F64s(s.variates)
 	}
-	return e.Bytes(), nil
+}
+
+// encodeActions writes a counted action sequence.
+func encodeActions(e *store.Enc, actions []graph.Action) {
+	e.Int(len(actions))
+	for _, a := range actions {
+		e.U8(uint8(a.Kind))
+		e.U32(uint32(int32(a.Template)))
+		e.U32(uint32(int32(a.VMType)))
+	}
 }
 
 func decodeTrainData(p []byte, env *schedule.Env, version uint16) ([]trainSample, error) {
@@ -977,20 +973,13 @@ func decodeTrainData(p []byte, env *schedule.Env, version uint16) ([]trainSample
 // canonical signature order, so the payload is a pure function of the cache
 // contents — encoding the same cache twice yields identical bytes, which the
 // canonical-encoding property of EncodeModel depends on.
-func encodeCacheData(entries []search.CacheEntry) []byte {
-	var e store.Enc
+func encodeCacheData(e *store.Enc, entries []search.CacheEntry) {
 	e.Int(len(entries))
 	for _, ce := range entries {
-		e.Bytes32(ce.Sig)
+		e.String(ce.Sig)
 		e.F64(ce.Cost)
-		e.Int(len(ce.Actions))
-		for _, a := range ce.Actions {
-			e.U8(uint8(a.Kind))
-			e.U32(uint32(int32(a.Template)))
-			e.U32(uint32(int32(a.VMType)))
-		}
+		encodeActions(e, ce.Actions)
 	}
-	return e.Bytes()
 }
 
 func decodeCacheData(p []byte, env *schedule.Env) ([]search.CacheEntry, error) {
@@ -1002,7 +991,7 @@ func decodeCacheData(p []byte, env *schedule.Env) ([]search.CacheEntry, error) {
 	}
 	entries := make([]search.CacheEntry, 0, n)
 	for i := 0; i < n; i++ {
-		ce := search.CacheEntry{Sig: d.Bytes32(), Cost: d.F64()}
+		ce := search.CacheEntry{Sig: d.String(), Cost: d.F64()}
 		na := d.Count(9)
 		if d.Err() != nil {
 			return nil, d.Err()

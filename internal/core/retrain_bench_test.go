@@ -31,7 +31,7 @@ var retrainScenarios = []struct {
 }
 
 // benchRetrainEpoch trains the serving epoch a drift retrain replaces.
-func benchRetrainEpoch(b *testing.B, prior []float64) *ModelEpoch {
+func benchRetrainEpoch(b testing.TB, prior []float64) *ModelEpoch {
 	b.Helper()
 	env := schedule.NewEnv(workload.DefaultTemplates(5), cloud.DefaultVMTypes(2))
 	goal := sla.NewMaxLatency(15*time.Minute, env.Templates, sla.DefaultPenaltyRate)

@@ -6,6 +6,7 @@ import (
 
 	"wisedb/internal/search"
 	"wisedb/internal/sla"
+	"wisedb/internal/store"
 	"wisedb/internal/workload"
 )
 
@@ -106,9 +107,13 @@ func goalsEqual(a, b sla.Goal) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
 	}
-	pa, errA := encodeGoal(a)
-	pb, errB := encodeGoal(b)
-	return errA == nil && errB == nil && bytes.Equal(pa, pb)
+	if persistableGoal(a) != nil || persistableGoal(b) != nil {
+		return false
+	}
+	var pa, pb store.Enc
+	encodeGoal(&pa, a)
+	encodeGoal(&pb, b)
+	return bytes.Equal(pa.Bytes(), pb.Bytes())
 }
 
 // warmSource carries the prior epoch's retained searches into

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 	"wisedb/internal/cloud"
 	"wisedb/internal/schedule"
 	"wisedb/internal/sla"
+	"wisedb/internal/store"
 	"wisedb/internal/workload"
 )
 
@@ -224,5 +226,50 @@ func TestWarmRetrainDuringHotSwaps(t *testing.T) {
 	}
 	if s.TotalRetrainMS < 0 || s.LastRetrainMS < 0 {
 		t.Fatalf("negative retrain timing: %+v", s)
+	}
+}
+
+// A checkpoint encodes an epoch's closed sets and cache keys through
+// read-only views while the next warm retrain is already replaying and
+// re-searching from that same epoch: retrains here follow one another
+// without waiting for the checkpoint between them. Under -race this pins
+// that the views are sound; the last checkpoint must also be exactly what a
+// quiescent encode of the serving model produces.
+func TestCheckpointEncodesWhileNextRetrainRuns(t *testing.T) {
+	env := schedule.NewEnv(workload.DefaultTemplates(3), cloud.DefaultVMTypes(2))
+	goal := sla.NewMaxLatency(15*60e9, env.Templates, sla.DefaultPenaltyRate)
+	base, err := MustNewAdvisor(env, warmTrainConfig()).Train(goal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewModelRegistry(base)
+	if err := r.CheckpointTo(ms); err != nil {
+		t.Fatal(err)
+	}
+	const retrains = 6
+	for i := 0; i < retrains; i++ {
+		mix := []float64{0.40 + 0.01*float64(i), 0.35, 0.25 - 0.01*float64(i)}
+		if err := r.RetrainNow(context.Background(), mix); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Wait()
+	if s := r.Stats(); s.Checkpoints != retrains+1 || s.CheckpointFailures != 0 || s.WarmSamples == 0 {
+		t.Fatalf("want %d clean checkpoints and warm replays, got %+v", retrains+1, s)
+	}
+	_, stored, err := ms.Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EncodeModel(r.Current().Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stored, want) {
+		t.Fatal("checkpoint written during the next retrain differs from a quiescent encode")
 	}
 }

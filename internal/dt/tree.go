@@ -11,6 +11,7 @@
 package dt
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -18,7 +19,8 @@ import (
 )
 
 // Dataset is a labeled training set: X[i] is a feature vector, Y[i] its
-// class label in [0, NumLabels).
+// class label in [0, NumLabels). Rows are append-only and retained: a row
+// handed to the dataset must not be modified afterwards.
 type Dataset struct {
 	// FeatureNames names each column of X, for rendering and debugging.
 	FeatureNames []string
@@ -28,6 +30,12 @@ type Dataset struct {
 	Y []int
 	// NumLabels is the size of the label domain.
 	NumLabels int
+
+	// codes is the coded form of a prefix of X (see valueCodes). Ingest
+	// keeps it current; Train codes whatever rows Add or direct appends
+	// left uncoded. It is a pure function of the rows in order, so how a
+	// dataset was filled never shows in the tree.
+	codes valueCodes
 }
 
 // Add appends a labeled instance.
@@ -47,7 +55,8 @@ func (d *Dataset) Add(x []float64, y int) {
 // sample generation into the dataset while later generations are still
 // searching — and is defined as exactly Add row by row: same validation,
 // same final order, so a dataset built from streamed batches is identical
-// to one built by a single post-hoc loop.
+// to one built by a single post-hoc loop. Ingest also codes the batch for
+// the tree builder, work Train would otherwise do after the last batch.
 func (d *Dataset) Ingest(X [][]float64, Y []int) {
 	if len(X) != len(Y) {
 		panic(fmt.Sprintf("dt: Ingest with %d rows and %d labels", len(X), len(Y)))
@@ -70,6 +79,7 @@ func (d *Dataset) Ingest(X [][]float64, Y []int) {
 	for i, x := range X {
 		d.Add(x, Y[i])
 	}
+	d.encode()
 }
 
 // Len returns the number of instances.
@@ -117,7 +127,9 @@ func DefaultConfig() Config {
 }
 
 // Train fits a decision tree to the dataset. Training is deterministic:
-// ties between splits are broken by feature index, then threshold.
+// ties between splits are broken by feature index, then threshold. Train
+// completes the dataset's value coding, so one dataset must not be trained
+// from two goroutines at once.
 func Train(ds *Dataset, cfg Config) *Tree {
 	if ds.Len() == 0 {
 		panic("dt: Train on empty dataset")
@@ -128,8 +140,11 @@ func Train(ds *Dataset, cfg Config) *Tree {
 	if cfg.PruneConfidence <= 0 {
 		cfg.PruneConfidence = 0.25
 	}
-	b := &builder{ds: ds, cfg: cfg}
-	root := b.build(b.presort(), 0)
+	rows := make([]int32, ds.Len())
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	root := newBuilder(ds, cfg).build(rows, 0)
 	if cfg.Prune {
 		z := normalUpperQuantile(cfg.PruneConfidence)
 		pruneNode(root, z)
@@ -216,112 +231,78 @@ func dumpNode(b *strings.Builder, n *Node, features []string, labelName func(int
 	dumpNode(b, n.Right, features, labelName, depth+1)
 }
 
+// builder grows one tree. A feature the dataset coded (see valueCodes) is
+// split-searched from a count table — rows per value, and per value and
+// label — that one pass over the node's rows fills for all coded features
+// at once; a wide feature is searched by sorting the node's (value, label)
+// pairs. Both searches visit exactly the boundaries between consecutive
+// distinct values present in the node, in ascending value order, with the
+// label counts of the rows on either side — the only things the chosen
+// split depends on — so which one runs, and the order of rows inside a
+// node, are unobservable.
 type builder struct {
-	ds  *Dataset
-	cfg Config
-	// inLeft marks, during one split's partition, which rows fall on the
-	// left of the threshold; indexed by row, cleared after each use. A
-	// single scratch suffices because the build is depth-first.
-	inLeft []bool
+	ds   *Dataset
+	cfg  Config
+	cols []column
+	// cells is the dataset's row-major code matrix, stride len(cols).
+	cells []uint16
+	// table holds the count tables of all coded features back to back.
+	// Feature f's bin for a code is the width = 1+NumLabels counters at
+	// table[off[f]+code*width]: the rows holding the value, then those rows
+	// by label. It is all zero between nodes: the scan that reads a bin
+	// clears it.
+	table []int32
+	off   []int
+	width int
+	// coded lists the coded features, ascending.
+	coded []int
+	// Scratch reused across nodes; the build is depth-first and a node is
+	// done with all of it before its children start.
+	counts []int
+	pairs  []valueLabel
+	moved  []int32
+	search splitSearch
 }
 
-// pair is one row projected onto a single feature, packed so presort
-// compares values without indirecting through the row storage.
-type pair struct {
+// valueLabel is one row of a node projected onto a single feature.
+type valueLabel struct {
 	v float64
-	i int32
+	y int32
 }
 
-// maxDistinctBuckets bounds the distinct-value table the counting-sort
-// presort path maintains; features with more distinct values fall back to
-// a comparison sort.
-const maxDistinctBuckets = 512
-
-// presort builds, once per training run, the row indices sorted by each
-// feature's value (ties by row index, so the order — and therefore the
-// whole build — is deterministic). build partitions these lists stably at
-// every split, so no node ever re-sorts: the classic C4.5 presorting
-// optimization, turning the per-node split scan from O(F·n log n) into
-// O(F·n).
-//
-// The features this package serves (template counts, 0/1 booleans, waits
-// quantized to template latencies) have few distinct values, so each
-// feature is ordered by a stable counting sort over its distinct-value
-// table — O(n log d) with d small — rather than a comparison sort;
-// high-cardinality features fall back to comparison sorting.
-func (b *builder) presort() [][]int32 {
-	n := b.ds.Len()
-	sorted := make([][]int32, len(b.ds.X[0]))
-	distinct := make([]float64, 0, maxDistinctBuckets)
-	bucketOf := make([]int32, n)
-	offs := make([]int32, maxDistinctBuckets+1)
-	for f := range sorted {
-		distinct = distinct[:0]
-		bucketed := true
-		for i := 0; i < n; i++ {
-			pos, found := slices.BinarySearch(distinct, b.ds.X[i][f])
-			if !found {
-				if len(distinct) == maxDistinctBuckets {
-					bucketed = false
-					break
-				}
-				distinct = slices.Insert(distinct, pos, b.ds.X[i][f])
-			}
-		}
-		if !bucketed {
-			sorted[f] = b.comparisonSort(f)
-			continue
-		}
-		for i := range offs[:len(distinct)+1] {
-			offs[i] = 0
-		}
-		for i := 0; i < n; i++ {
-			pos, _ := slices.BinarySearch(distinct, b.ds.X[i][f])
-			bucketOf[i] = int32(pos)
-			offs[pos+1]++
-		}
-		for d := 1; d <= len(distinct); d++ {
-			offs[d] += offs[d-1]
-		}
-		s := make([]int32, n)
-		for i := 0; i < n; i++ {
-			s[offs[bucketOf[i]]] = int32(i)
-			offs[bucketOf[i]]++
-		}
-		sorted[f] = s
+func newBuilder(ds *Dataset, cfg Config) *builder {
+	ds.encode()
+	b := &builder{
+		ds:     ds,
+		cfg:    cfg,
+		cols:   ds.codes.cols,
+		cells:  ds.codes.cells,
+		off:    make([]int, len(ds.codes.cols)),
+		width:  1 + ds.NumLabels,
+		counts: make([]int, ds.NumLabels),
+		moved:  make([]int32, 0, ds.Len()),
+		search: splitSearch{
+			minLeaf: cfg.MinLeaf,
+			left:    make([]int, ds.NumLabels),
+			right:   make([]int, ds.NumLabels),
+		},
 	}
-	return sorted
+	size := 0
+	for f := range b.cols {
+		b.off[f] = size
+		if !b.cols[f].wide {
+			b.coded = append(b.coded, f)
+			size += b.cols[f].bins() * b.width
+		}
+	}
+	b.table = make([]int32, size)
+	return b
 }
 
-// comparisonSort orders the rows by feature f's value (ties by row index):
-// the presort fallback for features with many distinct values.
-func (b *builder) comparisonSort(f int) []int32 {
-	pairs := make([]pair, b.ds.Len())
-	for i, x := range b.ds.X {
-		pairs[i] = pair{v: x[f], i: int32(i)}
-	}
-	slices.SortFunc(pairs, func(a, c pair) int {
-		if a.v < c.v {
-			return -1
-		}
-		if a.v > c.v {
-			return 1
-		}
-		return int(a.i - c.i)
-	})
-	s := make([]int32, len(pairs))
-	for i, p := range pairs {
-		s[i] = p.i
-	}
-	return s
-}
-
-// build grows a subtree over the partition held in sorted: one per-feature
-// value-ordered list of the same row set (sorted[0] doubles as the row
-// enumeration).
-func (b *builder) build(sorted [][]int32, depth int) *Node {
-	rows := sorted[0]
-	counts := make([]int, b.ds.NumLabels)
+// build grows a subtree over rows, which it is free to reorder.
+func (b *builder) build(rows []int32, depth int) *Node {
+	counts := b.counts
+	clear(counts)
 	for _, i := range rows {
 		counts[b.ds.Y[i]]++
 	}
@@ -332,47 +313,28 @@ func (b *builder) build(sorted [][]int32, depth int) *Node {
 		node.Leaf = true
 		return node
 	}
-	feature, threshold, ok := b.bestSplit(sorted, counts)
+	feature, threshold, ok := b.bestSplit(rows, counts)
 	if !ok {
 		node.Leaf = true
 		return node
 	}
-	// Stable-partition every feature's list by the split predicate: each
-	// child's lists stay value-ordered, so the children need no sorting.
-	// The predicate is evaluated once per row into the scratch bitmap, so
-	// the F partition passes do one byte load per element instead of two
-	// dependent pointer chases.
-	if b.inLeft == nil {
-		b.inLeft = make([]bool, b.ds.Len())
-	}
+	// Stable partition of the one row list: rows stay in ascending index
+	// order, so every later pass walks the code matrix forwards.
+	moved := b.moved[:0]
 	nLeft := 0
 	for _, i := range rows {
 		if b.ds.X[i][feature] < threshold {
-			b.inLeft[i] = true
+			rows[nLeft] = i
 			nLeft++
+		} else {
+			moved = append(moved, i)
 		}
 	}
-	left := make([][]int32, len(sorted))
-	right := make([][]int32, len(sorted))
-	for f, sf := range sorted {
-		lf := make([]int32, 0, nLeft)
-		rf := make([]int32, 0, len(rows)-nLeft)
-		for _, i := range sf {
-			if b.inLeft[i] {
-				lf = append(lf, i)
-			} else {
-				rf = append(rf, i)
-			}
-		}
-		left[f], right[f] = lf, rf
-	}
-	for _, i := range rows {
-		b.inLeft[i] = false
-	}
+	copy(rows[nLeft:], moved)
 	node.Feature = feature
 	node.Threshold = threshold
-	node.Left = b.build(left, depth+1)
-	node.Right = b.build(right, depth+1)
+	node.Left = b.build(rows[:nLeft], depth+1)
+	node.Right = b.build(rows[nLeft:], depth+1)
 	return node
 }
 
@@ -380,53 +342,129 @@ func (b *builder) build(sorted [][]int32, depth int) *Node {
 // among splits with positive information gain that respect MinLeaf. Ties
 // are broken toward the lower feature index (features scan in order and a
 // later candidate must beat the incumbent by more than 1e-12).
-func (b *builder) bestSplit(sorted [][]int32, counts []int) (feature int, threshold float64, ok bool) {
-	n := len(sorted[0])
-	base := entropy(counts, n)
-	bestRatio := 0.0
-	leftCounts := make([]int, b.ds.NumLabels)
-	rightCounts := make([]int, b.ds.NumLabels)
-	for f, sf := range sorted {
-		if b.ds.X[sf[0]][f] == b.ds.X[sf[n-1]][f] {
-			continue // constant within the partition: nothing to split on
-		}
-		for i := range leftCounts {
-			leftCounts[i] = 0
-		}
-		copy(rightCounts, counts)
-		nLeft := 0
-		for j := 0; j < n-1; j++ {
-			i := sf[j]
-			leftCounts[b.ds.Y[i]]++
-			rightCounts[b.ds.Y[i]]--
-			nLeft++
-			v, next := b.ds.X[i][f], b.ds.X[sf[j+1]][f]
-			if v == next {
-				continue // threshold must separate distinct values
-			}
-			nRight := n - nLeft
-			if nLeft < b.cfg.MinLeaf || nRight < b.cfg.MinLeaf {
-				continue
-			}
-			pl := float64(nLeft) / float64(n)
-			gain := base - pl*entropy(leftCounts, nLeft) - (1-pl)*entropy(rightCounts, nRight)
-			if gain <= 1e-12 {
-				continue
-			}
-			splitInfo := -pl*math.Log2(pl) - (1-pl)*math.Log2(1-pl)
-			if splitInfo <= 1e-12 {
-				continue
-			}
-			ratio := gain / splitInfo
-			if ratio > bestRatio+1e-12 {
-				bestRatio = ratio
-				feature = f
-				threshold = midpoint(v, next)
-				ok = true
-			}
+func (b *builder) bestSplit(rows []int32, counts []int) (feature int, threshold float64, ok bool) {
+	table, off, width, coded, stride := b.table, b.off, b.width, b.coded, len(b.cols)
+	for _, i := range rows {
+		row := b.cells[int(i)*stride : (int(i)+1)*stride]
+		y := b.ds.Y[i]
+		for _, f := range coded {
+			bin := table[off[f]+int(row[f])*width:]
+			bin[0]++
+			bin[1+y]++
 		}
 	}
-	return feature, threshold, ok
+
+	s := &b.search
+	s.begin(counts, len(rows))
+	for f := range b.cols {
+		s.beginFeature(counts)
+		if b.cols[f].wide {
+			b.scanSorted(f, rows)
+		} else {
+			b.scanBins(f)
+		}
+	}
+	return s.feature, s.threshold, s.ok
+}
+
+// scanBins offers the search every boundary of coded feature f from its
+// count table, visiting bins in ascending value order and skipping the
+// ones the node left empty. Each bin is cleared as it is read.
+func (b *builder) scanBins(f int) {
+	s := &b.search
+	col := &b.cols[f]
+	table, width := b.table[b.off[f]:], b.width
+	prev := -1 // rank of the last non-empty bin
+	nLeft := 0
+	for rank, code := range col.sortedCodes {
+		bin := table[int(code)*width:][:width]
+		n := int(bin[0])
+		if n == 0 {
+			continue
+		}
+		if prev >= 0 {
+			s.consider(f, col.sortedVals[prev], col.sortedVals[rank], nLeft)
+		}
+		for l, c := range bin[1:] {
+			s.left[l] += int(c)
+			s.right[l] -= int(c)
+		}
+		clear(bin)
+		nLeft += n
+		prev = rank
+	}
+}
+
+// scanSorted offers the search every boundary of wide feature f by sorting
+// the node's values, so a node pays for its own rows and never for the
+// feature's distinct values elsewhere in the dataset.
+func (b *builder) scanSorted(f int, rows []int32) {
+	s := &b.search
+	pairs := b.pairs[:0]
+	for _, i := range rows {
+		pairs = append(pairs, valueLabel{v: b.ds.X[i][f], y: int32(b.ds.Y[i])})
+	}
+	b.pairs = pairs
+	slices.SortFunc(pairs, func(a, c valueLabel) int { return cmp.Compare(a.v, c.v) })
+	for j := 0; j < len(pairs)-1; j++ {
+		s.left[pairs[j].y]++
+		s.right[pairs[j].y]--
+		if v, next := pairs[j].v, pairs[j+1].v; v != next {
+			s.consider(f, v, next, j+1)
+		}
+	}
+}
+
+// splitSearch is the running best split of one node. left and right are the
+// label counts on either side of the boundary being offered; the scans
+// maintain them.
+type splitSearch struct {
+	minLeaf     int
+	n           int
+	base        float64
+	left, right []int
+
+	bestRatio float64
+	feature   int
+	threshold float64
+	ok        bool
+}
+
+func (s *splitSearch) begin(counts []int, n int) {
+	s.n = n
+	s.base = entropy(counts, n)
+	s.bestRatio, s.feature, s.threshold, s.ok = 0, 0, 0, false
+}
+
+func (s *splitSearch) beginFeature(counts []int) {
+	clear(s.left)
+	copy(s.right, counts)
+}
+
+// consider offers the boundary between consecutive distinct values v < next
+// of feature f, with nLeft rows at or below v.
+func (s *splitSearch) consider(f int, v, next float64, nLeft int) {
+	n := s.n
+	nRight := n - nLeft
+	if nLeft < s.minLeaf || nRight < s.minLeaf {
+		return
+	}
+	pl := float64(nLeft) / float64(n)
+	gain := s.base - pl*entropy(s.left, nLeft) - (1-pl)*entropy(s.right, nRight)
+	if gain <= 1e-12 {
+		return
+	}
+	splitInfo := -pl*math.Log2(pl) - (1-pl)*math.Log2(1-pl)
+	if splitInfo <= 1e-12 {
+		return
+	}
+	ratio := gain / splitInfo
+	if ratio > s.bestRatio+1e-12 {
+		s.bestRatio = ratio
+		s.feature = f
+		s.threshold = midpoint(v, next)
+		s.ok = true
+	}
 }
 
 // midpoint returns a threshold strictly between a and b (a < b), robust to

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -341,4 +342,344 @@ func TestIngestValidation(t *testing.T) {
 	if ds.Len() != 1 {
 		t.Fatalf("dataset has %d rows, want 1", ds.Len())
 	}
+}
+
+// shapedDataset draws rows shaped like the scheduling features the tree is
+// trained on: a wait quantized to minutes, then per template a k/m
+// proportion, a 0/1 flag, a cost that is either a small sum of latencies or
+// the 1e18 "cannot run" sentinel, and another flag — 21 columns for five
+// templates, labelled by a noisy rule over them. With special set it
+// appends the columns a builder gets wrong first: a constant, an affine
+// copy of the wait column (equal gain at every boundary, so the tie must go
+// to the lower index), and a continuous column with more than
+// maxDistinctBuckets distinct values; and it repeats some rows under a
+// different label.
+func shapedDataset(rng *rand.Rand, n int, special bool) (x [][]float64, y []int, numLabels int) {
+	const templates = 5
+	numLabels = templates + 2
+	for len(x) < n {
+		row := make([]float64, 0, 1+4*templates+3)
+		wait := float64(60 * rng.Intn(16))
+		row = append(row, wait)
+		best, bestCost := -1, math.Inf(1)
+		for t := 0; t < templates; t++ {
+			m := 1 + rng.Intn(12)
+			k := rng.Intn(m + 1)
+			supports := float64(rng.Intn(2))
+			cost := 1e18
+			if supports == 1 {
+				cost = 0.0866*float64(t+1) + 60*float64(rng.Intn(4+2*t))
+			}
+			row = append(row, float64(k)/float64(m), supports, cost, float64(min(k, 1)))
+			if k > 0 && cost < bestCost {
+				best, bestCost = t, cost
+			}
+		}
+		label := best
+		if best < 0 || wait+bestCost > 900 {
+			label = templates + int(wait)/60%2
+		}
+		if rng.Intn(20) == 0 {
+			label = rng.Intn(numLabels)
+		}
+		if special {
+			row = append(row, 7, 3*wait+1, rng.Float64())
+		}
+		x, y = append(x, row), append(y, label)
+		if special && rng.Intn(10) == 0 {
+			x, y = append(x, slices.Clone(row)), append(y, (label+1)%numLabels)
+		}
+	}
+	return x[:n], y[:n], numLabels
+}
+
+// sameTree reports the first difference between two subtrees.
+func sameTree(a, b *Node, path string) error {
+	if (a == nil) != (b == nil) {
+		return fmt.Errorf("%s: one side ends", path)
+	}
+	if a == nil {
+		return nil
+	}
+	if a.Leaf != b.Leaf || a.Label != b.Label || a.n != b.n || a.errs != b.errs {
+		return fmt.Errorf("%s: leaf %v/%v label %d/%d n %d/%d errs %d/%d", path, a.Leaf, b.Leaf, a.Label, b.Label, a.n, b.n, a.errs, b.errs)
+	}
+	if !a.Leaf && (a.Feature != b.Feature || math.Float64bits(a.Threshold) != math.Float64bits(b.Threshold)) {
+		return fmt.Errorf("%s: split f%d<%v vs f%d<%v", path, a.Feature, a.Threshold, b.Feature, b.Threshold)
+	}
+	if err := sameTree(a.Left, b.Left, path+"L"); err != nil {
+		return err
+	}
+	return sameTree(a.Right, b.Right, path+"R")
+}
+
+// The histogram builder must grow exactly the tree the presorted-lists
+// builder grew — same splits to the threshold bit, same counts, same shape,
+// before and after pruning — however the dataset was filled.
+func TestTrainMatchesReference(t *testing.T) {
+	for _, n := range []int{40, 700, 2500} {
+		for seed := int64(1); seed <= 3; seed++ {
+			x, y, labels := shapedDataset(rand.New(rand.NewSource(seed*1000+int64(n))), n, true)
+			added := datasetFrom(x, y, labels)
+			ingested := &Dataset{NumLabels: labels}
+			for lo := 0; lo < n; lo += 37 {
+				hi := min(lo+37, n)
+				ingested.Ingest(x[lo:hi], y[lo:hi])
+			}
+			for _, minLeaf := range []int{1, 2, 5} {
+				for _, maxDepth := range []int{0, 3} {
+					for _, prune := range []bool{false, true} {
+						cfg := Config{MinLeaf: minLeaf, MaxDepth: maxDepth, Prune: prune}
+						want := referenceTrain(datasetFrom(x, y, labels), cfg)
+						for name, ds := range map[string]*Dataset{"Add": added, "Ingest": ingested} {
+							if err := sameTree(want.Root, Train(ds, cfg).Root, "/"); err != nil {
+								t.Fatalf("n=%d seed=%d %+v filled by %s: %v", n, seed, cfg, name, err)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkTreeFit times one tree fit at the size of a paper-scale training
+// set: rows from ~500 sample schedules, 21 features, 7 labels, filled by
+// Add so the value coding is inside the measurement.
+func BenchmarkTreeFit(b *testing.B) {
+	x, y, labels := shapedDataset(rand.New(rand.NewSource(1)), 29000, false)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tree := Train(datasetFrom(x, y, labels), DefaultConfig())
+		b.ReportMetric(float64(tree.NumNodes()), "nodes")
+	}
+}
+
+// ---- reference builder ----
+//
+// The presorted-lists C4.5 builder this package trained with before the
+// histogram builder, kept verbatim (types renamed) as the oracle
+// TestTrainMatchesReference compares every tree against.
+
+func referenceTrain(ds *Dataset, cfg Config) *Tree {
+	if cfg.MinLeaf <= 0 {
+		cfg.MinLeaf = 2
+	}
+	if cfg.PruneConfidence <= 0 {
+		cfg.PruneConfidence = 0.25
+	}
+	b := &refBuilder{ds: ds, cfg: cfg}
+	root := b.build(b.presort(), 0)
+	if cfg.Prune {
+		pruneNode(root, normalUpperQuantile(cfg.PruneConfidence))
+	}
+	return &Tree{Root: root, FeatureNames: ds.FeatureNames, NumLabels: ds.NumLabels}
+}
+
+type refBuilder struct {
+	ds  *Dataset
+	cfg Config
+	// inLeft marks, during one split's partition, which rows fall on the
+	// left of the threshold; indexed by row, cleared after each use. A
+	// single scratch suffices because the build is depth-first.
+	inLeft []bool
+}
+
+// refPair is one row projected onto a single feature, packed so presort
+// compares values without indirecting through the row storage.
+type refPair struct {
+	v float64
+	i int32
+}
+
+// presort builds, once per training run, the row indices sorted by each
+// feature's value (ties by row index, so the order — and therefore the
+// whole build — is deterministic). build partitions these lists stably at
+// every split, so no node ever re-sorts: the classic C4.5 presorting
+// optimization, turning the per-node split scan from O(F·n log n) into
+// O(F·n).
+//
+// The features this package serves (template counts, 0/1 booleans, waits
+// quantized to template latencies) have few distinct values, so each
+// feature is ordered by a stable counting sort over its distinct-value
+// table — O(n log d) with d small — rather than a comparison sort;
+// high-cardinality features fall back to comparison sorting.
+func (b *refBuilder) presort() [][]int32 {
+	n := b.ds.Len()
+	sorted := make([][]int32, len(b.ds.X[0]))
+	distinct := make([]float64, 0, maxDistinctBuckets)
+	bucketOf := make([]int32, n)
+	offs := make([]int32, maxDistinctBuckets+1)
+	for f := range sorted {
+		distinct = distinct[:0]
+		bucketed := true
+		for i := 0; i < n; i++ {
+			pos, found := slices.BinarySearch(distinct, b.ds.X[i][f])
+			if !found {
+				if len(distinct) == maxDistinctBuckets {
+					bucketed = false
+					break
+				}
+				distinct = slices.Insert(distinct, pos, b.ds.X[i][f])
+			}
+		}
+		if !bucketed {
+			sorted[f] = b.comparisonSort(f)
+			continue
+		}
+		for i := range offs[:len(distinct)+1] {
+			offs[i] = 0
+		}
+		for i := 0; i < n; i++ {
+			pos, _ := slices.BinarySearch(distinct, b.ds.X[i][f])
+			bucketOf[i] = int32(pos)
+			offs[pos+1]++
+		}
+		for d := 1; d <= len(distinct); d++ {
+			offs[d] += offs[d-1]
+		}
+		s := make([]int32, n)
+		for i := 0; i < n; i++ {
+			s[offs[bucketOf[i]]] = int32(i)
+			offs[bucketOf[i]]++
+		}
+		sorted[f] = s
+	}
+	return sorted
+}
+
+// comparisonSort orders the rows by feature f's value (ties by row index):
+// the presort fallback for features with many distinct values.
+func (b *refBuilder) comparisonSort(f int) []int32 {
+	pairs := make([]refPair, b.ds.Len())
+	for i, x := range b.ds.X {
+		pairs[i] = refPair{v: x[f], i: int32(i)}
+	}
+	slices.SortFunc(pairs, func(a, c refPair) int {
+		if a.v < c.v {
+			return -1
+		}
+		if a.v > c.v {
+			return 1
+		}
+		return int(a.i - c.i)
+	})
+	s := make([]int32, len(pairs))
+	for i, p := range pairs {
+		s[i] = p.i
+	}
+	return s
+}
+
+// build grows a subtree over the partition held in sorted: one per-feature
+// value-ordered list of the same row set (sorted[0] doubles as the row
+// enumeration).
+func (b *refBuilder) build(sorted [][]int32, depth int) *Node {
+	rows := sorted[0]
+	counts := make([]int, b.ds.NumLabels)
+	for _, i := range rows {
+		counts[b.ds.Y[i]]++
+	}
+	label, labelCount := majority(counts)
+	node := &Node{Label: label, n: len(rows), errs: len(rows) - labelCount}
+	if labelCount == len(rows) || len(rows) < 2*b.cfg.MinLeaf ||
+		(b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) {
+		node.Leaf = true
+		return node
+	}
+	feature, threshold, ok := b.bestSplit(sorted, counts)
+	if !ok {
+		node.Leaf = true
+		return node
+	}
+	// Stable-partition every feature's list by the split predicate: each
+	// child's lists stay value-ordered, so the children need no sorting.
+	// The predicate is evaluated once per row into the scratch bitmap, so
+	// the F partition passes do one byte load per element instead of two
+	// dependent pointer chases.
+	if b.inLeft == nil {
+		b.inLeft = make([]bool, b.ds.Len())
+	}
+	nLeft := 0
+	for _, i := range rows {
+		if b.ds.X[i][feature] < threshold {
+			b.inLeft[i] = true
+			nLeft++
+		}
+	}
+	left := make([][]int32, len(sorted))
+	right := make([][]int32, len(sorted))
+	for f, sf := range sorted {
+		lf := make([]int32, 0, nLeft)
+		rf := make([]int32, 0, len(rows)-nLeft)
+		for _, i := range sf {
+			if b.inLeft[i] {
+				lf = append(lf, i)
+			} else {
+				rf = append(rf, i)
+			}
+		}
+		left[f], right[f] = lf, rf
+	}
+	for _, i := range rows {
+		b.inLeft[i] = false
+	}
+	node.Feature = feature
+	node.Threshold = threshold
+	node.Left = b.build(left, depth+1)
+	node.Right = b.build(right, depth+1)
+	return node
+}
+
+// bestSplit finds the (feature, threshold) with the highest gain ratio
+// among splits with positive information gain that respect MinLeaf. Ties
+// are broken toward the lower feature index (features scan in order and a
+// later candidate must beat the incumbent by more than 1e-12).
+func (b *refBuilder) bestSplit(sorted [][]int32, counts []int) (feature int, threshold float64, ok bool) {
+	n := len(sorted[0])
+	base := entropy(counts, n)
+	bestRatio := 0.0
+	leftCounts := make([]int, b.ds.NumLabels)
+	rightCounts := make([]int, b.ds.NumLabels)
+	for f, sf := range sorted {
+		if b.ds.X[sf[0]][f] == b.ds.X[sf[n-1]][f] {
+			continue // constant within the partition: nothing to split on
+		}
+		for i := range leftCounts {
+			leftCounts[i] = 0
+		}
+		copy(rightCounts, counts)
+		nLeft := 0
+		for j := 0; j < n-1; j++ {
+			i := sf[j]
+			leftCounts[b.ds.Y[i]]++
+			rightCounts[b.ds.Y[i]]--
+			nLeft++
+			v, next := b.ds.X[i][f], b.ds.X[sf[j+1]][f]
+			if v == next {
+				continue // threshold must separate distinct values
+			}
+			nRight := n - nLeft
+			if nLeft < b.cfg.MinLeaf || nRight < b.cfg.MinLeaf {
+				continue
+			}
+			pl := float64(nLeft) / float64(n)
+			gain := base - pl*entropy(leftCounts, nLeft) - (1-pl)*entropy(rightCounts, nRight)
+			if gain <= 1e-12 {
+				continue
+			}
+			splitInfo := -pl*math.Log2(pl) - (1-pl)*math.Log2(1-pl)
+			if splitInfo <= 1e-12 {
+				continue
+			}
+			ratio := gain / splitInfo
+			if ratio > bestRatio+1e-12 {
+				bestRatio = ratio
+				feature = f
+				threshold = midpoint(v, next)
+				ok = true
+			}
+		}
+	}
+	return feature, threshold, ok
 }

@@ -14,14 +14,12 @@ type ClosedExport struct {
 	G    []float64
 }
 
-// Export flattens the closed set. The returned slices are copies.
+// Export flattens the closed set. The returned slices are read-only views
+// of the set's own storage — a Closed and its table never change once the
+// search that built them returns, so a checkpoint can encode them while a
+// retrain reads them — and must not be modified.
 func (c *Closed) Export() ClosedExport {
-	return ClosedExport{
-		Keys: append([]byte(nil), c.Table.keys...),
-		Offs: append([]uint32(nil), c.Table.offs...),
-		Lens: append([]uint32(nil), c.Table.lens...),
-		G:    append([]float64(nil), c.G...),
-	}
+	return ClosedExport{Keys: c.Table.keys, Offs: c.Table.offs, Lens: c.Table.lens, G: c.G}
 }
 
 // ClosedFromExport rebuilds a closed set by re-interning every exported

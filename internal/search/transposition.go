@@ -1,8 +1,8 @@
 package search
 
 import (
-	"bytes"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -183,7 +183,7 @@ func lexLessActions(a, b []graph.Action) bool {
 // suffix. Entries round-trip through Export/Import so a cache can travel
 // across epochs and through checkpoints.
 type CacheEntry struct {
-	Sig     []byte
+	Sig     string
 	Cost    float64
 	Actions []graph.Action
 }
@@ -195,16 +195,16 @@ type CacheEntry struct {
 // persisted cache is a pure function of the cache contents. The returned
 // slices alias the cache's immutable internals and must not be mutated.
 func (c *TranspositionCache) Export(max int) []CacheEntry {
-	var out []CacheEntry
+	out := make([]CacheEntry, 0, c.Len())
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.RLock()
 		for sig, e := range s.m {
-			out = append(out, CacheEntry{Sig: []byte(sig), Cost: e.cost, Actions: e.actions})
+			out = append(out, CacheEntry{Sig: sig, Cost: e.cost, Actions: e.actions})
 		}
 		s.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i].Sig, out[j].Sig) < 0 })
+	slices.SortFunc(out, func(a, b CacheEntry) int { return strings.Compare(a.Sig, b.Sig) })
 	if max > 0 && len(out) > max {
 		out = out[:max]
 	}
@@ -217,12 +217,11 @@ func (c *TranspositionCache) Export(max int) []CacheEntry {
 // immutable.
 func (c *TranspositionCache) Import(entries []CacheEntry) {
 	for _, r := range entries {
-		s := &c.shards[shardOf(r.Sig)]
-		sig := string(r.Sig)
+		s := &c.shards[shardOfString(r.Sig)]
 		s.mu.Lock()
-		e, ok := s.m[sig]
+		e, ok := s.m[r.Sig]
 		if !ok || r.Cost < e.cost-eps || (r.Cost <= e.cost+eps && lexLessActions(r.Actions, e.actions)) {
-			s.m[sig] = suffixEntry{cost: r.Cost, actions: r.Actions}
+			s.m[r.Sig] = suffixEntry{cost: r.Cost, actions: r.Actions}
 		}
 		s.mu.Unlock()
 	}

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -92,43 +93,91 @@ type SectionInfo struct {
 	CRC uint32
 }
 
-// Builder assembles a container. Sections are written in AddSection order;
-// the canonical encoding packs payloads back to back after the table.
+// Builder assembles a container. Sections are written in declaration
+// order; the canonical encoding packs payloads back to back after the
+// table. A section is declared either with its finished payload
+// (AddSection) or with its exact size (Reserve), to be encoded in place
+// through Section: a producer that sizes every section first builds the
+// whole container in one allocation and never copies a payload.
 type Builder struct {
 	ids      []uint32
-	payloads [][]byte
+	sizes    []int
+	payloads [][]byte // AddSection payloads; nil for a reserved section
+	// out is the container, allocated once every section is declared;
+	// encs[i] writes reserved section i's span of it.
+	out  []byte
+	encs []Enc
 }
 
 // AddSection appends a section. IDs may repeat in principle; readers see
 // the first match, so producers should keep them unique.
 func (b *Builder) AddSection(id uint32, payload []byte) {
 	b.ids = append(b.ids, id)
+	b.sizes = append(b.sizes, len(payload))
 	b.payloads = append(b.payloads, payload)
 }
 
-// Bytes serializes the container.
-func (b *Builder) Bytes() []byte {
-	total := headerLen + sectionEntryLen*len(b.ids)
-	off := total
-	for _, p := range b.payloads {
-		total += len(p)
+// Reserve appends a section of exactly size payload bytes, to be written
+// through Section.
+func (b *Builder) Reserve(id uint32, size int) {
+	b.ids = append(b.ids, id)
+	b.sizes = append(b.sizes, size)
+	b.payloads = append(b.payloads, nil)
+}
+
+// Section returns the encoder of the i-th declared section, which must be a
+// reserved one; it appends into the section's span of the container. The
+// first call lays the container out, so every section must have been
+// declared by then.
+func (b *Builder) Section(i int) *Enc {
+	b.layout()
+	return &b.encs[i]
+}
+
+// layout allocates the container and places every section.
+func (b *Builder) layout() {
+	if b.out != nil {
+		return
 	}
-	out := make([]byte, headerLen, total)
+	total := headerLen + sectionEntryLen*len(b.ids)
+	for _, n := range b.sizes {
+		total += n
+	}
+	b.out = make([]byte, total)
+	b.encs = make([]Enc, len(b.ids))
+	off := headerLen + sectionEntryLen*len(b.ids)
+	for i, n := range b.sizes {
+		span := b.out[off : off+n : off+n]
+		if b.payloads[i] != nil {
+			copy(span, b.payloads[i])
+		} else {
+			b.encs[i].buf = span[:0]
+		}
+		off += n
+	}
+}
+
+// Bytes serializes the container and returns the builder's own buffer, not
+// a copy. It panics if a reserved section was not written to exactly its
+// size, which only a producer whose sizing and encoding disagree can cause.
+func (b *Builder) Bytes() []byte {
+	b.layout()
+	out := b.out
 	copy(out, Magic)
 	binary.LittleEndian.PutUint16(out[4:], FormatVersion)
 	binary.LittleEndian.PutUint16(out[6:], 0)
 	binary.LittleEndian.PutUint32(out[8:], uint32(len(b.ids)))
-	var entry [sectionEntryLen]byte
-	for i, p := range b.payloads {
+	off := headerLen + sectionEntryLen*len(b.ids)
+	for i, n := range b.sizes {
+		if b.payloads[i] == nil && len(b.encs[i].buf) != n {
+			panic(fmt.Sprintf("store: section id %d reserved %d bytes, wrote %d", b.ids[i], n, len(b.encs[i].buf)))
+		}
+		entry := out[headerLen+i*sectionEntryLen:]
 		binary.LittleEndian.PutUint32(entry[0:], b.ids[i])
-		binary.LittleEndian.PutUint32(entry[4:], crc32.ChecksumIEEE(p))
+		binary.LittleEndian.PutUint32(entry[4:], crc32.ChecksumIEEE(out[off:off+n]))
 		binary.LittleEndian.PutUint64(entry[8:], uint64(off))
-		binary.LittleEndian.PutUint64(entry[16:], uint64(len(p)))
-		out = append(out, entry[:]...)
-		off += len(p)
-	}
-	for _, p := range b.payloads {
-		out = append(out, p...)
+		binary.LittleEndian.PutUint64(entry[16:], uint64(n))
+		off += n
 	}
 	return out
 }
@@ -230,16 +279,39 @@ func (c *Container) MustSection(id uint32) ([]byte, error) {
 }
 
 // Enc appends fixed-width little-endian fields to a section payload. The
-// zero value is ready to use.
+// zero value is ready to use and grows its own buffer; one from
+// Builder.Section fills a reserved span; one from Sizer writes nothing and
+// only counts, so a producer learns a payload's exact size by running the
+// very code that will encode it.
 type Enc struct {
 	buf []byte
+	// sizing makes every method add to n instead of appending.
+	sizing bool
+	n      int
 }
+
+// Sizer returns an encoder that only counts the bytes it is given.
+func Sizer() *Enc { return &Enc{sizing: true} }
 
 // Bytes returns the accumulated payload.
 func (e *Enc) Bytes() []byte { return e.buf }
 
+// Len returns the number of bytes encoded (or counted) so far.
+func (e *Enc) Len() int {
+	if e.sizing {
+		return e.n
+	}
+	return len(e.buf)
+}
+
 // U8 appends a byte.
-func (e *Enc) U8(v uint8) { e.buf = append(e.buf, v) }
+func (e *Enc) U8(v uint8) {
+	if e.sizing {
+		e.n++
+		return
+	}
+	e.buf = append(e.buf, v)
+}
 
 // Bool appends a boolean as one byte.
 func (e *Enc) Bool(v bool) {
@@ -251,10 +323,22 @@ func (e *Enc) Bool(v bool) {
 }
 
 // U32 appends a uint32.
-func (e *Enc) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
+func (e *Enc) U32(v uint32) {
+	if e.sizing {
+		e.n += 4
+		return
+	}
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
+}
 
 // U64 appends a uint64.
-func (e *Enc) U64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
+func (e *Enc) U64(v uint64) {
+	if e.sizing {
+		e.n += 8
+		return
+	}
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+}
 
 // I64 appends an int64.
 func (e *Enc) I64(v int64) { e.U64(uint64(v)) }
@@ -268,15 +352,54 @@ func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
 // Duration appends a time.Duration as int64 nanoseconds.
 func (e *Enc) Duration(v time.Duration) { e.I64(int64(v)) }
 
+// U32s appends the elements of vs as U32 would, with no length prefix.
+func (e *Enc) U32s(vs []uint32) {
+	if e.sizing {
+		e.n += 4 * len(vs)
+		return
+	}
+	dst := e.extend(4 * len(vs))
+	for i, v := range vs {
+		binary.LittleEndian.PutUint32(dst[4*i:], v)
+	}
+}
+
+// F64s appends the elements of vs as F64 would, with no length prefix.
+func (e *Enc) F64s(vs []float64) {
+	if e.sizing {
+		e.n += 8 * len(vs)
+		return
+	}
+	dst := e.extend(8 * len(vs))
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
+	}
+}
+
+// extend lengthens the payload by n bytes and returns them.
+func (e *Enc) extend(n int) []byte {
+	off := len(e.buf)
+	e.buf = slices.Grow(e.buf, n)[:off+n]
+	return e.buf[off:]
+}
+
 // Bytes32 appends a length-prefixed byte string.
 func (e *Enc) Bytes32(v []byte) {
 	e.U32(uint32(len(v)))
+	if e.sizing {
+		e.n += len(v)
+		return
+	}
 	e.buf = append(e.buf, v...)
 }
 
 // String appends a length-prefixed string.
 func (e *Enc) String(v string) {
 	e.U32(uint32(len(v)))
+	if e.sizing {
+		e.n += len(v)
+		return
+	}
 	e.buf = append(e.buf, v...)
 }
 

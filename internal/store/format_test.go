@@ -177,3 +177,68 @@ func FuzzParseContainer(f *testing.F) {
 		}
 	})
 }
+
+// A container whose sections are sized by a Sizer and then encoded in place
+// must be byte for byte the one AddSection builds from finished payloads,
+// and the bulk appends must write what their element-wise forms write.
+func TestReservedSectionsMatchAddSection(t *testing.T) {
+	u32s, f64s := []uint32{1, 1 << 31, 0}, []float64{0.5, -3, 1e18}
+	first := func(e *Enc) {
+		e.U8(9)
+		e.Bool(true)
+		e.Bytes32([]byte("keys"))
+		e.String("sig")
+		e.U32s(u32s)
+		e.F64s(f64s)
+	}
+	second := func(e *Enc) { e.Int(-12) }
+
+	var e1, e2 Enc
+	e1.U8(9)
+	e1.Bool(true)
+	e1.Bytes32([]byte("keys"))
+	e1.String("sig")
+	for _, v := range u32s {
+		e1.U32(v)
+	}
+	for _, v := range f64s {
+		e1.F64(v)
+	}
+	second(&e2)
+	var want Builder
+	want.AddSection(1, e1.Bytes())
+	want.AddSection(2, e2.Bytes())
+
+	var got Builder
+	for id, write := range []func(*Enc){first, second} {
+		size := Sizer()
+		write(size)
+		got.Reserve(uint32(id+1), size.Len())
+	}
+	second(got.Section(1)) // any order
+	first(got.Section(0))
+	if g, w := got.Bytes(), want.Bytes(); string(g) != string(w) {
+		t.Fatalf("reserved container differs from AddSection's:\n%x\n%x", g, w)
+	}
+}
+
+// Writing a reserved section short of, or past, its size is a producer bug
+// Bytes must refuse to paper over.
+func TestReservedSectionSizeMismatchPanics(t *testing.T) {
+	for name, write := range map[string]func(*Enc){
+		"short": func(e *Enc) { e.U32(1) },
+		"long":  func(e *Enc) { e.U64(1); e.U32(1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Bytes accepted a reserved section not written to its size", name)
+				}
+			}()
+			var b Builder
+			b.Reserve(1, 8)
+			write(b.Section(0))
+			b.Bytes()
+		}()
+	}
+}
