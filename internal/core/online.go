@@ -851,6 +851,12 @@ func (s *Stream) Finish() *OnlineResult {
 	return res
 }
 
+// stopwatchAnchor is the fixed instant the per-arrival advisor stopwatch
+// reads against. time.Since of a Time that carries a monotonic reading is
+// one monotonic clock read; time.Now reads the wall clock as well, which
+// an interval never uses.
+var stopwatchAnchor = time.Now()
+
 // onArrival handles one arrival event at time t (§6.3): observe the
 // arrivals for drift, revoke unstarted queries, form the batch B_i, obtain
 // a model for the waited queries, and re-schedule.
@@ -940,9 +946,9 @@ func (s *Stream) onArrival(ctx context.Context, t time.Duration, arrived []workl
 	}
 	slices.Sort(s.batch)
 
-	begin := time.Now()
+	begin := time.Since(stopwatchAnchor)
 	sched, err := s.scheduleEvent(ctx, epoch, t)
-	elapsed := time.Since(begin)
+	elapsed := time.Since(stopwatchAnchor) - begin
 	if err != nil {
 		return err
 	}

@@ -15,9 +15,12 @@ import (
 //
 // The refill is lazy: tokens accrue on each take from the elapsed
 // wall-clock time, so an idle bucket costs nothing. A mutex (not CAS)
-// guards the two floats — the critical section is tens of nanoseconds,
-// far below the per-frame syscall cost that bounds connection
-// throughput, and it keeps partial takes (admit 3 of 5) exact.
+// guards the two floats and keeps partial takes (admit 3 of 5) exact.
+// An uncontended take is ≈ 60 ns (time.Now, then tens of nanoseconds
+// under the lock). A pipelined frame pays no syscall and arms no
+// deadline of its own, so with admission on this is the most expensive
+// thing a frame does outside the engine — against ≈ 730 ns for the
+// whole network arrival.
 type tokenBucket struct {
 	rate  float64 // tokens per second
 	burst float64

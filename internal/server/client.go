@@ -29,7 +29,11 @@ type Options struct {
 	// DialAttempts bounds connection attempts (first try included).
 	// Default 4.
 	DialAttempts int
-	// Timeout bounds each network operation. Default 30s.
+	// Timeout bounds each network operation: every socket write (a
+	// Flush, or a Send spilling a full buffer) and the wait for each
+	// frame from the moment the client first has to go to the socket
+	// for it. A frame already in the read buffer and a Send that only
+	// queues wait on nothing. Default 30s.
 	Timeout time.Duration
 	// Seed feeds the deterministic retry jitter.
 	Seed uint64
@@ -60,16 +64,17 @@ type Result struct {
 // It supports pipelining: Send queues Submit frames into a buffered
 // writer, Flush pushes them out, ReadAck consumes acknowledgements;
 // the load generator keeps a window of frames in flight to amortize
-// syscalls. A Client is single-goroutine, like the stream it fronts.
+// syscalls, and only the calls that reach the socket arm a deadline
+// (timedConn). A Client is single-goroutine, like the stream it fronts.
 type Client struct {
 	conn net.Conn
+	tc   *timedConn // conn under Options.Timeout; br and bw go through it
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	buf  []byte
 	out  []byte
 	f    wire.Frame
 
-	opts    Options
 	seq     uint32
 	pending int // Submit frames sent but not yet acked
 
@@ -109,27 +114,26 @@ func Dial(addr string, opts Options) (*Client, error) {
 }
 
 func handshake(conn net.Conn, opts Options) (*Client, error) {
+	tc := &timedConn{c: conn, readTimeout: opts.Timeout, writeTimeout: opts.Timeout}
 	c := &Client{
 		conn: conn,
-		br:   bufio.NewReaderSize(conn, 64<<10),
-		bw:   bufio.NewWriterSize(conn, 64<<10),
+		tc:   tc,
+		br:   bufio.NewReaderSize(tc, 64<<10),
+		bw:   bufio.NewWriterSize(tc, 64<<10),
 		buf:  make([]byte, 0, 4096),
 		out:  make([]byte, 0, 4096),
-		opts: opts,
 	}
 	hello, err := wire.AppendHello(c.out[:0], opts.Clock, opts.Registry, opts.Tenant)
 	if err != nil {
 		return nil, err
 	}
-	conn.SetWriteDeadline(time.Now().Add(opts.Timeout))
 	if _, err := c.bw.Write(hello); err != nil {
 		return nil, err
 	}
 	if err := c.bw.Flush(); err != nil {
 		return nil, err
 	}
-	conn.SetReadDeadline(time.Now().Add(opts.Timeout))
-	if c.buf, err = wire.ReadFrame(c.br, c.buf, &c.f); err != nil {
+	if c.buf, err = tc.readFrame(c.br, c.buf, &c.f); err != nil {
 		return nil, fmt.Errorf("welcome: %w", err)
 	}
 	switch c.f.Type {
@@ -153,9 +157,6 @@ func (c *Client) Send(queries []wire.Query, arrival, deadline time.Duration) err
 	if err != nil {
 		return err
 	}
-	// A full write buffer spills to the socket inside Write: keep the
-	// deadline fresh so that spill cannot trip over a stale one.
-	c.conn.SetWriteDeadline(time.Now().Add(c.opts.Timeout))
 	if _, err := c.bw.Write(frame); err != nil {
 		return err
 	}
@@ -164,17 +165,13 @@ func (c *Client) Send(queries []wire.Query, arrival, deadline time.Duration) err
 }
 
 // Flush pushes queued frames to the server.
-func (c *Client) Flush() error {
-	c.conn.SetWriteDeadline(time.Now().Add(c.opts.Timeout))
-	return c.bw.Flush()
-}
+func (c *Client) Flush() error { return c.bw.Flush() }
 
 // ReadAck consumes one acknowledgement: how many queries the server
 // admitted and shed, and whether it is draining (the client should
 // Finish soon).
 func (c *Client) ReadAck() (accepted, shed int, draining bool, err error) {
-	c.conn.SetReadDeadline(time.Now().Add(c.opts.Timeout))
-	if c.buf, err = wire.ReadFrame(c.br, c.buf, &c.f); err != nil {
+	if c.buf, err = c.tc.readFrame(c.br, c.buf, &c.f); err != nil {
 		return 0, 0, false, err
 	}
 	switch c.f.Type {
@@ -211,9 +208,8 @@ func (c *Client) Finish() (Result, error) {
 		return Result{}, err
 	}
 	for {
-		c.conn.SetReadDeadline(time.Now().Add(c.opts.Timeout))
 		var err error
-		if c.buf, err = wire.ReadFrame(c.br, c.buf, &c.f); err != nil {
+		if c.buf, err = c.tc.readFrame(c.br, c.buf, &c.f); err != nil {
 			return Result{}, err
 		}
 		switch c.f.Type {

@@ -2,10 +2,11 @@
 // speaking internal/wire's length-prefixed framing on the hot arrival
 // path, an HTTP sidecar for health and stats, and the robustness
 // machinery every ingress needs — per-request deadlines propagated into
-// placement, per-connection read/write timeouts, a max-connections
-// cap, token-bucket admission control that sheds before admission, and
-// a graceful SIGTERM drain that flushes in-flight streams exactly once
-// and checkpoints every registry before exit.
+// placement, read/write timeouts armed where a connection actually
+// touches its socket (timedConn), a max-connections cap, token-bucket
+// admission control that sheds before admission, and a graceful SIGTERM
+// drain that flushes in-flight streams exactly once and checkpoints
+// every registry before exit.
 //
 // Each connection is one tenant stream (core.Stream): the handshake
 // binds it to a registry, Submit frames become arrival events, and
@@ -49,10 +50,15 @@ type Config struct {
 	// MaxConns caps concurrent connections; excess connections get an
 	// Error frame and an immediate close. Default 1024.
 	MaxConns int
-	// ReadTimeout bounds the wait for each frame; an idle connection
-	// past it is treated as gone (its stream is flushed). Default 30s.
+	// ReadTimeout bounds the wait for each frame, from the moment the
+	// handler first has to go to the socket for it; further socket
+	// reads for the same frame do not extend it, and a frame already
+	// complete in the read buffer waits on nothing. A connection idle
+	// (or dripping bytes) past it is treated as gone and its stream is
+	// flushed. Default 30s.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds each response flush. Default 10s.
+	// WriteTimeout bounds each socket write of a response flush.
+	// Default 10s.
 	WriteTimeout time.Duration
 	// AdmitRate is the token-bucket refill rate in queries/sec across
 	// all connections; AdmitBurst the bucket depth (default: one
@@ -226,7 +232,7 @@ func (s *Server) acceptLoop() {
 // buffers. Everything here lives for the connection and is touched by
 // its handler goroutine only.
 type conn struct {
-	c      net.Conn
+	tc     *timedConn // the socket; br and bw read and write through it
 	br     *bufio.Reader
 	bw     *bufio.Writer
 	buf    []byte // wire read buffer
@@ -246,7 +252,6 @@ func (s *Server) writeFrame(cn *conn, frame []byte) error {
 		return err
 	}
 	if cn.br.Buffered() == 0 {
-		cn.c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 		return cn.bw.Flush()
 	}
 	return nil
@@ -254,14 +259,18 @@ func (s *Server) writeFrame(cn *conn, frame []byte) error {
 
 func (s *Server) handle(c net.Conn) {
 	defer s.wg.Done()
+	tc := &timedConn{c: c, readTimeout: s.cfg.ReadTimeout, writeTimeout: s.cfg.WriteTimeout, srv: s}
 	cn := &conn{
-		c:   c,
-		br:  bufio.NewReaderSize(c, 64<<10),
-		bw:  bufio.NewWriterSize(c, 64<<10),
+		tc:  tc,
+		br:  bufio.NewReaderSize(tc, 64<<10),
+		bw:  bufio.NewWriterSize(tc, 64<<10),
 		buf: make([]byte, 0, 4096),
 		out: make([]byte, 0, 256),
 	}
 	defer func() {
+		// Whatever frame ended the connection — Result, Error, parked
+		// acks — reaches the peer before the stream's flush and the close.
+		cn.bw.Flush()
 		s.flushStream(cn)
 		s.mu.Lock()
 		delete(s.conns, c)
@@ -272,8 +281,6 @@ func (s *Server) handle(c net.Conn) {
 	if err := s.handshake(cn); err != nil {
 		s.protocolErrors.Add(1)
 		s.writeFrame(cn, wire.AppendError(cn.out[:0], err.Error()))
-		cn.c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		cn.bw.Flush()
 		return
 	}
 	s.streamsServed.Add(1)
@@ -283,9 +290,8 @@ func (s *Server) handle(c net.Conn) {
 // handshake reads the Hello, opens the tenant stream, and answers with
 // a Welcome.
 func (s *Server) handshake(cn *conn) error {
-	cn.c.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 	var err error
-	cn.buf, err = wire.ReadFrame(cn.br, cn.buf, &cn.f)
+	cn.buf, err = cn.tc.readFrame(cn.br, cn.buf, &cn.f)
 	if err != nil {
 		return fmt.Errorf("hello: %w", err)
 	}
@@ -313,14 +319,13 @@ func (s *Server) handshake(cn *conn) error {
 
 // serve is the connection's frame loop. It exits on Finish, on any
 // read/write error, and on drain (the drain nudge wakes blocked reads
-// via an immediate read deadline); the deferred flushStream in handle
-// guarantees the stream's admitted work completes exactly once on
-// every one of those paths.
+// via an immediate read deadline); the deferred flush and flushStream
+// in handle put the last frame on the wire and guarantee the stream's
+// admitted work completes exactly once on every one of those paths.
 func (s *Server) serve(cn *conn) {
 	for {
-		cn.c.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 		var err error
-		cn.buf, err = wire.ReadFrame(cn.br, cn.buf, &cn.f)
+		cn.buf, err = cn.tc.readFrame(cn.br, cn.buf, &cn.f)
 		if err != nil {
 			// Drain, disconnect, timeout, or garbage: if the peer is
 			// still there and draining, tell it before hanging up.
@@ -331,8 +336,6 @@ func (s *Server) serve(cn *conn) {
 				res := s.finishStream(cn)
 				s.writeFrame(cn, resultFrame(cn.out[:0], res, true))
 			}
-			cn.c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-			cn.bw.Flush()
 			return
 		}
 		s.frames.Add(1)
@@ -341,21 +344,15 @@ func (s *Server) serve(cn *conn) {
 			if err := s.handleSubmit(cn); err != nil {
 				s.protocolErrors.Add(1)
 				s.writeFrame(cn, wire.AppendError(cn.out[:0], err.Error()))
-				cn.c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-				cn.bw.Flush()
 				return
 			}
 		case wire.TypeFinish:
 			res := s.finishStream(cn)
 			s.writeFrame(cn, resultFrame(cn.out[:0], res, s.draining()))
-			cn.c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-			cn.bw.Flush()
 			return
 		default:
 			s.protocolErrors.Add(1)
 			s.writeFrame(cn, wire.AppendError(cn.out[:0], fmt.Sprintf("unexpected frame type %d", cn.f.Type)))
-			cn.c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-			cn.bw.Flush()
 			return
 		}
 	}

@@ -510,23 +510,25 @@ func TestChaosAcceptance(t *testing.T) {
 	}
 }
 
-// nopConn is a net.Conn that discards writes; the allocation pin needs
-// a conn for deadline calls only.
-type nopConn struct{}
+// memConn is a net.Conn that reads from src and discards writes and
+// deadlines: the allocation pin's socket.
+type memConn struct{ src *bytes.Reader }
 
-func (nopConn) Read(p []byte) (int, error)         { return 0, io.EOF }
-func (nopConn) Write(p []byte) (int, error)        { return len(p), nil }
-func (nopConn) Close() error                       { return nil }
-func (nopConn) LocalAddr() net.Addr                { return nil }
-func (nopConn) RemoteAddr() net.Addr               { return nil }
-func (nopConn) SetDeadline(t time.Time) error      { return nil }
-func (nopConn) SetReadDeadline(t time.Time) error  { return nil }
-func (nopConn) SetWriteDeadline(t time.Time) error { return nil }
+func (c memConn) Read(p []byte) (int, error)       { return c.src.Read(p) }
+func (memConn) Write(p []byte) (int, error)        { return len(p), nil }
+func (memConn) Close() error                       { return nil }
+func (memConn) LocalAddr() net.Addr                { return nil }
+func (memConn) RemoteAddr() net.Addr               { return nil }
+func (memConn) SetDeadline(t time.Time) error      { return nil }
+func (memConn) SetReadDeadline(t time.Time) error  { return nil }
+func (memConn) SetWriteDeadline(t time.Time) error { return nil }
 
 // TestNetArrivalSteadyStateAllocFree pins the engine's 0 allocs/arrival
-// invariant through the network decode path: frame decode → admission →
-// virtual clock advance → SubmitDeadline → ack encode, all on the
-// connection's reused buffers. Mirrors core's
+// invariant through the network decode path: deadline arm → socket read →
+// frame decode → admission → virtual clock advance → SubmitDeadline → ack
+// encode → deadline arm → flush, all on the connection's reused buffers
+// (one frame per socket read, so every arrival arms both deadlines — the
+// path's worst case). Mirrors core's
 // TestOnlineArrivalSteadyStateAllocFree on the wire side.
 func TestNetArrivalSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
@@ -544,10 +546,11 @@ func TestNetArrivalSteadyStateAllocFree(t *testing.T) {
 	}
 	stream.Reserve(300)
 	src := bytes.NewReader(nil)
+	tc := &timedConn{c: memConn{src}, readTimeout: time.Second, writeTimeout: time.Second, srv: s}
 	cn := &conn{
-		c:      nopConn{},
-		br:     bufio.NewReaderSize(src, 64<<10),
-		bw:     bufio.NewWriterSize(io.Discard, 64<<10),
+		tc:     tc,
+		br:     bufio.NewReaderSize(tc, 64<<10),
+		bw:     bufio.NewWriterSize(tc, 64<<10),
 		buf:    make([]byte, 0, 4096),
 		out:    make([]byte, 0, 256),
 		stream: stream,
@@ -564,8 +567,7 @@ func TestNetArrivalSteadyStateAllocFree(t *testing.T) {
 		}
 		frameBuf = frame
 		src.Reset(frame)
-		cn.br.Reset(src)
-		if cn.buf, err = wire.ReadFrame(cn.br, cn.buf, &cn.f); err != nil {
+		if cn.buf, err = tc.readFrame(cn.br, cn.buf, &cn.f); err != nil {
 			return err
 		}
 		i++
