@@ -1,10 +1,11 @@
 // Command benchjson converts `go test -bench` text output on stdin into a
 // JSON array on stdout, so CI can persist benchmark results as an artifact
-// (BENCH_search.json) and the perf trajectory is diffable across PRs.
+// (BENCH_serving.json and its siblings) and the perf trajectory is diffable
+// across PRs.
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchmem ./internal/search/ | benchjson > BENCH_search.json
+//	go test -run '^$' -bench . -benchmem ./internal/store/ | benchjson > BENCH_store.json
 //
 // Standard fields (ns/op, B/op, allocs/op) are lifted to named JSON fields;
 // any custom b.ReportMetric units (e.g. "hitrate", "expansions/op") are

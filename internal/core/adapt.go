@@ -45,7 +45,6 @@ func (m *Model) adapt(ctx context.Context, goal sla.Goal, keep bool) (*Model, er
 	}
 	start := time.Now()
 	prob := graph.NewProblem(m.env, goal)
-	prob.NoSymmetryBreaking = true // as in Train: faster at sample sizes
 	searcher, err := search.New(prob)
 	if err != nil {
 		return nil, fmt.Errorf("core: adapt: %w", err)
@@ -99,7 +98,7 @@ func (m *Model) adapt(ctx context.Context, goal sla.Goal, keep bool) (*Model, er
 		// accelerant, not a replay, hence all samples count as cold.
 		ColdSamples: len(m.samples),
 		env:         m.env,
-		prob:        runtimeProblem(m.env, goal),
+		prob:        graph.NewProblem(m.env, goal),
 		samples:     samples,
 		searchCache: cache,
 		// Adaptation re-solves the same sample workloads, so the adapted

@@ -184,14 +184,13 @@ type trainSample struct {
 	// actions is the sample's exact optimal schedule — the canonical
 	// search result for (w, goal, env). A warm retrain replays it
 	// verbatim for samples whose draw is unchanged, skipping the search
-	// entirely (see WarmTrain). Nil for samples decoded from v1 files,
-	// which fall back to reuse-assisted re-search.
+	// entirely (see WarmTrain).
 	actions []graph.Action
 	// variates holds the unit variates the sample's weighted draw
 	// consumed, one per query. A warm retrain with the same seed and
 	// sample size rebins them under the drifted mix
 	// (workload.WeightedFromVariates) instead of reconstructing and
-	// reseeding a sampler per sample. Nil for uniform draws and v1 files.
+	// reseeding a sampler per sample. Nil for uniform draws.
 	variates []float64
 }
 
@@ -332,8 +331,7 @@ func (a *Advisor) TrainContext(ctx context.Context, goal sla.Goal) (*Model, erro
 // all of them. ws, when non-nil, carries the prior epoch's retained
 // searches (the warm path): a sample whose draw is unchanged replays its
 // stored action path verbatim in O(path) instead of searching, falling
-// back to a §5 reuse-assisted re-search when no path was retained (v1
-// files) and to a cold solve when the replay rejects. Canonical search
+// back to a cold solve when the replay rejects. Canonical search
 // (see search's solver) makes the stored path exactly what today's search
 // would return, and replay regenerates the same Path steps and cache
 // records buildPath would — so the trained model is bit-identical whether
@@ -341,11 +339,6 @@ func (a *Advisor) TrainContext(ctx context.Context, goal sla.Goal) (*Model, erro
 func (a *Advisor) trainPipeline(ctx context.Context, goal sla.Goal, cache *search.TranspositionCache, ws *warmSource) (*Model, error) {
 	start := time.Now()
 	prob := graph.NewProblem(a.env, goal)
-	// The canonical-VM-ordering reduction fragments state merging more
-	// than it prunes at training sample sizes (see the ablation
-	// benchmarks in internal/search), so the training searches run
-	// without it.
-	prob.NoSymmetryBreaking = true
 	searcher, err := search.New(prob)
 	if err != nil {
 		return nil, fmt.Errorf("core: training: %w", err)
@@ -408,12 +401,12 @@ func (a *Advisor) trainPipeline(ctx context.Context, goal sla.Goal, cache *searc
 				sampler := workload.NewSampler(a.env.Templates, deriveSeed(a.cfg.Seed, i))
 				w = sampler.Uniform(a.cfg.SampleSize)
 			}
-			if prior != nil && (prior.reuse == nil || !sameQueries(w, prior.w)) {
+			if prior != nil && (prior.reuse == nil || len(prior.actions) == 0 || !sameQueries(w, prior.w)) {
 				prior = nil
 			}
 			var res *search.Result
-			if prior != nil && len(prior.actions) > 0 {
-				// Unchanged draw with a retained path: replay it instead of
+			if prior != nil {
+				// Unchanged draw: replay its retained path instead of
 				// searching. buildPath validates the walk (goal reached,
 				// cost matches) before recording anything, so a rejected
 				// replay — a stale or corrupted prior — leaves the cache
@@ -428,20 +421,12 @@ func (a *Advisor) trainPipeline(ctx context.Context, goal sla.Goal, cache *searc
 			warmed[i] = prior != nil
 			priors[i] = prior
 			if res == nil {
-				var reuse *search.Reuse
-				if prior != nil {
-					// Retained sample without a stored path (decoded from a
-					// v1 file): re-search with the §5 adaptive-A* bound,
-					// which collapses the search to a near-replay.
-					reuse = prior.reuse
-				}
 				var err error
 				res, err = searcher.Solve(w, search.Options{
 					MaxExpansions: a.cfg.MaxExpansions,
 					KeepClosed:    a.cfg.KeepTrainingData,
 					Cache:         cache,
 					Record:        rec,
-					Reuse:         reuse,
 				})
 				if err != nil {
 					return fmt.Errorf("core: training sample %d: %w", i, err)
@@ -465,24 +450,13 @@ func (a *Advisor) trainPipeline(ctx context.Context, goal sla.Goal, cache *searc
 		WarmSamples: warm,
 		ColdSamples: a.cfg.NumSamples - warm,
 		env:         a.env,
-		prob:        runtimeProblem(a.env, goal),
+		prob:        graph.NewProblem(a.env, goal),
 		samples:     samples,
 		searchCache: cache,
 		trainingMix: normalizedMix(a.cfg.SampleWeights, len(a.env.Templates)),
 	}
 	m.servingTables() // compile the serving form at train time
 	return m, nil
-}
-
-// runtimeProblem returns the graph problem the batch scheduler navigates.
-// The search's canonical-VM-ordering reduction is disabled at runtime: the
-// scheduler follows the tree greedily rather than searching, and the
-// ordering constraint could otherwise dead-end a state (an empty open VM
-// whose remaining templates are all above the bound).
-func runtimeProblem(env *schedule.Env, goal sla.Goal) *graph.Problem {
-	prob := graph.NewProblem(env, goal)
-	prob.NoSymmetryBreaking = true
-	return prob
 }
 
 // addPathToDataset converts each decision on an optimal path into a

@@ -28,7 +28,7 @@ func TestGuardDominatedPlacement(t *testing.T) {
 	// Deadline equal to the shortest template: stacking anything incurs
 	// penalties that dwarf the 0.08¢ start-up fee.
 	goal := sla.NewMaxLatency(env.Templates[0].BaseLatency, env.Templates, sla.DefaultPenaltyRate)
-	m := &Model{Goal: goal, env: env, prob: runtimeProblem(env, goal)}
+	m := &Model{Goal: goal, env: env, prob: graph.NewProblem(env, goal)}
 	w := &workload.Workload{Templates: env.Templates, Queries: []workload.Query{
 		{TemplateID: 0, Tag: 0}, {TemplateID: 0, Tag: 1},
 	}}
@@ -45,7 +45,7 @@ func TestGuardDominatedPlacement(t *testing.T) {
 	// With a loose goal, stacking saves the start-up fee and must pass
 	// through untouched.
 	loose := sla.NewMaxLatency(24*time.Hour, env.Templates, sla.DefaultPenaltyRate)
-	ml := &Model{Goal: loose, env: env, prob: runtimeProblem(env, loose)}
+	ml := &Model{Goal: loose, env: env, prob: graph.NewProblem(env, loose)}
 	sl := buildState(ml.prob, w,
 		graph.Action{Kind: graph.Startup, VMType: 0},
 		graph.Action{Kind: graph.Place, Template: 0})
@@ -60,7 +60,7 @@ func TestGuardDominatedPlacement(t *testing.T) {
 func TestGuardLeavesEmptyVMAlone(t *testing.T) {
 	env := schedule.NewEnv(workload.DefaultTemplates(2), cloud.DefaultVMTypes(1))
 	goal := sla.NewMaxLatency(time.Minute, env.Templates, sla.DefaultPenaltyRate)
-	m := &Model{Goal: goal, env: env, prob: runtimeProblem(env, goal)}
+	m := &Model{Goal: goal, env: env, prob: graph.NewProblem(env, goal)}
 	w := &workload.Workload{Templates: env.Templates, Queries: []workload.Query{{TemplateID: 0, Tag: 0}}}
 	s := buildState(m.prob, w, graph.Action{Kind: graph.Startup, VMType: 0})
 	act := graph.Action{Kind: graph.Place, Template: 0}
@@ -74,7 +74,7 @@ func TestGuardLeavesEmptyVMAlone(t *testing.T) {
 func TestRepairAlwaysValid(t *testing.T) {
 	env := schedule.NewEnv(workload.DefaultTemplates(3), cloud.DefaultVMTypes(2))
 	goal := sla.NewPerQuery(3, env.Templates, sla.DefaultPenaltyRate)
-	m := &Model{Goal: goal, env: env, prob: runtimeProblem(env, goal)}
+	m := &Model{Goal: goal, env: env, prob: graph.NewProblem(env, goal)}
 	w := &workload.Workload{Templates: env.Templates, Queries: []workload.Query{
 		{TemplateID: 0, Tag: 0}, {TemplateID: 2, Tag: 1},
 	}}

@@ -36,8 +36,8 @@ import (
 //	             plus its adaptive-A* closed set, so Shift/Adapt produce
 //	             bit-identical models after a warm start
 //	secCache     the transposition cache's solved suffix subproblems
-//	             (optional, format v2+): a canonical signature-sorted
-//	             snapshot, so a warm-started registry retrains warm
+//	             (optional): a canonical signature-sorted snapshot, so a
+//	             warm-started registry retrains warm
 //
 // Every section is independently checksummed, so `wisedb inspect` reads
 // provenance, goal, and mix without paying for — or trusting — the tree
@@ -54,10 +54,8 @@ import (
 // reproduce (their Closed exploration sets legitimately differ; their trees
 // cannot), and the hash audits model identity across checkpoints and
 // restarts. The auxiliary hash covers the training-data and cache payloads,
-// preserving v1's cross-section tampering check for the sections the
-// content hash no longer sees. Format v1 files carry a single hash over all
-// five payloads; the decoder verifies whichever rule matches the container
-// version.
+// the cross-section tampering check for the sections the content hash does
+// not see.
 const (
 	secMeta  uint32 = 1
 	secGoal  uint32 = 2
@@ -85,7 +83,7 @@ const (
 // EncodeModel serializes a model into the versioned container format. The
 // encoding is canonical and timestamp-free: encoding the same model twice
 // — or a model and its loaded round trip — yields identical bytes (the
-// golden-file test in internal/store pins this for format v1).
+// golden-file test in internal/store pins this).
 func EncodeModel(m *Model) ([]byte, error) {
 	data, _, err := encodeModel(m)
 	return data, err
@@ -206,11 +204,8 @@ func decodeModel(data []byte, env *schedule.Env) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	if hasCache && c.Version() < 2 {
-		return nil, fmt.Errorf("%w: v1 container carries a cache section", store.ErrCorrupt)
-	}
 
-	meta, err := decodeMeta(metaPayload, c.Version())
+	meta, err := decodeMeta(metaPayload)
 	if err != nil {
 		return nil, err
 	}
@@ -219,28 +214,20 @@ func decodeModel(data []byte, env *schedule.Env) (*Model, error) {
 	// sections were recombined or rewritten (each is individually
 	// CRC-intact, so this catches cross-section tampering CRCs cannot,
 	// e.g. a foreign traindata section that would silently change
-	// post-restart Shift results). v1 recorded a single hash over all
-	// payloads; v2 splits serving content from the auxiliary sections.
+	// post-restart Shift results).
 	h := fnv.New64a()
 	h.Write(goalPayload)
 	h.Write(envPayload)
 	h.Write(mixPayload)
 	h.Write(treePayload)
-	if c.Version() < 2 {
-		h.Write(trainPayload)
-		if got := h.Sum64(); got != meta.hash {
-			return nil, fmt.Errorf("%w: content hash %016x does not match recorded %016x", store.ErrCorrupt, got, meta.hash)
-		}
-	} else {
-		if got := h.Sum64(); got != meta.hash {
-			return nil, fmt.Errorf("%w: content hash %016x does not match recorded %016x", store.ErrCorrupt, got, meta.hash)
-		}
-		ah := fnv.New64a()
-		ah.Write(trainPayload)
-		ah.Write(cachePayload)
-		if got := ah.Sum64(); got != meta.auxHash {
-			return nil, fmt.Errorf("%w: auxiliary hash %016x does not match recorded %016x", store.ErrCorrupt, got, meta.auxHash)
-		}
+	if got := h.Sum64(); got != meta.hash {
+		return nil, fmt.Errorf("%w: content hash %016x does not match recorded %016x", store.ErrCorrupt, got, meta.hash)
+	}
+	ah := fnv.New64a()
+	ah.Write(trainPayload)
+	ah.Write(cachePayload)
+	if got := ah.Sum64(); got != meta.auxHash {
+		return nil, fmt.Errorf("%w: auxiliary hash %016x does not match recorded %016x", store.ErrCorrupt, got, meta.auxHash)
 	}
 
 	goal, err := decodeGoal(goalPayload)
@@ -287,11 +274,11 @@ func decodeModel(data []byte, env *schedule.Env) (*Model, error) {
 		WarmSamples:         meta.warmSamples,
 		ColdSamples:         meta.coldSamples,
 		env:                 env,
-		prob:                runtimeProblem(env, goal),
+		prob:                graph.NewProblem(env, goal),
 		trainingMix:         mix,
 	}
 	if hasTrain {
-		samples, tErr := decodeTrainData(trainPayload, env, c.Version())
+		samples, tErr := decodeTrainData(trainPayload, env)
 		if tErr != nil {
 			return nil, tErr
 		}
@@ -403,15 +390,12 @@ func encodeMeta(e *store.Enc, m *Model, hash, auxHash uint64) {
 		e.Int(len(cfg.SampleWeights))
 		e.F64s(cfg.SampleWeights)
 	}
-	// v2 tail: auxiliary hash and the warm/cold sample split.
 	e.U64(auxHash)
 	e.Int(m.WarmSamples)
 	e.Int(m.ColdSamples)
 }
 
-// decodeMeta decodes a secMeta payload; version is the container's format
-// version (v1 payloads end before the v2 tail fields).
-func decodeMeta(p []byte, version uint16) (modelMeta, error) {
+func decodeMeta(p []byte) (modelMeta, error) {
 	d := store.NewDec(p)
 	var m modelMeta
 	m.hash = d.U64()
@@ -439,11 +423,9 @@ func decodeMeta(p []byte, version uint16) (modelMeta, error) {
 			}
 		}
 	}
-	if version >= 2 {
-		m.auxHash = d.U64()
-		m.warmSamples = d.Int()
-		m.coldSamples = d.Int()
-	}
+	m.auxHash = d.U64()
+	m.warmSamples = d.Int()
+	m.coldSamples = d.Int()
 	return m, d.Done()
 }
 
@@ -845,12 +827,11 @@ func encodeTrainData(e *store.Enc, samples []trainSample) {
 			e.U32s(ce.Lens)
 			e.F64s(ce.G)
 		}
-		// v2 appends the sample's solved action path, so a registry
-		// restored from a checkpoint replays unchanged samples instead of
-		// re-searching them (v1 files decode without paths and fall back
-		// to reuse-assisted re-search), and the weighted draw's unit
-		// variates, so a restored warm retrain rebins the stored draws
-		// instead of reseeding 500 samplers.
+		// The sample's solved action path lets a registry restored from a
+		// checkpoint replay unchanged samples instead of re-searching
+		// them; the weighted draw's unit variates let a restored warm
+		// retrain rebin the stored draws instead of reseeding 500
+		// samplers.
 		encodeActions(e, s.actions)
 		e.Int(len(s.variates))
 		e.F64s(s.variates)
@@ -867,7 +848,7 @@ func encodeActions(e *store.Enc, actions []graph.Action) {
 	}
 }
 
-func decodeTrainData(p []byte, env *schedule.Env, version uint16) ([]trainSample, error) {
+func decodeTrainData(p []byte, env *schedule.Env) ([]trainSample, error) {
 	d := store.NewDec(p)
 	k, nv := len(env.Templates), len(env.VMTypes)
 	n := d.Count(9) // per sample: query count + reuse flag at minimum
@@ -916,50 +897,48 @@ func decodeTrainData(p []byte, env *schedule.Env, version uint16) ([]trainSample
 			}
 			s.reuse = &search.Reuse{OldCost: oldCost, Closed: closed}
 		}
-		if version >= 2 {
-			na := d.Count(9)
-			if d.Err() != nil {
-				return nil, d.Err()
-			}
-			if na > 0 {
-				s.actions = make([]graph.Action, na)
-				for j := range s.actions {
-					a := graph.Action{
-						Kind:     graph.ActionKind(d.U8()),
-						Template: int(int32(d.U32())),
-						VMType:   int(int32(d.U32())),
-					}
-					if d.Err() != nil {
-						return nil, d.Err()
-					}
-					switch a.Kind {
-					case graph.Place:
-						if a.Template < 0 || a.Template >= k {
-							return nil, fmt.Errorf("%w: sample %d action %d places template %d of %d", store.ErrCorrupt, i, j, a.Template, k)
-						}
-					case graph.Startup:
-						if a.VMType < 0 || a.VMType >= nv {
-							return nil, fmt.Errorf("%w: sample %d action %d starts VM type %d of %d", store.ErrCorrupt, i, j, a.VMType, nv)
-						}
-					default:
-						return nil, fmt.Errorf("%w: sample %d action %d has kind %d", store.ErrCorrupt, i, j, a.Kind)
-					}
-					s.actions[j] = a
+		na := d.Count(9)
+		if d.Err() != nil {
+			return nil, d.Err()
+		}
+		if na > 0 {
+			s.actions = make([]graph.Action, na)
+			for j := range s.actions {
+				a := graph.Action{
+					Kind:     graph.ActionKind(d.U8()),
+					Template: int(int32(d.U32())),
+					VMType:   int(int32(d.U32())),
 				}
-			}
-			nu := d.Count(8)
-			if d.Err() != nil {
-				return nil, d.Err()
-			}
-			if nu > 0 {
-				s.variates = make([]float64, nu)
-				for j := range s.variates {
-					v := d.F64()
-					if d.Err() == nil && (math.IsNaN(v) || v < 0 || v >= 1) {
-						return nil, fmt.Errorf("%w: sample %d variate %d is %g, want [0,1)", store.ErrCorrupt, i, j, v)
-					}
-					s.variates[j] = v
+				if d.Err() != nil {
+					return nil, d.Err()
 				}
+				switch a.Kind {
+				case graph.Place:
+					if a.Template < 0 || a.Template >= k {
+						return nil, fmt.Errorf("%w: sample %d action %d places template %d of %d", store.ErrCorrupt, i, j, a.Template, k)
+					}
+				case graph.Startup:
+					if a.VMType < 0 || a.VMType >= nv {
+						return nil, fmt.Errorf("%w: sample %d action %d starts VM type %d of %d", store.ErrCorrupt, i, j, a.VMType, nv)
+					}
+				default:
+					return nil, fmt.Errorf("%w: sample %d action %d has kind %d", store.ErrCorrupt, i, j, a.Kind)
+				}
+				s.actions[j] = a
+			}
+		}
+		nu := d.Count(8)
+		if d.Err() != nil {
+			return nil, d.Err()
+		}
+		if nu > 0 {
+			s.variates = make([]float64, nu)
+			for j := range s.variates {
+				v := d.F64()
+				if d.Err() == nil && (math.IsNaN(v) || v < 0 || v >= 1) {
+					return nil, fmt.Errorf("%w: sample %d variate %d is %g, want [0,1)", store.ErrCorrupt, i, j, v)
+				}
+				s.variates[j] = v
 			}
 		}
 		samples = append(samples, s)
@@ -1057,8 +1036,7 @@ func SectionName(id uint32) string {
 // checksummed), which is what lets `wisedb inspect` describe a large model
 // in microseconds.
 type ModelInfo struct {
-	// FormatVersion is the container version the file was written with
-	// (the reader accepts store.MinFormatVersion..store.FormatVersion).
+	// FormatVersion is the container version the file was written with.
 	FormatVersion uint16
 	// Sections lists every section with its size and checksum.
 	Sections []store.SectionInfo
@@ -1081,10 +1059,10 @@ type ModelInfo struct {
 	// HasTrainingData reports whether the model retains its samples.
 	HasTrainingData bool
 	// HasSearchCache reports whether the model carries a persisted
-	// transposition-cache snapshot (format v2+).
+	// transposition-cache snapshot.
 	HasSearchCache bool
 	// AuxHash is the auxiliary hash over the training-data and cache
-	// sections (zero for v1 files, whose Hash covers everything).
+	// sections.
 	AuxHash uint64
 	// WarmSamples and ColdSamples split the training run's samples into
 	// warm replays and fresh solves (both zero for cold-trained models).
@@ -1098,9 +1076,7 @@ func InspectModel(data []byte) (*ModelInfo, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: inspect model: %w", err)
 	}
-	meta, err := readSection(c, secMeta, func(p []byte) (modelMeta, error) {
-		return decodeMeta(p, c.Version())
-	})
+	meta, err := readSection(c, secMeta, decodeMeta)
 	if err != nil {
 		return nil, err
 	}

@@ -110,7 +110,6 @@ func (sc *servingScratch) resetState(w *workload.Workload, k int) {
 	st.Wait = 0
 	sc.tracker.Reset()
 	st.Acc = sc.tracker
-	st.PrevFirst = graph.Unconstrained
 	sc.fs.Reset(st)
 	sc.actions = sc.actions[:0]
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"wisedb/internal/cloud"
+	"wisedb/internal/graph"
 	"wisedb/internal/schedule"
 	"wisedb/internal/sla"
 	"wisedb/internal/workload"
@@ -111,7 +112,7 @@ func TestOnlinePlaceRejectsUnservablePair(t *testing.T) {
 		{ID: 0, Name: "tiny", StartupCost: 0.08, RatePerHour: 2, SupportsHighRAM: false, HighRAMMultiplier: 1},
 	})
 	goal := sla.NewMaxLatency(15*time.Minute, env.Templates, sla.DefaultPenaltyRate)
-	m := &Model{Goal: goal, env: env, prob: runtimeProblem(env, goal)}
+	m := &Model{Goal: goal, env: env, prob: graph.NewProblem(env, goal)}
 	o := NewOnlineScheduler(m, DefaultOnlineOptions())
 	// Template 1 is high-RAM: "tiny" cannot run it. Hand place a schedule
 	// that claims otherwise.

@@ -29,10 +29,8 @@ import (
 //     query's variate. Samples whose draw is unchanged skip the search
 //     entirely: the prior epoch's stored optimal path is replayed in
 //     O(path) (search.Replay), regenerating the identical training steps
-//     and cache records the search would have produced. Samples retained
-//     without a stored path (v1 checkpoints) re-solve with the prior
-//     search's adaptive-A* reuse (§5: h' = max(h, C* − g_old), exact for
-//     the same goal), which collapses the search to a near-replay.
+//     and cache records the search would have produced. Every other
+//     sample solves cold (with the cache of layer 1).
 //  3. Pipelined tree build. Solved generations stream into the
 //     decision-tree dataset at the worker pool's commit barriers
 //     (solveSamplesFold), overlapping dataset construction with the
@@ -43,8 +41,8 @@ import (
 // schedule regardless of cache contents or heuristic strength, so every
 // layer accelerates without steering. Non-monotonic goals (Average,
 // Percentile) have none of these properties — their caches are unsound
-// across searches and reuse can prune the optimum — so they fall back to a
-// cold train, explicitly counted in Model.ColdSamples.
+// across searches and their results are not canonical — so they fall back
+// to a cold train, explicitly counted in Model.ColdSamples.
 
 // WarmTrain trains a model for the advisor's configuration (typically the
 // drifted arrival mix in SampleWeights), warm-started from prior — the
@@ -79,12 +77,11 @@ func (a *Advisor) WarmTrainContext(ctx context.Context, goal sla.Goal, prior *Mo
 // warmEligible gates the warm path. Every condition guards a soundness or
 // determinism requirement:
 //
-//   - monotonic goal: the transposition cache and §5 reuse are only sound
-//     there, and only monotonic searches are canonical;
+//   - monotonic goal: the transposition cache is only sound there, and
+//     only monotonic searches are canonical;
 //   - cache enabled, no expansion cap: a capped search can return a
 //     non-optimal schedule, which is not a pure function of the inputs;
-//   - same goal: cache entries and Closed costs are goal-specific (equal
-//     goals make the reuse bound exact rather than merely admissible);
+//   - same goal: cache entries and stored path costs are goal-specific;
 //   - same environment object: the prior epoch's searches priced edges on
 //     this exact latency matrix (DriftRetrain always retrains on the
 //     serving model's own env);

@@ -192,9 +192,11 @@ func (c *Config) model(env *schedule.Env, goal sla.Goal) (*core.Model, error) {
 }
 
 // DefaultExpansionCap is the default bound on the exact search used as the
-// "Optimal" comparator. Percentile goals at 30 queries can exceed it; the
-// comparator then falls back to the best known upper bound and the trial
-// counts as capped.
+// "Optimal" comparator. On one VM type it proves nearly every 30-query
+// instance; Average on two VM types from 20 queries up, and the occasional
+// 30-query Percentile or two-type Max instance, still exceed it
+// (EXPERIMENTS.md, "The third reduction, on and off"). The comparator then
+// falls back to the best known upper bound and the trial counts as capped.
 const DefaultExpansionCap = 600_000
 
 // expansionCap returns the configured comparator search bound.

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
+
+	"wisedb/internal/workload"
 )
 
 // Every figure must produce a non-empty, well-formed table in quick mode.
@@ -98,5 +101,28 @@ func TestFig9Sanity(t *testing.T) {
 		if v > 100 {
 			t.Fatalf("%s is %s above optimal; pipeline regression", row[0], row[3])
 		}
+	}
+}
+
+// The "Optimal" comparator must prove the Figs. 9-12 Average instance (30
+// queries, one VM type, heuristic-seeded) well inside the default expansion
+// cap: a capped trial reports the seed as "optimal" and hides the model's
+// real gap.
+func TestOptimalCostProvesAverageAtFigureScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	c := &Config{}
+	s := c.newSetup(10, 1)
+	w := workload.NewSampler(s.env.Templates, 1).Uniform(30)
+	cost, proven, err := c.optimalCost(s.env, s.goal("Average"), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !proven {
+		t.Fatalf("Average m=30 hit the %d-expansion cap (best bound %.4f)", DefaultExpansionCap, cost)
+	}
+	if math.Abs(cost-11.6158) > 1e-3 {
+		t.Fatalf("proven optimum %.4f, want 11.6158", cost)
 	}
 }

@@ -183,7 +183,6 @@ func TestIncrementalStateMatchesExtract(t *testing.T) {
 	for name, goal := range goals {
 		t.Run(name, func(t *testing.T) {
 			p := graph.NewProblem(env, goal)
-			p.NoSymmetryBreaking = true // as on the serving path
 			rng := rand.New(rand.NewSource(17))
 			fs := NewState(p)
 			var buf []float64

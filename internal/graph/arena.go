@@ -101,10 +101,6 @@ func (p *Problem) ApplyArena(ar *Arena, s *State, a Action) *State {
 		if a.VMType < 0 || a.VMType >= len(p.Env.VMTypes) {
 			panic("graph: unknown VM type")
 		}
-		prevFirst := s.PrevFirst
-		if len(s.OpenQueue) > 0 {
-			prevFirst = s.OpenQueue[0]
-		}
 		child := ar.newState()
 		*child = State{
 			Unassigned: s.Unassigned,
@@ -112,7 +108,6 @@ func (p *Problem) ApplyArena(ar *Arena, s *State, a Action) *State {
 			OpenQueue:  nil,
 			Wait:       0,
 			Acc:        s.Acc,
-			PrevFirst:  prevFirst,
 		}
 		return child
 	case Place:
@@ -138,7 +133,6 @@ func (p *Problem) ApplyArena(ar *Arena, s *State, a Action) *State {
 			OpenQueue:  queue,
 			Wait:       completion,
 			Acc:        acc,
-			PrevFirst:  s.PrevFirst,
 		}
 		return child
 	default:

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -33,62 +32,53 @@ func arenaGoals(env *schedule.Env) map[string]sla.Goal {
 func TestApplyArenaMatchesApply(t *testing.T) {
 	env := schedule.NewEnv(workload.DefaultTemplates(4), cloud.DefaultVMTypes(2))
 	for name, goal := range arenaGoals(env) {
-		for _, noSym := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/sym=%v", name, !noSym), func(t *testing.T) {
-				prob := NewProblem(env, goal)
-				prob.NoSymmetryBreaking = noSym
-				ref := NewProblem(env, goal)
-				ref.NoSymmetryBreaking = noSym
-				var ar Arena
-				rng := rand.New(rand.NewSource(7))
-				sampler := workload.NewSampler(env.Templates, 19)
-				for trial := 0; trial < 20; trial++ {
-					ar.Reset()
-					w := sampler.Uniform(6)
-					a := prob.Start(w)
-					b := ref.Start(w)
-					for step := 0; !b.IsGoal(); step++ {
-						actsA := prob.Actions(a)
-						actsB := ref.Actions(b)
-						if len(actsA) != len(actsB) {
-							t.Fatalf("trial %d step %d: %d actions vs %d", trial, step, len(actsA), len(actsB))
-						}
-						for i := range actsA {
-							if actsA[i] != actsB[i] {
-								t.Fatalf("trial %d step %d: action %d differs: %+v vs %+v", trial, step, i, actsA[i], actsB[i])
-							}
-						}
-						for _, act := range actsA {
-							if act.Kind != Place {
-								continue
-							}
-							ca, oka := prob.PlacementCost(a, act.Template)
-							cb, okb := ref.PlacementCost(b, act.Template)
-							if oka != okb || ca != cb {
-								t.Fatalf("trial %d step %d: placement cost T%d: (%v,%v) vs (%v,%v)", trial, step, act.Template, ca, oka, cb, okb)
-							}
-						}
-						if got, want := prob.Signature(a), ref.Signature(b); got != want {
-							t.Fatalf("trial %d step %d: signature %q vs %q", trial, step, got, want)
-						}
-						if len(actsA) == 0 {
-							// The canonical-ordering reduction can dead-end
-							// a random walk (both problems agree it does).
-							break
-						}
-						act := actsA[rng.Intn(len(actsA))]
-						a = prob.ApplyArena(&ar, a, act)
-						b = ref.Apply(b, act)
-						if a.IsGoal() != b.IsGoal() || a.Wait != b.Wait || a.OpenType != b.OpenType || a.PrevFirst != b.PrevFirst {
-							t.Fatalf("trial %d step %d: state fields diverge: %+v vs %+v", trial, step, a, b)
-						}
-						if !sla.PenaltyHistoryFree(goal) && a.Acc.Penalty() != b.Acc.Penalty() {
-							t.Fatalf("trial %d step %d: accumulator penalty %v vs %v", trial, step, a.Acc.Penalty(), b.Acc.Penalty())
+		t.Run(name, func(t *testing.T) {
+			prob := NewProblem(env, goal)
+			ref := NewProblem(env, goal)
+			var ar Arena
+			rng := rand.New(rand.NewSource(7))
+			sampler := workload.NewSampler(env.Templates, 19)
+			for trial := 0; trial < 20; trial++ {
+				ar.Reset()
+				w := sampler.Uniform(6)
+				a := prob.Start(w)
+				b := ref.Start(w)
+				for step := 0; !b.IsGoal(); step++ {
+					actsA := prob.Actions(a)
+					actsB := ref.Actions(b)
+					if len(actsA) != len(actsB) {
+						t.Fatalf("trial %d step %d: %d actions vs %d", trial, step, len(actsA), len(actsB))
+					}
+					for i := range actsA {
+						if actsA[i] != actsB[i] {
+							t.Fatalf("trial %d step %d: action %d differs: %+v vs %+v", trial, step, i, actsA[i], actsB[i])
 						}
 					}
+					for _, act := range actsA {
+						if act.Kind != Place {
+							continue
+						}
+						ca, oka := prob.PlacementCost(a, act.Template)
+						cb, okb := ref.PlacementCost(b, act.Template)
+						if oka != okb || ca != cb {
+							t.Fatalf("trial %d step %d: placement cost T%d: (%v,%v) vs (%v,%v)", trial, step, act.Template, ca, oka, cb, okb)
+						}
+					}
+					if got, want := prob.Signature(a), ref.Signature(b); got != want {
+						t.Fatalf("trial %d step %d: signature %q vs %q", trial, step, got, want)
+					}
+					act := actsA[rng.Intn(len(actsA))]
+					a = prob.ApplyArena(&ar, a, act)
+					b = ref.Apply(b, act)
+					if a.IsGoal() != b.IsGoal() || a.Wait != b.Wait || a.OpenType != b.OpenType {
+						t.Fatalf("trial %d step %d: state fields diverge: %+v vs %+v", trial, step, a, b)
+					}
+					if !sla.PenaltyHistoryFree(goal) && a.Acc.Penalty() != b.Acc.Penalty() {
+						t.Fatalf("trial %d step %d: accumulator penalty %v vs %v", trial, step, a.Acc.Penalty(), b.Acc.Penalty())
+					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -98,7 +88,6 @@ func TestApplyArenaBranchingPreservesParent(t *testing.T) {
 	env := schedule.NewEnv(workload.DefaultTemplates(3), cloud.DefaultVMTypes(1))
 	goal := sla.NewMaxLatency(10*time.Minute, env.Templates, sla.DefaultPenaltyRate)
 	prob := NewProblem(env, goal)
-	prob.NoSymmetryBreaking = true
 	var ar Arena
 	w := workload.NewSampler(env.Templates, 5).Uniform(5)
 	s := prob.Start(w)

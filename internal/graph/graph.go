@@ -89,29 +89,18 @@ type State struct {
 	Wait time.Duration
 	// Acc tracks the penalty of the schedule so far.
 	Acc sla.Accumulator
-	// PrevFirst is the template of the first query on the previously
-	// closed VM, or Unconstrained. It implements a symmetry reduction
-	// beyond the paper's two: VM-level permutations of a schedule have
-	// identical cost (fees, processing, and penalties all depend only on
-	// the multiset of VM queues), so the graph only admits schedules
-	// whose VMs are ordered by non-increasing first-query template. At
-	// least one canonical ordering exists for every schedule, so no goal
-	// cost is lost.
-	PrevFirst int
 }
-
-// Unconstrained is the PrevFirst value when any template may start the
-// open VM.
-const Unconstrained = 1 << 30
 
 // Problem bundles everything that defines a scheduling-graph instance: the
 // environment (templates, VM types, predictor) and the performance goal.
 type Problem struct {
 	Env  *schedule.Env
 	Goal sla.Goal
-	// NoSymmetryBreaking disables the canonical VM ordering reduction.
-	// Tests use it to verify the reduction is lossless; production
-	// searches leave it off.
+	// Ignored. It switched off a third graph reduction (VMs ordered by
+	// first-query template) that was removed because it never beat the
+	// plain graph; the field survives only because the frozen bench/
+	// module still assigns it, and goes once those assignments do
+	// (ROADMAP item 4).
 	NoSymmetryBreaking bool
 
 	// histOnce/histFree lazily cache sla.PenaltyHistoryFree(Goal) for the
@@ -132,7 +121,6 @@ func (p *Problem) Start(w *workload.Workload) *State {
 		Unassigned: w.Counts(),
 		OpenType:   NoVM,
 		Acc:        sla.NewAccumulator(p.Goal),
-		PrevFirst:  Unconstrained,
 	}
 }
 
@@ -171,9 +159,6 @@ func (p *Problem) CanPlace(s *State, template int) bool {
 	if template < 0 || template >= len(s.Unassigned) || s.Unassigned[template] == 0 || s.OpenType == NoVM {
 		return false
 	}
-	if !p.NoSymmetryBreaking && len(s.OpenQueue) == 0 && template > s.PrevFirst {
-		return false // canonical VM ordering (see State.PrevFirst)
-	}
 	_, ok := p.Env.Latency(template, s.OpenType)
 	return ok
 }
@@ -208,17 +193,12 @@ func (p *Problem) Apply(s *State, a Action) *State {
 		if a.VMType < 0 || a.VMType >= len(p.Env.VMTypes) {
 			panic("graph: unknown VM type")
 		}
-		prevFirst := s.PrevFirst
-		if len(s.OpenQueue) > 0 {
-			prevFirst = s.OpenQueue[0]
-		}
 		return &State{
 			Unassigned: s.Unassigned,
 			OpenType:   a.VMType,
 			OpenQueue:  nil,
 			Wait:       0,
 			Acc:        s.Acc,
-			PrevFirst:  prevFirst,
 		}
 	case Place:
 		if !p.CanPlace(s, a.Template) {
@@ -238,7 +218,6 @@ func (p *Problem) Apply(s *State, a Action) *State {
 			OpenQueue:  queue,
 			Wait:       completion,
 			Acc:        s.Acc.Add(a.Template, completion),
-			PrevFirst:  s.PrevFirst,
 		}
 	default:
 		panic("graph: unknown action kind")
@@ -262,9 +241,6 @@ func (p *Problem) ApplyInPlace(s *State, a Action) {
 		}
 		if a.VMType < 0 || a.VMType >= len(p.Env.VMTypes) {
 			panic("graph: unknown VM type")
-		}
-		if len(s.OpenQueue) > 0 {
-			s.PrevFirst = s.OpenQueue[0]
 		}
 		s.OpenType = a.VMType
 		s.OpenQueue = s.OpenQueue[:0]
@@ -325,12 +301,10 @@ func (p *Problem) AppendActions(buf []Action, s *State) []Action {
 
 // Signature returns a canonical byte-string key identifying all state that
 // can influence future costs: unassigned counts, open VM type, queued wait
-// time, the canonical-ordering bound (when the symmetry reduction is
-// active), and the goal-specific penalty summary. Two states with equal
+// time, and the goal-specific penalty summary. Two states with equal
 // signatures have identical reachable futures, so the search keeps only the
 // cheapest. The open queue's composition is deliberately excluded: future
-// placement costs depend on it only through Wait, Acc, and the ordering
-// bound.
+// placement costs depend on it only through Wait and Acc.
 func (p *Problem) Signature(s *State) string {
 	return string(p.AppendSignature(make([]byte, 0, 8*len(s.Unassigned)+16), s))
 }
@@ -345,21 +319,7 @@ func (p *Problem) AppendSignature(buf []byte, s *State) []byte {
 	}
 	buf = binary.AppendVarint(buf, int64(s.OpenType))
 	buf = binary.AppendVarint(buf, int64(s.Wait/time.Millisecond))
-	if !p.NoSymmetryBreaking {
-		buf = binary.AppendVarint(buf, int64(s.OrderingBound()))
-	}
 	return s.Acc.AppendSignature(buf)
-}
-
-// orderingBound returns the template bound the canonical VM ordering
-// imposes on reachable futures: the open VM's first query once one is
-// placed (it becomes the next VM's PrevFirst), or PrevFirst while the open
-// VM is empty. It is the only ordering state a signature must retain.
-func (s *State) OrderingBound() int {
-	if len(s.OpenQueue) > 0 {
-		return s.OpenQueue[0]
-	}
-	return s.PrevFirst
 }
 
 // BuildSchedule replays an action path from the start vertex into a

@@ -129,8 +129,6 @@ func TestSignatureMergesEquivalentStates(t *testing.T) {
 	// decomposable goal their signatures must match so the search merges
 	// them.
 	w := wl(env, 0, 0, 0, 1, 1)
-	// Same first query (the canonical-ordering bound), different order of
-	// the rest.
 	a := p.Start(w)
 	a = p.Apply(a, Action{Kind: Startup, VMType: 0})
 	a = p.Apply(a, Action{Kind: Place, Template: 0})
@@ -138,8 +136,8 @@ func TestSignatureMergesEquivalentStates(t *testing.T) {
 	a = p.Apply(a, Action{Kind: Place, Template: 1})
 	b := p.Start(w)
 	b = p.Apply(b, Action{Kind: Startup, VMType: 0})
-	b = p.Apply(b, Action{Kind: Place, Template: 0})
 	b = p.Apply(b, Action{Kind: Place, Template: 1})
+	b = p.Apply(b, Action{Kind: Place, Template: 0})
 	b = p.Apply(b, Action{Kind: Place, Template: 0})
 	if p.Signature(a) != p.Signature(b) {
 		t.Fatal("order-independent states must share a signature (decomposable goal)")
@@ -148,21 +146,6 @@ func TestSignatureMergesEquivalentStates(t *testing.T) {
 	c := p.Apply(a, Action{Kind: Place, Template: 0})
 	if p.Signature(c) == p.Signature(a) {
 		t.Fatal("states with different unassigned counts merged")
-	}
-	// With symmetry breaking off, even different first queries merge
-	// (they have identical futures then).
-	p2, _ := testProblem(2, 1)
-	p2.NoSymmetryBreaking = true
-	x := p2.Start(w)
-	x = p2.Apply(x, Action{Kind: Startup, VMType: 0})
-	x = p2.Apply(x, Action{Kind: Place, Template: 0})
-	x = p2.Apply(x, Action{Kind: Place, Template: 1})
-	y := p2.Start(w)
-	y = p2.Apply(y, Action{Kind: Startup, VMType: 0})
-	y = p2.Apply(y, Action{Kind: Place, Template: 1})
-	y = p2.Apply(y, Action{Kind: Place, Template: 0})
-	if p2.Signature(x) != p2.Signature(y) {
-		t.Fatal("without symmetry breaking, first-query order must not split states")
 	}
 }
 
@@ -210,35 +193,5 @@ func TestActionLabelRoundTrip(t *testing.T) {
 		if got := a.Label(numTemplates); got != label {
 			t.Fatalf("label %d round-tripped to %d", label, got)
 		}
-	}
-}
-
-func TestSymmetryBreakingCanonicalOrder(t *testing.T) {
-	p, env := testProblem(3, 1)
-	s := p.Start(wl(env, 0, 1, 2))
-	s = p.Apply(s, Action{Kind: Startup, VMType: 0})
-	s = p.Apply(s, Action{Kind: Place, Template: 1})
-	s = p.Apply(s, Action{Kind: Startup, VMType: 0})
-	// The previous VM started with template 1: the next VM may open with
-	// templates <= 1 only.
-	if p.CanPlace(s, 2) {
-		t.Fatal("canonical ordering must forbid opening with a larger template")
-	}
-	if !p.CanPlace(s, 0) {
-		t.Fatal("smaller template must be allowed")
-	}
-	// After the first placement the constraint lifts within the VM.
-	s = p.Apply(s, Action{Kind: Place, Template: 0})
-	if !p.CanPlace(s, 2) {
-		t.Fatal("constraint applies only to the first query of a VM")
-	}
-	// Disabling symmetry breaking lifts the constraint.
-	p.NoSymmetryBreaking = true
-	s2 := p.Start(wl(env, 0, 1, 2))
-	s2 = p.Apply(s2, Action{Kind: Startup, VMType: 0})
-	s2 = p.Apply(s2, Action{Kind: Place, Template: 1})
-	s2 = p.Apply(s2, Action{Kind: Startup, VMType: 0})
-	if !p.CanPlace(s2, 2) {
-		t.Fatal("NoSymmetryBreaking must lift the canonical order")
 	}
 }

@@ -16,7 +16,7 @@ import (
 //
 //	go test -bench=Ablation ./internal/search -benchmem
 //
-// and compare pairs (with/without symmetry breaking, fresh vs adaptive).
+// and compare the pair (fresh vs adaptive).
 
 func benchEnv(numTemplates int) *schedule.Env {
 	return schedule.NewEnv(workload.DefaultTemplates(numTemplates), cloud.DefaultVMTypes(1))
@@ -37,58 +37,12 @@ func benchSolve(b *testing.B, prob *graph.Problem, m int) {
 	}
 }
 
-// BenchmarkAblationMaxSymmetry measures the training-size Max-goal search
-// with the canonical VM ordering reduction on.
-func BenchmarkAblationMaxSymmetry(b *testing.B) {
-	env := benchEnv(10)
-	goal := sla.NewMaxLatency(15*time.Minute, env.Templates, sla.DefaultPenaltyRate)
-	benchSolve(b, graph.NewProblem(env, goal), 14)
-}
-
-// BenchmarkAblationMaxNoSymmetry is the same search without the reduction.
-func BenchmarkAblationMaxNoSymmetry(b *testing.B) {
-	env := benchEnv(10)
-	goal := sla.NewMaxLatency(15*time.Minute, env.Templates, sla.DefaultPenaltyRate)
-	prob := graph.NewProblem(env, goal)
-	prob.NoSymmetryBreaking = true
-	benchSolve(b, prob, 14)
-}
-
-// BenchmarkAblationPercentileSymmetry measures the Percentile search
-// (dominance pruning + bounds) with symmetry breaking.
-func BenchmarkAblationPercentileSymmetry(b *testing.B) {
-	env := benchEnv(10)
-	goal := sla.NewPercentile(90, 10*time.Minute, env.Templates, sla.DefaultPenaltyRate)
-	benchSolve(b, graph.NewProblem(env, goal), 14)
-}
-
-// BenchmarkAblationPercentileNoSymmetry is the same without symmetry
-// breaking.
-func BenchmarkAblationPercentileNoSymmetry(b *testing.B) {
-	env := benchEnv(10)
-	goal := sla.NewPercentile(90, 10*time.Minute, env.Templates, sla.DefaultPenaltyRate)
-	prob := graph.NewProblem(env, goal)
-	prob.NoSymmetryBreaking = true
-	benchSolve(b, prob, 14)
-}
-
 // BenchmarkAblationFreshSearch solves a tightened-goal instance from
 // scratch; compare with BenchmarkAblationAdaptiveSearch for §5's reuse.
 func BenchmarkAblationFreshSearch(b *testing.B) {
 	env := benchEnv(10)
 	goal := sla.NewMaxLatency(15*time.Minute, env.Templates, sla.DefaultPenaltyRate)
-	tight := goal.Tighten(0.4)
-	s, err := New(graph.NewProblem(env, tight))
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := workload.NewSampler(env.Templates, 1).Uniform(14)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Solve(w, Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSolve(b, graph.NewProblem(env, goal.Tighten(0.4)), 14)
 }
 
 // BenchmarkAblationAdaptiveSearch solves the same tightened instance with

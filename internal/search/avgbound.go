@@ -193,7 +193,8 @@ func (s *Searcher) percentileBound(ar *arena, st *graph.State, goal sla.Percenti
 		if spill := work - room0 - time.Duration(k)*goal.Deadline; spill > 0 {
 			pen = goal.Rate * (spill / time.Duration(m+1)).Seconds()
 		}
-		if len(bigs) >= 2 && len(bigs) > k+openBig {
+		crowded := len(bigs) >= 2 && len(bigs) > k+openBig
+		if crowded {
 			if over := bigs[0] + bigs[1] - goal.Deadline; over > 0 {
 				if p := goal.Rate * over.Seconds(); p > pen {
 					pen = p
@@ -201,10 +202,15 @@ func (s *Searcher) percentileBound(ar *arena, st *graph.State, goal sla.Percenti
 			}
 		}
 		cost += pen
-		if cost > best {
-			break // increasing past the optimum: fees dominate
+		if cost < best {
+			best = cost
+		} else if !crowded {
+			// Fees plus the spill term are convex in k, so past their
+			// minimum fees dominate. The pigeonhole term is a plateau
+			// that drops to zero once every big item has a machine, so
+			// the scan must not stop while it still applies.
+			break
 		}
-		best = cost
 	}
 	return best
 }

@@ -10,12 +10,12 @@ import (
 
 // dominanceIndex prunes Percentile-goal states by Pareto dominance.
 //
-// Consider two states that agree on the unassigned counts, the open VM's
-// type and queued wait, and the canonical-ordering bound. They have the
-// same number of assigned queries, so they differ only in how those
-// latencies split into "below deadline" (count) and "above deadline"
-// (sorted vector). State A dominates state B when A's violation vector,
-// right-aligned against B's, is pointwise no larger:
+// Consider two states that agree on the unassigned counts and the open VM's
+// type and queued wait. They have the same number of assigned queries, so
+// they differ only in how those latencies split into "below deadline"
+// (count) and "above deadline" (sorted vector). State A dominates state B
+// when A's violation vector, right-aligned against B's, is pointwise no
+// larger:
 //
 //	len(A.above) <= len(B.above), and
 //	A.above[i] <= B.above[i + len(B)-len(A)] for all i.
@@ -74,9 +74,9 @@ func (d *dominanceIndex) release() {
 }
 
 // key buckets states by everything except the violation split: unassigned
-// counts (which fix the assigned count), open VM type and wait, and the
-// canonical-ordering bound. The returned byte key aliases the index's
-// scratch buffer and is valid until the next key call.
+// counts (which fix the assigned count), open VM type and wait. The returned
+// byte key aliases the index's scratch buffer and is valid until the next
+// key call.
 func (d *dominanceIndex) key(st *graph.State) ([]byte, []time.Duration, bool) {
 	_, above, ok := sla.PctState(st.Acc)
 	if !ok {
@@ -88,7 +88,6 @@ func (d *dominanceIndex) key(st *graph.State) ([]byte, []time.Duration, bool) {
 	}
 	buf = binary.AppendVarint(buf, int64(st.OpenType))
 	buf = binary.AppendVarint(buf, int64(st.Wait/time.Millisecond))
-	buf = binary.AppendVarint(buf, int64(st.OrderingBound()))
 	d.keyBuf = buf
 	return buf, above, true
 }

@@ -11,9 +11,8 @@ import (
 )
 
 // BenchmarkSolveExact measures the exact-optimum comparator configuration
-// behind Figs. 9-13: the full reduced graph (symmetry breaking on), no
-// cache, sizes near the paper's 30-query evaluation workloads scaled to
-// bench time. Track it to keep the "Optimal" columns of the evaluation
+// behind Figs. 9-13: no cache, sizes near the paper's 30-query evaluation
+// workloads scaled to bench time. Track it to keep the "Optimal" columns of the evaluation
 // affordable and the proven-optimum rate under the expansion cap high.
 func BenchmarkSolveExact(b *testing.B) {
 	env := testEnv(10, 1)
@@ -57,7 +56,6 @@ func BenchmarkTranspositionHitRate(b *testing.B) {
 	env := testEnv(10, 1)
 	goal := sla.NewMaxLatency(15*time.Minute, env.Templates, sla.DefaultPenaltyRate)
 	prob := graph.NewProblem(env, goal)
-	prob.NoSymmetryBreaking = true // as in training
 	for _, m := range []int{8, 12} {
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			s, err := New(prob)

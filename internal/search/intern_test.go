@@ -183,7 +183,6 @@ func BenchmarkSolveTrainingSample(b *testing.B) {
 	env := testEnv(10, 1)
 	goal := sla.NewMaxLatency(15*time.Minute, env.Templates, sla.DefaultPenaltyRate)
 	prob := graph.NewProblem(env, goal)
-	prob.NoSymmetryBreaking = true // as in training
 	s, err := New(prob)
 	if err != nil {
 		b.Fatal(err)

@@ -10,32 +10,6 @@ import (
 	"wisedb/internal/workload"
 )
 
-// The canonical-VM-ordering symmetry reduction must be lossless: for every
-// goal family, searching the constrained graph yields exactly the optimal
-// cost of the unconstrained one.
-func TestSymmetryBreakingLossless(t *testing.T) {
-	env := testEnv(3, 2)
-	for name, goal := range goalSet(env) {
-		t.Run(name, func(t *testing.T) {
-			sampler := workload.NewSampler(env.Templates, 97)
-			for trial := 0; trial < 8; trial++ {
-				w := sampler.Uniform(6)
-				withSym := graph.NewProblem(env, goal)
-				without := graph.NewProblem(env, goal)
-				without.NoSymmetryBreaking = true
-				a := solve(t, withSym, w, Options{})
-				b := solve(t, without, w, Options{})
-				if math.Abs(a.Cost-b.Cost) > 1e-6 {
-					t.Fatalf("trial %d: canonical ordering changed the optimum: %.6f vs %.6f", trial, a.Cost, b.Cost)
-				}
-				if a.Expanded > b.Expanded {
-					t.Logf("trial %d: symmetry breaking expanded more (%d > %d)", trial, a.Expanded, b.Expanded)
-				}
-			}
-		})
-	}
-}
-
 // Dominance pruning for percentile goals must also be lossless against
 // brute force, including workloads that force violations.
 func TestPercentileDominanceLossless(t *testing.T) {

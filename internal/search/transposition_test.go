@@ -21,7 +21,6 @@ func TestTranspositionCacheStitchExact(t *testing.T) {
 		goal := goalSet(env)[name]
 		t.Run(name, func(t *testing.T) {
 			prob := graph.NewProblem(env, goal)
-			prob.NoSymmetryBreaking = true // as in training
 			cached, err := New(prob)
 			if err != nil {
 				t.Fatal(err)
@@ -87,7 +86,6 @@ func TestTranspositionCacheDisabledForRefundableGoals(t *testing.T) {
 		goal := goalSet(env)[name]
 		t.Run(name, func(t *testing.T) {
 			prob := graph.NewProblem(env, goal)
-			prob.NoSymmetryBreaking = true
 			s, err := New(prob)
 			if err != nil {
 				t.Fatal(err)
@@ -161,7 +159,6 @@ func TestTranspositionFullWorkloadHit(t *testing.T) {
 	env := testEnv(4, 1)
 	goal := sla.NewMaxLatency(15*time.Minute, env.Templates, sla.DefaultPenaltyRate)
 	prob := graph.NewProblem(env, goal)
-	prob.NoSymmetryBreaking = true
 	s, err := New(prob)
 	if err != nil {
 		t.Fatal(err)

@@ -50,7 +50,7 @@ const Magic = "WSDB"
 // Version history:
 //
 //	1  initial format; model content hash covers every section including
-//	   retained training data
+//	   retained training data. No longer read: no deployed file has it.
 //	2  canonical-search encoding: adds the optional transposition-cache
 //	   section to model files, splits the model hash into a serving-content
 //	   hash (goal/env/mix/tree) and an auxiliary hash (training data +
@@ -58,7 +58,7 @@ const Magic = "WSDB"
 const FormatVersion = 2
 
 // MinFormatVersion is the oldest container version ParseContainer accepts.
-const MinFormatVersion = 1
+const MinFormatVersion = 2
 
 // Typed decode errors. Decoders wrap these (errors.Is matches), adding
 // context about which section or field was bad.
@@ -192,8 +192,7 @@ type Container struct {
 }
 
 // Version returns the container's format version (between MinFormatVersion
-// and FormatVersion; ParseContainer rejects anything else). Payload decoders
-// branch on it to read old layouts.
+// and FormatVersion; ParseContainer rejects anything else).
 func (c *Container) Version() uint16 { return c.version }
 
 // ParseContainer validates the header and section table of data. Payload

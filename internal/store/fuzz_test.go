@@ -29,15 +29,14 @@ func typedDecodeError(err error) bool {
 // Run locally with: go test ./internal/store -fuzz FuzzDecodeModel
 // CI runs it as a bounded smoke (-fuzztime 30s).
 func FuzzDecodeModel(f *testing.F) {
-	golden, err := os.ReadFile(goldenV1Path)
+	golden, err := os.ReadFile(goldenV2Path)
 	if err != nil {
 		f.Fatalf("golden fixture missing: %v", err)
 	}
 	f.Add(golden)
-	if v2, err := os.ReadFile(goldenV2Path); err == nil {
-		// Seed the current format too: it carries the cache section and
-		// the split content/aux hashes the v1 fixture cannot exercise.
-		f.Add(v2)
+	if v1, err := os.ReadFile(goldenV1Path); err == nil {
+		// A format the reader no longer accepts is hostile input too.
+		f.Add(v1)
 	}
 	f.Add([]byte{})
 	f.Add([]byte("WSDB"))
@@ -104,7 +103,7 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	if !*update {
 		t.Skip("corpus regeneration runs with -update")
 	}
-	golden, err := os.ReadFile(goldenV1Path)
+	golden, err := os.ReadFile(goldenV2Path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,13 +112,13 @@ func TestWriteFuzzCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	seeds := map[string][]byte{
-		"seed_valid_v1":      golden,
+		"seed_valid_v2":      golden,
 		"seed_truncated_mid": golden[:len(golden)/2],
 		"seed_crc_flip":      func() []byte { b := append([]byte(nil), golden...); b[len(b)-9] ^= 0xFF; return b }(),
 		"seed_header_only":   golden[:12],
 	}
-	if v2, err := os.ReadFile(goldenV2Path); err == nil {
-		seeds["seed_valid_v2"] = v2
+	if v1, err := os.ReadFile(goldenV1Path); err == nil {
+		seeds["seed_valid_v1"] = v1 // a version the reader refuses
 	}
 	for name, data := range seeds {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(data)))

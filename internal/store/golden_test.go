@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -49,51 +50,22 @@ func goldenModel(t testing.TB) *core.Model {
 	return m
 }
 
-// Reader compatibility with format v1: today's reader must still load the
-// committed v1 fixture — breaking this breaks every model file written
-// before the v2 bump. The fixture was written by the v1 encoder (single
-// hash over all five payloads, no cache section) and can no longer be
-// regenerated: today's trainer produces different (canonical-search) trees
-// and today's writer produces v2 containers. The committed bytes ARE the
-// compatibility surface; -update deliberately does not touch them.
+// Format v1 is no longer read (no deployed file has it): the committed v1
+// fixture — written by the v1 encoder, not regenerable — must be refused
+// with the typed version error by every entry point, never a panic.
 func TestGoldenModelV1(t *testing.T) {
 	golden, err := os.ReadFile(goldenV1Path)
 	if err != nil {
 		t.Fatalf("missing committed v1 fixture (it cannot be regenerated): %v", err)
 	}
-	c, err := store.ParseContainer(golden)
-	if err != nil {
-		t.Fatalf("today's container parser rejects the v1 fixture: %v", err)
+	if _, err := store.ParseContainer(golden); !errors.Is(err, store.ErrVersion) {
+		t.Fatalf("ParseContainer on the v1 fixture: %v, want store.ErrVersion", err)
 	}
-	if c.Version() != 1 {
-		t.Fatalf("v1 fixture parses as version %d", c.Version())
+	if _, err := core.DecodeModel(golden); !errors.Is(err, store.ErrVersion) {
+		t.Fatalf("DecodeModel on the v1 fixture: %v, want store.ErrVersion", err)
 	}
-	lm, err := core.DecodeModel(golden)
-	if err != nil {
-		t.Fatalf("today's reader cannot load the v1 fixture: %v", err)
-	}
-	if lm.Tree == nil || len(lm.TrainingMix()) != 0 && len(lm.TrainingMix()) != 3 {
-		t.Fatalf("v1 fixture decoded into a hollow model: %+v", lm)
-	}
-	// The loaded model must be fully serviceable — re-encodable (as v2;
-	// the writer never emits v1) and decodable again to the same tree.
-	back, err := core.EncodeModel(lm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc, err := store.ParseContainer(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rc.Version() != store.FormatVersion {
-		t.Fatalf("re-encoding a v1 model produced version %d, want %d", rc.Version(), store.FormatVersion)
-	}
-	lm2, err := core.DecodeModel(back)
-	if err != nil {
-		t.Fatalf("v1→v2 round trip does not decode: %v", err)
-	}
-	if lm2.Dump() != lm.Dump() {
-		t.Fatal("v1→v2 round trip changed the decision tree")
+	if _, err := core.InspectModel(golden); !errors.Is(err, store.ErrVersion) {
+		t.Fatalf("InspectModel on the v1 fixture: %v, want store.ErrVersion", err)
 	}
 }
 
@@ -148,42 +120,33 @@ func TestGoldenModelV2(t *testing.T) {
 	}
 }
 
-// Both fixtures must be inspectable without decoding their trees, each
-// reporting its own format version and section inventory.
+// The fixture must be inspectable without decoding its tree, reporting its
+// format version and section inventory.
 func TestGoldenModelInspect(t *testing.T) {
-	for _, tc := range []struct {
-		path     string
-		version  uint16
-		hasCache bool
-	}{
-		{goldenV1Path, 1, false},
-		{goldenV2Path, 2, true},
-	} {
-		golden, err := os.ReadFile(tc.path)
-		if err != nil {
-			t.Skipf("golden fixture %s missing", tc.path)
-		}
-		info, err := core.InspectModel(golden)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.FormatVersion != tc.version {
-			t.Fatalf("%s: inspected version %d, want %d", tc.path, info.FormatVersion, tc.version)
-		}
-		if info.Config.Seed != 42 || info.Config.NumSamples != 20 || info.Config.SampleSize != 4 {
-			t.Fatalf("%s: inspected provenance wrong: %+v", tc.path, info.Config)
-		}
-		if len(info.Templates) != 3 || len(info.VMTypes) != 2 {
-			t.Fatalf("%s: inspected environment wrong: %d templates, %d VM types", tc.path, len(info.Templates), len(info.VMTypes))
-		}
-		if info.Goal.Name() != "Max" {
-			t.Fatalf("%s: inspected goal %q", tc.path, info.Goal.Name())
-		}
-		if !info.HasTrainingData || info.Hash == 0 {
-			t.Fatalf("%s: inspection missed sections: %+v", tc.path, info)
-		}
-		if info.HasSearchCache != tc.hasCache {
-			t.Fatalf("%s: HasSearchCache=%v, want %v", tc.path, info.HasSearchCache, tc.hasCache)
-		}
+	golden, err := os.ReadFile(goldenV2Path)
+	if err != nil {
+		t.Skipf("golden fixture %s missing", goldenV2Path)
+	}
+	info, err := core.InspectModel(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.FormatVersion != 2 {
+		t.Fatalf("inspected version %d, want 2", info.FormatVersion)
+	}
+	if info.Config.Seed != 42 || info.Config.NumSamples != 20 || info.Config.SampleSize != 4 {
+		t.Fatalf("inspected provenance wrong: %+v", info.Config)
+	}
+	if len(info.Templates) != 3 || len(info.VMTypes) != 2 {
+		t.Fatalf("inspected environment wrong: %d templates, %d VM types", len(info.Templates), len(info.VMTypes))
+	}
+	if info.Goal.Name() != "Max" {
+		t.Fatalf("inspected goal %q", info.Goal.Name())
+	}
+	if !info.HasTrainingData || info.Hash == 0 {
+		t.Fatalf("inspection missed sections: %+v", info)
+	}
+	if !info.HasSearchCache {
+		t.Fatal("HasSearchCache=false, want true")
 	}
 }
