@@ -848,6 +848,30 @@ func encodeActions(e *store.Enc, actions []graph.Action) {
 	}
 }
 
+// decodeAction reads one encodeActions record for an environment of k
+// templates and nv VM types. The action it returns is normalised — only the
+// field its kind reads survives, as in every action the scheduling graph
+// emits — so graph.Action.Label order and the search's actionCmp order agree
+// on decoded paths and cache suffixes too, whatever a crafted file put in
+// the other field. A short read returns the decoder's error, a bad kind or
+// an out-of-range field store.ErrCorrupt.
+func decodeAction(d *store.Dec, k, nv int) (graph.Action, error) {
+	kind, t, vt := graph.ActionKind(d.U8()), int(int32(d.U32())), int(int32(d.U32()))
+	switch {
+	case d.Err() != nil:
+		return graph.Action{}, d.Err()
+	case kind == graph.Place && t >= 0 && t < k:
+		return graph.Action{Kind: graph.Place, Template: t}, nil
+	case kind == graph.Place:
+		return graph.Action{}, fmt.Errorf("%w: places template %d of %d", store.ErrCorrupt, t, k)
+	case kind == graph.Startup && vt >= 0 && vt < nv:
+		return graph.Action{Kind: graph.Startup, VMType: vt}, nil
+	case kind == graph.Startup:
+		return graph.Action{}, fmt.Errorf("%w: starts VM type %d of %d", store.ErrCorrupt, vt, nv)
+	}
+	return graph.Action{}, fmt.Errorf("%w: action kind %d", store.ErrCorrupt, kind)
+}
+
 func decodeTrainData(p []byte, env *schedule.Env) ([]trainSample, error) {
 	d := store.NewDec(p)
 	k, nv := len(env.Templates), len(env.VMTypes)
@@ -904,25 +928,9 @@ func decodeTrainData(p []byte, env *schedule.Env) ([]trainSample, error) {
 		if na > 0 {
 			s.actions = make([]graph.Action, na)
 			for j := range s.actions {
-				a := graph.Action{
-					Kind:     graph.ActionKind(d.U8()),
-					Template: int(int32(d.U32())),
-					VMType:   int(int32(d.U32())),
-				}
-				if d.Err() != nil {
-					return nil, d.Err()
-				}
-				switch a.Kind {
-				case graph.Place:
-					if a.Template < 0 || a.Template >= k {
-						return nil, fmt.Errorf("%w: sample %d action %d places template %d of %d", store.ErrCorrupt, i, j, a.Template, k)
-					}
-				case graph.Startup:
-					if a.VMType < 0 || a.VMType >= nv {
-						return nil, fmt.Errorf("%w: sample %d action %d starts VM type %d of %d", store.ErrCorrupt, i, j, a.VMType, nv)
-					}
-				default:
-					return nil, fmt.Errorf("%w: sample %d action %d has kind %d", store.ErrCorrupt, i, j, a.Kind)
+				a, err := decodeAction(d, k, nv)
+				if err != nil {
+					return nil, fmt.Errorf("sample %d action %d: %w", i, j, err)
 				}
 				s.actions[j] = a
 			}
@@ -977,25 +985,9 @@ func decodeCacheData(p []byte, env *schedule.Env) ([]search.CacheEntry, error) {
 		}
 		ce.Actions = make([]graph.Action, na)
 		for j := range ce.Actions {
-			a := graph.Action{
-				Kind:     graph.ActionKind(d.U8()),
-				Template: int(int32(d.U32())),
-				VMType:   int(int32(d.U32())),
-			}
-			if d.Err() != nil {
-				return nil, d.Err()
-			}
-			switch a.Kind {
-			case graph.Place:
-				if a.Template < 0 || a.Template >= k {
-					return nil, fmt.Errorf("%w: cache entry %d places template %d of %d", store.ErrCorrupt, i, a.Template, k)
-				}
-			case graph.Startup:
-				if a.VMType < 0 || a.VMType >= nv {
-					return nil, fmt.Errorf("%w: cache entry %d starts VM type %d of %d", store.ErrCorrupt, i, a.VMType, nv)
-				}
-			default:
-				return nil, fmt.Errorf("%w: cache entry %d has action kind %d", store.ErrCorrupt, i, a.Kind)
+			a, err := decodeAction(d, k, nv)
+			if err != nil {
+				return nil, fmt.Errorf("cache entry %d: %w", i, err)
 			}
 			ce.Actions[j] = a
 		}

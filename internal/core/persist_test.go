@@ -11,7 +11,9 @@ import (
 
 	"wisedb/internal/cloud"
 	"wisedb/internal/features"
+	"wisedb/internal/graph"
 	"wisedb/internal/schedule"
+	"wisedb/internal/search"
 	"wisedb/internal/sla"
 	"wisedb/internal/store"
 	"wisedb/internal/workload"
@@ -327,5 +329,41 @@ func TestEncodeModelRejectsUnsupported(t *testing.T) {
 	}
 	if _, err := EncodeModel(&Model{}); err == nil {
 		t.Fatal("environment-less model must not encode")
+	}
+}
+
+// Decoded actions are normalised: a crafted file may carry a value in the
+// field an action's kind does not read (a Place with a VM type, a Startup
+// with a template), which actionCmp would order by but a path key's label
+// cannot express. Both decoders — persisted sample paths and cache suffixes
+// — must hand the search only actions the scheduling graph could have
+// emitted (search's TestLabelOrderIsActionOrder covers those).
+func TestDecodeNormalisesStrayActionFields(t *testing.T) {
+	env := schedule.NewEnv(workload.DefaultTemplates(3), cloud.DefaultVMTypes(2))
+	stray := []graph.Action{
+		{Kind: graph.Startup, VMType: 1, Template: 2},
+		{Kind: graph.Place, Template: 1, VMType: 1},
+	}
+	want := []graph.Action{{Kind: graph.Startup, VMType: 1}, {Kind: graph.Place, Template: 1}}
+
+	var ce store.Enc
+	encodeCacheData(&ce, []search.CacheEntry{{Sig: "sig", Cost: 1, Actions: stray}})
+	entries, err := decodeCacheData(ce.Bytes(), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := entries[0].Actions; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("cache suffix decoded as %+v, want %+v", got, want)
+	}
+
+	var te store.Enc
+	w := &workload.Workload{Templates: env.Templates, Queries: []workload.Query{{TemplateID: 1}}}
+	encodeTrainData(&te, []trainSample{{w: w, actions: stray}})
+	samples, err := decodeTrainData(te.Bytes(), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := samples[0].actions; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("sample path decoded as %+v, want %+v", got, want)
 	}
 }

@@ -17,11 +17,14 @@ import (
 )
 
 // warmTrainConfig is the shared scale for warm-retrain tests: big enough
-// that the transposition cache and sample replay both engage, small enough
-// for unit-test time.
+// that the transposition cache and sample replay both engage — 80 samples
+// are three 32-sample cache generations, so lookups at Parallelism 4 run
+// after two commit barriers, the only place the lock-free cache's
+// single-writer contract can fail under -race — small enough for unit-test
+// time.
 func warmTrainConfig() TrainConfig {
 	cfg := DefaultTrainConfig()
-	cfg.NumSamples = 48
+	cfg.NumSamples = 80
 	cfg.SampleSize = 6
 	cfg.Seed = 11
 	cfg.KeepTrainingData = true
@@ -272,4 +275,43 @@ func TestCheckpointEncodesWhileNextRetrainRuns(t *testing.T) {
 	if !bytes.Equal(stored, want) {
 		t.Fatal("checkpoint written during the next retrain differs from a quiescent encode")
 	}
+}
+
+// A published model's cache has readers only, and they overlap: a background
+// checkpoint Exports it while a warm retrain Clones it and /stats reads its
+// counters. The cache takes no lock, so -race on exactly this is the guard.
+func TestTrainedCacheConcurrentReaders(t *testing.T) {
+	env := schedule.NewEnv(workload.DefaultTemplates(4), cloud.DefaultVMTypes(2))
+	goal := sla.NewMaxLatency(15*60e9, env.Templates, sla.DefaultPenaltyRate)
+	m, err := MustNewAdvisor(env, warmTrainConfig()).Train(goal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := m.searchCache
+	want := cache.Export(0)
+	if len(want) == 0 {
+		t.Fatal("trained model carries an empty cache")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if got := cache.Clone().Export(0); !reflect.DeepEqual(got, want) {
+					t.Error("Clone taken beside other readers diverges from its source")
+					return
+				}
+				if got := cache.Export(maxPersistedCacheEntries); !reflect.DeepEqual(got, want[:len(got)]) {
+					t.Error("Export beside other readers diverges")
+					return
+				}
+				if cache.Stats().Entries != len(want) {
+					t.Error("Stats beside other readers miscounts entries")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -1,9 +1,5 @@
 package graph
 
-import (
-	"wisedb/internal/sla"
-)
-
 // Arena bump-allocates States and their backing int slices for a search
 // that generates many short-lived branching states. All allocations live
 // until Reset; a search resets the arena between runs and Release()s it
@@ -48,7 +44,9 @@ func (a *Arena) Release() {
 	a.Reset()
 }
 
-// newState bump-allocates a State.
+// newState bump-allocates a State. It may hold a previous search's values
+// (Reset does not clear); ApplyArena sets every field, one by one — a State
+// literal would be built on the stack and copied over.
 func (a *Arena) newState() *State {
 	if a.chunk == len(a.stateChunks) {
 		a.stateChunks = append(a.stateChunks, make([]State, stateChunkSize))
@@ -102,19 +100,17 @@ func (p *Problem) ApplyArena(ar *Arena, s *State, a Action) *State {
 			panic("graph: unknown VM type")
 		}
 		child := ar.newState()
-		*child = State{
-			Unassigned: s.Unassigned,
-			OpenType:   a.VMType,
-			OpenQueue:  nil,
-			Wait:       0,
-			Acc:        s.Acc,
-		}
+		child.Unassigned = s.Unassigned
+		child.OpenType = a.VMType
+		child.OpenQueue = nil
+		child.Wait = 0
+		child.Acc = s.Acc
 		return child
 	case Place:
-		if !p.CanPlace(s, a.Template) {
+		lat, ok := p.placeLatency(s, a.Template)
+		if !ok {
 			panic("graph: invalid placement edge")
 		}
-		lat, _ := p.Env.Latency(a.Template, s.OpenType)
 		unassigned := ar.ints(len(s.Unassigned))
 		copy(unassigned, s.Unassigned)
 		unassigned[a.Template]--
@@ -123,25 +119,17 @@ func (p *Problem) ApplyArena(ar *Arena, s *State, a Action) *State {
 		queue[len(s.OpenQueue)] = a.Template
 		completion := s.Wait + lat
 		acc := s.Acc
-		if !p.historyFree() {
+		if !p.histFree {
 			acc = s.Acc.Add(a.Template, completion)
 		}
 		child := ar.newState()
-		*child = State{
-			Unassigned: unassigned,
-			OpenType:   s.OpenType,
-			OpenQueue:  queue,
-			Wait:       completion,
-			Acc:        acc,
-		}
+		child.Unassigned = unassigned
+		child.OpenType = s.OpenType
+		child.OpenQueue = queue
+		child.Wait = completion
+		child.Acc = acc
 		return child
 	default:
 		panic("graph: unknown action kind")
 	}
-}
-
-// historyFree caches sla.PenaltyHistoryFree(p.Goal) on first use.
-func (p *Problem) historyFree() bool {
-	p.histOnce.Do(func() { p.histFree = sla.PenaltyHistoryFree(p.Goal) })
-	return p.histFree
 }

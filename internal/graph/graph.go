@@ -21,7 +21,6 @@ package graph
 
 import (
 	"encoding/binary"
-	"sync"
 	"time"
 
 	"wisedb/internal/schedule"
@@ -103,15 +102,29 @@ type Problem struct {
 	// (ROADMAP item 4).
 	NoSymmetryBreaking bool
 
-	// histOnce/histFree lazily cache sla.PenaltyHistoryFree(Goal) for the
-	// ApplyArena fast path (works for struct-literal Problems too).
-	histOnce sync.Once
+	// Tables NewProblem freezes: histFree caches
+	// sla.PenaltyHistoryFree(Goal) for the ApplyArena fast path, and lat is
+	// Env's template×VM-type latency matrix, row-major, negative where the
+	// type cannot run the template — every placement edge reads it, and
+	// Env.Latency's own range checks and lazy freeze are too dear for that.
 	histFree bool
+	lat      []time.Duration
 }
 
-// NewProblem constructs a Problem.
+// NewProblem constructs a Problem; a Problem must be built by it.
 func NewProblem(env *schedule.Env, goal sla.Goal) *Problem {
-	return &Problem{Env: env, Goal: goal}
+	p := &Problem{Env: env, Goal: goal, histFree: sla.PenaltyHistoryFree(goal)}
+	p.lat = make([]time.Duration, 0, len(env.Templates)*len(env.VMTypes))
+	for t := range env.Templates {
+		for vt := range env.VMTypes {
+			lat, ok := env.Latency(t, vt)
+			if !ok {
+				lat = -1
+			}
+			p.lat = append(p.lat, lat)
+		}
+	}
+	return p
 }
 
 // Start returns the start vertex for a workload: all queries unassigned, no
@@ -156,11 +169,22 @@ func (s *State) CanStartup() bool {
 // state: an instance must be unassigned and the open VM must support the
 // template.
 func (p *Problem) CanPlace(s *State, template int) bool {
-	if template < 0 || template >= len(s.Unassigned) || s.Unassigned[template] == 0 || s.OpenType == NoVM {
-		return false
-	}
-	_, ok := p.Env.Latency(template, s.OpenType)
+	_, ok := p.placeLatency(s, template)
 	return ok
+}
+
+// placeLatency is CanPlace that also returns what every caller of a valid
+// placement edge wants next: the template's latency on the open VM.
+func (p *Problem) placeLatency(s *State, template int) (time.Duration, bool) {
+	if template < 0 || template >= len(s.Unassigned) || s.Unassigned[template] == 0 || s.OpenType == NoVM {
+		return 0, false
+	}
+	nv := len(p.Env.VMTypes)
+	if template >= len(p.Env.Templates) || s.OpenType >= nv {
+		return 0, false
+	}
+	lat := p.lat[template*nv+s.OpenType]
+	return lat, lat >= 0
 }
 
 // StartupCost returns the weight of the start-up edge for VM type vt.
@@ -172,10 +196,10 @@ func (p *Problem) StartupCost(vt int) float64 {
 // out of state s (Eq. 2): processing cost f_r × l plus the penalty delta.
 // ok is false if the edge does not exist.
 func (p *Problem) PlacementCost(s *State, template int) (cost float64, ok bool) {
-	if !p.CanPlace(s, template) {
+	lat, ok := p.placeLatency(s, template)
+	if !ok {
 		return 0, false
 	}
-	lat, _ := p.Env.Latency(template, s.OpenType)
 	vt := p.Env.VMTypes[s.OpenType]
 	completion := s.Wait + lat
 	delta := s.Acc.PeekAdd(template, completion) - s.Acc.Penalty()
@@ -201,10 +225,10 @@ func (p *Problem) Apply(s *State, a Action) *State {
 			Acc:        s.Acc,
 		}
 	case Place:
-		if !p.CanPlace(s, a.Template) {
+		lat, ok := p.placeLatency(s, a.Template)
+		if !ok {
 			panic("graph: invalid placement edge")
 		}
-		lat, _ := p.Env.Latency(a.Template, s.OpenType)
 		unassigned := make([]int, len(s.Unassigned))
 		copy(unassigned, s.Unassigned)
 		unassigned[a.Template]--
@@ -246,10 +270,10 @@ func (p *Problem) ApplyInPlace(s *State, a Action) {
 		s.OpenQueue = s.OpenQueue[:0]
 		s.Wait = 0
 	case Place:
-		if !p.CanPlace(s, a.Template) {
+		lat, ok := p.placeLatency(s, a.Template)
+		if !ok {
 			panic("graph: invalid placement edge")
 		}
-		lat, _ := p.Env.Latency(a.Template, s.OpenType)
 		s.Unassigned[a.Template]--
 		s.OpenQueue = append(s.OpenQueue, a.Template)
 		completion := s.Wait + lat

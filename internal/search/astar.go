@@ -26,6 +26,7 @@
 package search
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -137,23 +138,30 @@ var ErrNoSchedule = errors.New("search: no complete schedule exists")
 
 const eps = 1e-9
 
+// keyLabelBytes is the width of one edge in a node's path key: the edge's
+// graph.Action.Label, big-endian. New refuses environments with more labels
+// than the width holds.
+const keyLabelBytes = 2
+
 // node is an entry of the open list. States are identified by the dense id
-// their signature interns to, not by the signature string itself.
+// their signature interns to, not by the signature string itself. A node
+// holds no parent pointer and no action: its path is its key.
 type node struct {
-	state  *graph.State
-	id     uint32
-	g      float64
-	f      float64
-	parent *node
-	act    graph.Action
+	state *graph.State
+	// key is the root-to-node action path, keyLabelBytes per edge, carved
+	// from the arena's key slab (child key = parent key + one label). The
+	// canonical order compares keys bytewise (nodeLessCanonical) and the
+	// result's Actions are decoded from the incumbent's key.
+	key []byte
+	g   float64
+	f   float64
+	// band is ⌊f·fineInv⌋, the eps-band the canonical order sorts by first.
+	band float64
+	id   uint32
 	// remaining caches state.RemainingQueries() at node creation: the
-	// open-frontier tie-break reads it on every comparison, and
-	// recomputing the sum over Unassigned there dominates frontier
-	// maintenance in the training hot loop.
+	// legacy open-frontier tie-break reads it on every comparison, and
+	// zero is the goal test of a popped node.
 	remaining int32
-	// depth is the action-path length from the start vertex; pathCmp uses
-	// it to align parent chains when comparing paths lexicographically.
-	depth int32
 	// stitch, when non-zero, marks a pseudo-goal created by a canonical
 	// transposition-cache hit: arena.stitches[stitch-1] holds the cached
 	// suffix completing this node's prefix, and f holds the full
@@ -182,6 +190,9 @@ type Searcher struct {
 // New returns a Searcher for the problem. It returns an error if some
 // template cannot run on any VM type (no complete schedule could exist).
 func New(prob *graph.Problem) (*Searcher, error) {
+	if n := len(prob.Env.Templates) + len(prob.Env.VMTypes); n > 1<<(8*keyLabelBytes) {
+		return nil, fmt.Errorf("search: %d action labels exceed the %d a path key encodes", n, 1<<(8*keyLabelBytes))
+	}
 	minCost := make([]float64, len(prob.Env.Templates))
 	minLat := make([]time.Duration, len(prob.Env.Templates))
 	for i := range prob.Env.Templates {
@@ -204,24 +215,25 @@ func New(prob *graph.Problem) (*Searcher, error) {
 	return s, nil
 }
 
-// nodeChunkSize is the bump-allocation granularity of a search arena's node
-// blocks.
-const nodeChunkSize = 1024
+// nodeChunkSize and keySlabSize are the bump-allocation granularities of a
+// search arena's node blocks and path-key slabs.
+const (
+	nodeChunkSize = 1024
+	keySlabSize   = 1 << 16
+)
 
 // arena is the per-search scratch state: one worker owns one arena for the
 // duration of a Solve, so searches allocate signature bytes, states, nodes,
-// and frontier slots from reused memory instead of churning the allocator
-// per expanded edge.
+// path keys, and frontier slots from reused memory instead of churning the
+// allocator per expanded edge.
 type arena struct {
 	sigBuf []byte
+	keyBuf []byte // candidate path key for tieLess
 	table  *InternTable
 	best   []*node // dense state id -> best known node
 	open   bucketFrontier
 	states graph.Arena    // bump-allocated successor states
 	actBuf []graph.Action // per-expansion action scratch
-	// cmpA/cmpB are materialization scratch for canonical tie-breaking:
-	// two full action prefixes compared lexicographically.
-	cmpA, cmpB []graph.Action
 	// stitches holds the cached suffixes behind pseudo-goal nodes
 	// (node.stitch indexes it, 1-based).
 	stitches [][]graph.Action
@@ -230,6 +242,11 @@ type arena struct {
 	chunks   [][]node
 	chunk    int // index of the chunk newNode bump-allocates from
 	used     int // nodes used within that chunk
+	// keys are the pointer-free slabs node keys are carved from; they are
+	// rewound by reset and need no release.
+	keys    [][]byte
+	keySlab int // index of the slab keySpace carves from
+	keyOff  int // bytes used within that slab
 }
 
 func newArena() *arena {
@@ -242,6 +259,7 @@ func (a *arena) reset() {
 	a.best = a.best[:0]
 	a.stitches = a.stitches[:0]
 	a.chunk, a.used = 0, 0
+	a.keySlab, a.keyOff = 0, 0
 	a.states.Reset()
 	a.table.Reset()
 	if a.dom != nil {
@@ -250,8 +268,8 @@ func (a *arena) reset() {
 }
 
 // release drops every reference the finished search left in the arena —
-// node states, parent chains, best/open entries — so an idle pooled arena
-// does not pin the search graph in memory until its next use.
+// node states and keys, best/open entries — so an idle pooled arena does
+// not pin the search graph in memory until its next use.
 func (a *arena) release() {
 	for i := 0; i <= a.chunk && i < len(a.chunks); i++ {
 		c := a.chunks[i]
@@ -259,17 +277,11 @@ func (a *arena) release() {
 		if i == a.chunk {
 			n = a.used
 		}
-		for j := 0; j < n; j++ {
-			c[j] = node{}
-		}
+		clear(c[:n])
 	}
-	for i := range a.best {
-		a.best[i] = nil
-	}
+	clear(a.best)
 	a.best = a.best[:0]
-	for i := range a.stitches {
-		a.stitches[i] = nil
-	}
+	clear(a.stitches)
 	a.stitches = a.stitches[:0]
 	a.open.release()
 	a.states.Release()
@@ -279,18 +291,46 @@ func (a *arena) release() {
 	a.chunk, a.used = 0, 0
 }
 
-// newNode bump-allocates a zeroed node.
+// newNode bump-allocates a node. It is already zero: release cleared every
+// node the previous search used.
 func (a *arena) newNode() *node {
 	if a.chunk == len(a.chunks) {
 		a.chunks = append(a.chunks, make([]node, nodeChunkSize))
 	}
 	n := &a.chunks[a.chunk][a.used]
-	*n = node{}
 	if a.used++; a.used == nodeChunkSize {
 		a.chunk++
 		a.used = 0
 	}
 	return n
+}
+
+// keySpace carves an empty byte slice of capacity n from the key slabs.
+func (a *arena) keySpace(n int) []byte {
+	if n > keySlabSize {
+		return make([]byte, 0, n)
+	}
+	if a.keySlab < len(a.keys) && a.keyOff+n > keySlabSize {
+		a.keySlab++
+		a.keyOff = 0
+	}
+	if a.keySlab == len(a.keys) {
+		a.keys = append(a.keys, make([]byte, keySlabSize))
+	}
+	s := a.keys[a.keySlab][a.keyOff : a.keyOff : a.keyOff+n]
+	a.keyOff += n
+	return s
+}
+
+// appendChildKey appends the path key of the edge (parent, label) to buf:
+// the parent's key plus one label. parent == nil denotes the start vertex,
+// whose path is empty.
+func appendChildKey(buf []byte, parent *node, label int) []byte {
+	if parent == nil {
+		return buf
+	}
+	buf = append(buf, parent.key...)
+	return append(buf, byte(label>>8), byte(label))
 }
 
 // Problem returns the problem the searcher was built for.
@@ -301,8 +341,9 @@ func (s *Searcher) Problem() *graph.Problem { return s.prob }
 // every unassigned query. For non-monotonic goals the accumulated penalty
 // may still be refunded by future placements, so the admissible form
 // subtracts it (the final penalty is at least zero). Adaptive reuse takes
-// the max with OldCost − g_old (Lemma 5.1). Scratch is drawn from ar.
-func (s *Searcher) heuristic(ar *arena, st *graph.State, sig []byte, reuse *Reuse) float64 {
+// the max with OldCost − g_old (Lemma 5.1), found under sig and its hash
+// sigHash == hashSig(sig). Scratch is drawn from ar.
+func (s *Searcher) heuristic(ar *arena, st *graph.State, sig []byte, sigHash uint32, reuse *Reuse) float64 {
 	h := 0.0
 	remaining := 0
 	var minFutureLat time.Duration
@@ -338,7 +379,7 @@ func (s *Searcher) heuristic(ar *arena, st *graph.State, sig []byte, reuse *Reus
 	// refundable, so a tightened goal can lower an edge's cost and
 	// OldCost − g_old(v) would overestimate (see Reuse).
 	if reuse != nil && s.prob.Goal.Monotonic() {
-		if gOld, ok := reuse.Closed.Lookup(sig); ok {
+		if gOld, ok := reuse.Closed.lookupHash(sig, sigHash); ok {
 			if adaptive := reuse.OldCost - gOld; adaptive > h {
 				h = adaptive
 			}
@@ -400,7 +441,6 @@ func (s *Searcher) packingBound(st *graph.State, minFutureLat time.Duration) flo
 type solver struct {
 	s     *Searcher
 	ar    *arena
-	table *InternTable
 	reuse *Reuse
 
 	cache     *TranspositionCache
@@ -444,62 +484,27 @@ type solver struct {
 	canonical bool
 }
 
-// tieLess reports whether the candidate path (parent, act) is
+// tieLess reports whether the candidate path (parent, label) is
 // lexicographically smaller than open node b's path. Both paths reach the
 // same state, so they are eps-tied in cost; the canonical search keeps the
 // lex-least.
-func (sv *solver) tieLess(parent *node, act graph.Action, b *node) bool {
+func (sv *solver) tieLess(parent *node, label int, b *node) bool {
 	ar := sv.ar
-	ar.cmpA = appendPathActions(ar.cmpA[:0], parent, act)
-	ar.cmpB = appendPathActions(ar.cmpB[:0], b.parent, b.act)
-	return lexCmpActions(ar.cmpA, ar.cmpB) < 0
-}
-
-// appendPathActions appends the root-to-edge action sequence of the path
-// that ends with edge (parent, act); parent == nil denotes the start vertex
-// (no edge at all, an empty path).
-func appendPathActions(buf []graph.Action, parent *node, act graph.Action) []graph.Action {
-	if parent == nil {
-		return buf
-	}
-	start := len(buf)
-	buf = append(buf, act)
-	for n := parent; n.parent != nil; n = n.parent {
-		buf = append(buf, n.act)
-	}
-	reverseActions(buf[start:])
-	return buf
-}
-
-// lexCmpActions compares two action sequences lexicographically under
-// actionCmp; a proper prefix orders first.
-func lexCmpActions(a, b []graph.Action) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if c := actionCmp(a[i], b[i]); c != 0 {
-			return c
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
+	ar.keyBuf = appendChildKey(ar.keyBuf[:0], parent, label)
+	return bytes.Compare(ar.keyBuf, b.key) < 0
 }
 
 // consider processes one arrival at a state: interns its signature,
 // deduplicates against the best-known node, applies dominance pruning,
-// stitches a cached suffix, or pushes an open node. parent is nil for the
-// start vertex.
-func (sv *solver) consider(st *graph.State, parent *node, act graph.Action, g float64, remaining int32) {
+// stitches a cached suffix, or pushes an open node. The signature is hashed
+// once, for the intern table, the cache and the reuse set alike. The state
+// was reached over the edge (parent, label); parent is nil for the start
+// vertex.
+func (sv *solver) consider(st *graph.State, parent *node, label int, g float64, remaining int32) {
 	ar := sv.ar
 	ar.sigBuf = sv.s.prob.AppendSignature(ar.sigBuf[:0], st)
-	id, fresh := sv.table.Intern(ar.sigBuf)
+	sigHash := hashSig(ar.sigBuf)
+	id, fresh := ar.table.internHash(ar.sigBuf, sigHash)
 	if fresh {
 		ar.best = append(ar.best, nil)
 	}
@@ -512,7 +517,7 @@ func (sv *solver) consider(st *graph.State, parent *node, act graph.Action, g fl
 			if b.g < g-eps {
 				return
 			}
-			if g >= b.g-eps && !sv.tieLess(parent, act, b) {
+			if g >= b.g-eps && !sv.tieLess(parent, label, b) {
 				return
 			}
 		} else if b.g <= g+eps {
@@ -525,26 +530,19 @@ func (sv *solver) consider(st *graph.State, parent *node, act graph.Action, g fl
 		}
 		ar.dom.insert(st, g)
 	}
-	depth := int32(0)
-	if parent != nil {
-		depth = parent.depth + 1
-	}
 	if sv.cache != nil {
-		if e, ok := sv.cache.lookup(ar.sigBuf); ok {
+		if e, ok := sv.cache.lookupHash(ar.sigBuf, sigHash); ok {
 			sv.hits++
-			cn := ar.newNode()
-			*cn = node{state: st, id: id, g: g, f: g + e.cost, parent: parent, act: act, remaining: remaining, depth: depth}
+			cn := sv.openNode(st, id, parent, label, g, g+e.cost, remaining)
 			if sv.canonical {
 				// Push a pseudo-goal at the full completion cost
 				// instead of adopting an incumbent: the pop order
 				// decides canonically among all completions.
 				ar.stitches = append(ar.stitches, e.actions)
 				cn.stitch = int32(len(ar.stitches))
-				ar.best[id] = cn
 				ar.open.push(cn)
 				return
 			}
-			ar.best[id] = cn
 			// Strict improvement (beyond eps) keeps seeded-incumbent
 			// semantics: a stitched completion merely matching the seed
 			// must still report ErrSeedIsOptimal.
@@ -555,14 +553,30 @@ func (sv *solver) consider(st *graph.State, parent *node, act graph.Action, g fl
 		}
 		sv.misses++
 	}
-	f := g + sv.s.heuristic(ar, st, ar.sigBuf, sv.reuse)
+	f := g + sv.s.heuristic(ar, st, ar.sigBuf, sigHash, sv.reuse)
 	if f >= sv.incumbentCost-eps {
 		return // bound: cannot beat the incumbent
 	}
+	ar.open.push(sv.openNode(st, id, parent, label, g, f, remaining))
+}
+
+// openNode allocates the node for a state reached over the edge (parent,
+// label) and records it as the state's best. Fields are set one by one into
+// the arena's already-zero node; the key is the parent's plus one label
+// (none for the start vertex).
+func (sv *solver) openNode(st *graph.State, id uint32, parent *node, label int, g, f float64, remaining int32) *node {
+	ar := sv.ar
 	cn := ar.newNode()
-	*cn = node{state: st, id: id, g: g, f: f, parent: parent, act: act, remaining: remaining, depth: depth}
+	cn.state = st
+	if parent != nil {
+		cn.key = appendChildKey(ar.keySpace(len(parent.key)+keyLabelBytes), parent, label)
+	}
+	cn.g, cn.f = g, f
+	cn.band = math.Floor(f * fineInv)
+	cn.id = id
+	cn.remaining = remaining
 	ar.best[id] = cn
-	ar.open.push(cn)
+	return cn
 }
 
 // Solve finds a minimum-cost complete schedule for the workload. It is safe
@@ -577,7 +591,6 @@ func (s *Searcher) Solve(w *workload.Workload, opts Options) (*Result, error) {
 		s.arenas.Put(ar)
 	}()
 	ar.reset()
-	table := ar.table
 	if _, isPct := s.prob.Goal.(sla.Percentile); isPct {
 		if ar.dom == nil {
 			ar.dom = newDominanceIndex()
@@ -586,7 +599,7 @@ func (s *Searcher) Solve(w *workload.Workload, opts Options) (*Result, error) {
 		ar.dom = nil
 	}
 	monotonic := s.prob.Goal.Monotonic()
-	sv := solver{s: s, ar: ar, table: table, reuse: opts.Reuse, incumbentCost: math.Inf(1)}
+	sv := solver{s: s, ar: ar, reuse: opts.Reuse, incumbentCost: math.Inf(1)}
 	if opts.Cache != nil && monotonic {
 		// Sound for monotonic goals only; see TranspositionCache.
 		sv.cache = opts.Cache
@@ -609,8 +622,9 @@ func (s *Searcher) Solve(w *workload.Workload, opts Options) (*Result, error) {
 	}
 	ar.open.init(0, quantum, sv.canonical)
 
+	numTemplates := len(s.prob.Env.Templates)
 	start := s.prob.Start(w)
-	sv.consider(start, nil, graph.Action{}, 0, int32(start.RemainingQueries()))
+	sv.consider(start, nil, 0, 0, int32(start.RemainingQueries()))
 
 	expanded := 0
 	optimal := true
@@ -623,7 +637,7 @@ func (s *Searcher) Solve(w *workload.Workload, opts Options) (*Result, error) {
 			if ar.best[n.id] != n {
 				continue // superseded by a cheaper or lex-smaller path
 			}
-			if n.stitch != 0 || n.state.IsGoal() {
+			if n.stitch != 0 || n.remaining == 0 {
 				// First goal or pseudo-goal popped: by the canonical
 				// pop order this is the lex-least schedule in the
 				// minimal cost band, regardless of what the cache or
@@ -644,7 +658,7 @@ func (s *Searcher) Solve(w *workload.Workload, opts Options) (*Result, error) {
 				// overestimates the cost of completions.
 				break
 			}
-			if n.state.IsGoal() {
+			if n.remaining == 0 {
 				if n.g < sv.incumbentCost {
 					sv.incumbent, sv.incumbentCost, sv.stitched = n, n.g, nil
 				}
@@ -674,7 +688,7 @@ func (s *Searcher) Solve(w *workload.Workload, opts Options) (*Result, error) {
 			if a.Kind == graph.Place {
 				remaining-- // a placement assigns exactly one query
 			}
-			sv.consider(child, n, a, n.g+cost, remaining)
+			sv.consider(child, n, a.Label(numTemplates), n.g+cost, remaining)
 		}
 	}
 	if sv.cache != nil {
@@ -691,13 +705,13 @@ func (s *Searcher) Solve(w *workload.Workload, opts Options) (*Result, error) {
 		return nil, ErrNoSchedule
 	}
 
-	// Assemble the action path: the parent chain up to the incumbent,
-	// then the stitched cache suffix (if any).
-	var actions []graph.Action
-	for n := sv.incumbent; n.parent != nil; n = n.parent {
-		actions = append(actions, n.act)
+	// Assemble the action path: the incumbent's key decoded label by
+	// label, then the stitched cache suffix (if any).
+	key := sv.incumbent.key
+	actions := make([]graph.Action, 0, len(key)/keyLabelBytes+len(sv.stitched))
+	for i := 0; i < len(key); i += keyLabelBytes {
+		actions = append(actions, graph.ActionFromLabel(int(key[i])<<8|int(key[i+1]), numTemplates))
 	}
-	reverseActions(actions)
 	actions = append(actions, sv.stitched...)
 
 	res := &Result{
@@ -722,7 +736,7 @@ func (s *Searcher) Solve(w *workload.Workload, opts Options) (*Result, error) {
 		}
 		// The arena table is reused by the next search; the escaping
 		// Closed gets its own immutable snapshot.
-		res.Closed = &Closed{Table: table.Snapshot(), G: g}
+		res.Closed = &Closed{Table: ar.table.Snapshot(), G: g}
 	}
 	return res, nil
 }
@@ -747,15 +761,21 @@ func (s *Searcher) buildPath(res *Result, w *workload.Workload, opts Options) er
 	st := s.prob.Start(w)
 	g := 0.0
 	var edgeCosts []float64
-	var sigs [][]byte
+	// sigs holds the path states' signatures back to back in one buffer
+	// the records alias until Commit copies them; state i's ends at
+	// sigEnd[i].
+	var sigs []byte
+	var sigEnd []int
 	if record {
 		edgeCosts = make([]float64, len(res.Actions))
-		sigs = make([][]byte, len(res.Actions))
+		sigs = make([]byte, 0, len(res.Actions)*(len(st.Unassigned)+8))
+		sigEnd = make([]int, len(res.Actions))
 	}
 	for i, a := range res.Actions {
 		res.Path = append(res.Path, Step{State: st, Action: a})
 		if record {
-			sigs[i] = s.prob.AppendSignature(nil, st)
+			sigs = s.prob.AppendSignature(sigs, st)
+			sigEnd[i] = len(sigs)
 		}
 		var cost float64
 		switch a.Kind {
@@ -789,7 +809,11 @@ func (s *Searcher) buildPath(res *Result, w *workload.Workload, opts Options) er
 		suffix := 0.0
 		for i := len(res.Actions) - 1; i >= 0; i-- {
 			suffix += edgeCosts[i]
-			opts.Record.add(sigs[i], suffix, recActions[i:])
+			lo := 0
+			if i > 0 {
+				lo = sigEnd[i-1]
+			}
+			opts.Record.add(sigs[lo:sigEnd[i]:sigEnd[i]], suffix, recActions[i:])
 		}
 	}
 	return nil
@@ -836,10 +860,4 @@ func ReuseFrom(r *Result) *Reuse {
 		panic("search: ReuseFrom requires a result produced with KeepClosed")
 	}
 	return &Reuse{OldCost: r.Cost, Closed: r.Closed}
-}
-
-func reverseActions(a []graph.Action) {
-	for i, j := 0, len(a)-1; i < j; i, j = i+1, j-1 {
-		a[i], a[j] = a[j], a[i]
-	}
 }

@@ -1,7 +1,8 @@
 package search
 
 import (
-	"math"
+	"bytes"
+	"cmp"
 
 	"wisedb/internal/graph"
 )
@@ -61,11 +62,8 @@ func (q *bucketFrontier) init(base, quantum float64, canonical bool) {
 // the bucket range.
 func (q *bucketFrontier) release() {
 	for _, idx := range q.touched {
-		b := q.buckets[idx]
-		for j := range b {
-			b[j] = nil
-		}
-		q.buckets[idx] = b[:0]
+		clear(q.buckets[idx])
+		q.buckets[idx] = q.buckets[idx][:0]
 	}
 	q.touched = q.touched[:0]
 	q.cursor = 0
@@ -107,68 +105,34 @@ const fineInv = 1e9
 // into a leftmost depth-first descent — each expanded node's first child is
 // lexicographically smaller than every other open node — so the canonical
 // (lex-least) optimal schedule is found without enumerating the band.
+//
+// Both sides are read off the nodes: band is ⌊f·fineInv⌋, computed once at
+// creation, and key is the root-to-node action path, one big-endian
+// keyLabelBytes-wide graph.Action.Label per edge. Label order is actionCmp
+// order and the width is fixed, so bytes.Compare of two keys is the
+// lexicographic comparison of the two action sequences — a path that is a
+// proper prefix of the other is the shorter byte string and orders first.
 func nodeLessCanonical(a, b *node) bool {
-	ba, bb := math.Floor(a.f*fineInv), math.Floor(b.f*fineInv)
-	if ba != bb {
-		return ba < bb
+	if a.band != b.band {
+		return a.band < b.band
 	}
-	return pathCmp(a, b) < 0
-}
-
-// pathCmp compares the root-to-node action sequences of two open nodes
-// lexicographically without materializing them: it recurses up the parent
-// chains, aligning depths first, and compares edge actions on the way back
-// down. A path that is a proper prefix of the other orders first.
-func pathCmp(a, b *node) int {
-	if a == b || (a.parent == nil && b.parent == nil) {
-		return 0
-	}
-	if a.depth > b.depth {
-		if c := pathCmp(a.parent, b); c != 0 {
-			return c
-		}
-		return 1 // b's path is a proper prefix of a's
-	}
-	if b.depth > a.depth {
-		if c := pathCmp(a, b.parent); c != 0 {
-			return c
-		}
-		return -1
-	}
-	if c := pathCmp(a.parent, b.parent); c != 0 {
-		return c
-	}
-	return actionCmp(a.act, b.act)
+	return bytes.Compare(a.key, b.key) < 0
 }
 
 // actionCmp is the total order on edge actions that underlies every
 // canonical tie-break: placements before start-ups, then by template, then
-// by VM type. Any fixed total order works for correctness; placements-first
-// makes the lex-least descent fill the open VM before renting another, so
-// on the flat f-band of the packing bound the canonical path tracks a
-// greedy packing and backtracks rarely. The order is stable across
-// processes and releases because it reads only the action's fields.
+// by VM type — the order of graph.Action.Label, which path keys encode.
+// Any fixed total order works for correctness; placements-first makes the
+// lex-least descent fill the open VM before renting another, so on the
+// flat f-band of the packing bound the canonical path tracks a greedy
+// packing and backtracks rarely. The order is stable across processes and
+// releases because it reads only the action's fields.
 func actionCmp(x, y graph.Action) int {
-	if x.Kind != y.Kind {
-		// Place orders before Startup.
-		if x.Kind > y.Kind {
-			return -1
-		}
-		return 1
-	}
-	if x.Template != y.Template {
-		if x.Template < y.Template {
-			return -1
-		}
-		return 1
-	}
-	if x.VMType != y.VMType {
-		if x.VMType < y.VMType {
-			return -1
-		}
-		return 1
-	}
-	return 0
+	return cmp.Or(
+		cmp.Compare(y.Kind, x.Kind), // Place orders before Startup
+		cmp.Compare(x.Template, y.Template),
+		cmp.Compare(x.VMType, y.VMType),
+	)
 }
 
 // less dispatches to the order the frontier was initialized with.

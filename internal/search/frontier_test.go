@@ -1,6 +1,8 @@
 package search
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -49,6 +51,47 @@ func TestBucketFrontierExactOrder(t *testing.T) {
 		if q.size != 0 {
 			t.Fatalf("size %d after draining", q.size)
 		}
+	}
+}
+
+// With canonical = true the frontier must pop in (eps-band of f, path)
+// order for any quantum: bands decided by ⌊f·fineInv⌋ — f-values a float
+// noise apart share one, f-values two eps apart do not — and paths by the
+// recursive reference comparator the byte keys replaced (pathkey_test.go),
+// over a random tree with prefixes, repeated paths and pseudo-goals.
+func TestBucketFrontierExactOrderCanonical(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	ar := newArena()
+	tree := randomPathTree(rng, ar, 5, 2, 600, 24)
+	for _, quantum := range []float64{1e-4, 0.01, 1, 1e6} {
+		var q bucketFrontier
+		q.init(0, quantum, true)
+		var ref []*refNode
+		next := 0
+		for wave := 0; wave < 3; wave++ {
+			for i := 0; i < 200; i++ {
+				r := tree[next%len(tree)]
+				next++
+				r.n.f = float64(rng.Intn(12))*0.37*float64(3-wave) + float64(rng.Intn(3))*2e-9 + float64(rng.Intn(2))*1e-13
+				r.n.band = math.Floor(r.n.f * fineInv)
+				q.push(r.n)
+				ref = append(ref, r)
+			}
+			for i := 0; i < 120; i++ {
+				n := q.pop()
+				sort.SliceStable(ref, func(a, b int) bool {
+					if ref[a].n.band != ref[b].n.band {
+						return ref[a].n.band < ref[b].n.band
+					}
+					return pathCmp(ref[a], ref[b]) < 0
+				})
+				if n.band != ref[0].n.band || !bytes.Equal(n.key, ref[0].n.key) {
+					t.Fatalf("quantum %g wave %d pop %d: got (band=%v,key=%x), want (band=%v,key=%x)", quantum, wave, i, n.band, n.key, ref[0].n.band, ref[0].n.key)
+				}
+				ref = ref[1:]
+			}
+		}
+		q.release()
 	}
 }
 

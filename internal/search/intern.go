@@ -54,10 +54,10 @@ func NewInternTable() *InternTable {
 // Len returns the number of interned signatures.
 func (t *InternTable) Len() int { return len(t.offs) }
 
-// sigSeed keys signature hashing for this process. Hash values decide only
-// probe order and shard choice — ids are assigned in insertion order and
-// shard placement is unobservable — so a per-process random seed does not
-// affect determinism of search results.
+// sigSeed keys signature hashing for this process, one seed for every
+// table so one hash serves them all. Hash values decide only probe order —
+// ids are assigned in insertion order — so a per-process random seed does
+// not affect determinism of search results.
 var sigSeed = maphash.MakeSeed()
 
 // hashSig hashes the signature bytes through the runtime-assisted maphash.
@@ -76,10 +76,16 @@ func (t *InternTable) key(id uint32) []byte {
 // (== Len() before the call) when the signature is new. fresh reports
 // whether a new id was assigned. The byte slice is only copied when fresh.
 func (t *InternTable) Intern(sig []byte) (id uint32, fresh bool) {
+	return t.internHash(sig, hashSig(sig))
+}
+
+// internHash is Intern for a caller that already holds h == hashSig(sig):
+// the search hashes each generated state once and hands the hash to every
+// table it consults.
+func (t *InternTable) internHash(sig []byte, h uint32) (id uint32, fresh bool) {
 	if len(t.offs) >= len(t.slots)*3/4 {
 		t.grow()
 	}
-	h := hashSig(sig)
 	i := h & t.mask
 	for {
 		s := &t.slots[i]
@@ -100,7 +106,11 @@ func (t *InternTable) Intern(sig []byte) (id uint32, fresh bool) {
 
 // Lookup returns the id of the signature without interning it.
 func (t *InternTable) Lookup(sig []byte) (uint32, bool) {
-	h := hashSig(sig)
+	return t.lookupHash(sig, hashSig(sig))
+}
+
+// lookupHash is Lookup given h == hashSig(sig).
+func (t *InternTable) lookupHash(sig []byte, h uint32) (uint32, bool) {
 	i := h & t.mask
 	for {
 		s := &t.slots[i]
@@ -191,7 +201,12 @@ type Closed struct {
 
 // Lookup returns the recorded best path cost for the signature.
 func (c *Closed) Lookup(sig []byte) (float64, bool) {
-	id, ok := c.Table.Lookup(sig)
+	return c.lookupHash(sig, hashSig(sig))
+}
+
+// lookupHash is Lookup given h == hashSig(sig).
+func (c *Closed) lookupHash(sig []byte, h uint32) (float64, bool) {
+	id, ok := c.Table.lookupHash(sig, h)
 	if !ok || math.IsInf(c.G[id], 1) {
 		return 0, false
 	}

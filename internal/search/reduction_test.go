@@ -75,7 +75,8 @@ func TestBoundsAdmissibleAtRoot(t *testing.T) {
 			for trial := 0; trial < 10; trial++ {
 				w := sampler.Uniform(6)
 				start := prob.Start(w)
-				h := s.heuristic(newArena(), start, []byte(prob.Signature(start)), nil)
+				sig := []byte(prob.Signature(start))
+				h := s.heuristic(newArena(), start, sig, hashSig(sig), nil)
 				res, err := s.Solve(w, Options{})
 				if err != nil {
 					t.Fatal(err)

@@ -3,7 +3,6 @@ package search
 import (
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"wisedb/internal/graph"
@@ -44,19 +43,18 @@ import (
 // core.Train), so every search observes a cache state that does not depend
 // on goroutine scheduling.
 //
-// The cache is sharded and mutex-striped: lookups take a per-shard RLock on
-// the hot path, Commits a per-shard write lock.
+// Storage is the package's own InternTable (signature → dense id) beside a
+// slice of entries indexed by that id. Nothing is locked: writers (Commit,
+// Import) are single-threaded and never concurrent with lookup — the
+// generation barrier in core.solveSamplesFold commits only when no search
+// is in flight — and every other method (Len, Stats, Export, Clone) only
+// reads, so any number of them may run beside each other and beside
+// lookups. The lifetime counters alone are atomic, folded in once per Solve.
 type TranspositionCache struct {
-	shards [tcShards]tcShard
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
-const tcShards = 16
-
-type tcShard struct {
-	mu sync.RWMutex
-	m  map[string]suffixEntry
+	table   *InternTable
+	entries []suffixEntry // indexed by the table's dense id
+	hits    atomic.Int64
+	misses  atomic.Int64
 }
 
 // suffixEntry is a solved suffix subproblem: the minimum cost-to-go from
@@ -69,51 +67,38 @@ type suffixEntry struct {
 
 // NewTranspositionCache returns an empty cache.
 func NewTranspositionCache() *TranspositionCache {
-	c := &TranspositionCache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[string]suffixEntry)
-	}
-	return c
+	return &TranspositionCache{table: NewInternTable()}
 }
 
-// shardOf hashes a signature (FNV-1a) onto its shard.
-func shardOf(sig []byte) uint32 {
-	h := uint32(2166136261)
-	for _, b := range sig {
-		h = (h ^ uint32(b)) * 16777619
+// lookupHash returns the solved suffix for the signature, if any, given
+// h == hashSig(sig). It takes no lock and does not allocate.
+func (c *TranspositionCache) lookupHash(sig []byte, h uint32) (suffixEntry, bool) {
+	id, ok := c.table.lookupHash(sig, h)
+	if !ok {
+		return suffixEntry{}, false
 	}
-	return h % tcShards
+	return c.entries[id], true
 }
 
-func shardOfString(sig string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(sig); i++ {
-		h = (h ^ uint32(sig[i])) * 16777619
+// merge folds one solved suffix into the cache with the canonical merge:
+// lower cost wins, equal cost (within eps) keeps the lexicographically
+// least suffix under actionCmp, shorter prefix first — the order path keys
+// encode, so the kept suffix is the one the canonical search would choose.
+// The signature bytes are copied only when new.
+func (c *TranspositionCache) merge(sig []byte, cost float64, actions []graph.Action) {
+	id, fresh := c.table.Intern(sig)
+	if fresh {
+		c.entries = append(c.entries, suffixEntry{cost: cost, actions: actions})
+		return
 	}
-	return h % tcShards
-}
-
-// lookup returns the solved suffix for the signature, if any. It does not
-// allocate: the map is read through the scratch bytes directly.
-func (c *TranspositionCache) lookup(sig []byte) (suffixEntry, bool) {
-	s := &c.shards[shardOf(sig)]
-	s.mu.RLock()
-	e, ok := s.m[string(sig)]
-	s.mu.RUnlock()
-	return e, ok
+	e := &c.entries[id]
+	if cost < e.cost-eps || (cost <= e.cost+eps && slices.CompareFunc(actions, e.actions, actionCmp) < 0) {
+		*e = suffixEntry{cost: cost, actions: actions}
+	}
 }
 
 // Len returns the number of cached suffix subproblems.
-func (c *TranspositionCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		n += len(s.m)
-		s.mu.RUnlock()
-	}
-	return n
-}
+func (c *TranspositionCache) Len() int { return len(c.entries) }
 
 // CacheStats aggregates a cache's lifetime counters.
 type CacheStats struct {
@@ -139,7 +124,7 @@ type PendingSuffixes struct {
 }
 
 type suffixRecord struct {
-	sig     string
+	sig     []byte
 	cost    float64
 	actions []graph.Action
 }
@@ -147,9 +132,10 @@ type suffixRecord struct {
 // Len returns the number of buffered records.
 func (p *PendingSuffixes) Len() int { return len(p.recs) }
 
-// add buffers one solved suffix. The actions slice must be immutable.
+// add buffers one solved suffix. Both slices are retained until Commit and
+// must not change under it.
 func (p *PendingSuffixes) add(sig []byte, cost float64, actions []graph.Action) {
-	p.recs = append(p.recs, suffixRecord{sig: string(sig), cost: cost, actions: actions})
+	p.recs = append(p.recs, suffixRecord{sig: sig, cost: cost, actions: actions})
 }
 
 // Commit publishes the buffered records into the cache with the canonical
@@ -159,23 +145,12 @@ func (p *PendingSuffixes) add(sig []byte, cost float64, actions []graph.Action) 
 // independent of Commit order and interleaving.
 func (c *TranspositionCache) Commit(p *PendingSuffixes) {
 	for _, r := range p.recs {
-		s := &c.shards[shardOfString(r.sig)]
-		s.mu.Lock()
-		e, ok := s.m[r.sig]
-		if !ok || r.cost < e.cost-eps || (r.cost <= e.cost+eps && lexLessActions(r.actions, e.actions)) {
-			s.m[r.sig] = suffixEntry{cost: r.cost, actions: r.actions}
-		}
-		s.mu.Unlock()
+		c.merge(r.sig, r.cost, r.actions)
 	}
+	// Clear before truncating: a pooled buffer must not keep the last
+	// generation's signatures and suffixes reachable.
+	clear(p.recs)
 	p.recs = p.recs[:0]
-}
-
-// lexLessActions orders action sequences lexicographically under actionCmp
-// (the same total order the canonical search's tie-breaks use — the cache's
-// kept suffix must be the one the canonical search would choose), shorter
-// prefix first. It is the canonical tie-break among equal-cost suffixes.
-func lexLessActions(a, b []graph.Action) bool {
-	return lexCmpActions(a, b) < 0
 }
 
 // CacheEntry is one exported solved-suffix subproblem: the state signature
@@ -195,14 +170,11 @@ type CacheEntry struct {
 // persisted cache is a pure function of the cache contents. The returned
 // slices alias the cache's immutable internals and must not be mutated.
 func (c *TranspositionCache) Export(max int) []CacheEntry {
-	out := make([]CacheEntry, 0, c.Len())
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		for sig, e := range s.m {
-			out = append(out, CacheEntry{Sig: sig, Cost: e.cost, Actions: e.actions})
-		}
-		s.mu.RUnlock()
+	out := make([]CacheEntry, len(c.entries))
+	keys := string(c.table.keys) // one copy; every Sig is a substring of it
+	for id, e := range c.entries {
+		off := c.table.offs[id]
+		out[id] = CacheEntry{Sig: keys[off : off+c.table.lens[id]], Cost: e.cost, Actions: e.actions}
 	}
 	slices.SortFunc(out, func(a, b CacheEntry) int { return strings.Compare(a.Sig, b.Sig) })
 	if max > 0 && len(out) > max {
@@ -212,18 +184,11 @@ func (c *TranspositionCache) Export(max int) []CacheEntry {
 }
 
 // Import merges exported entries into the cache with the same canonical
-// merge Commit uses, so importing is commutative with concurrent Commits
-// and idempotent. The entries' slices are retained; they must stay
-// immutable.
+// merge Commit uses, so importing commutes with Commits and is idempotent.
+// The entries' action slices are retained; they must stay immutable.
 func (c *TranspositionCache) Import(entries []CacheEntry) {
 	for _, r := range entries {
-		s := &c.shards[shardOfString(r.Sig)]
-		s.mu.Lock()
-		e, ok := s.m[r.Sig]
-		if !ok || r.Cost < e.cost-eps || (r.Cost <= e.cost+eps && lexLessActions(r.Actions, e.actions)) {
-			s.m[r.Sig] = suffixEntry{cost: r.Cost, actions: r.Actions}
-		}
-		s.mu.Unlock()
+		c.merge([]byte(r.Sig), r.Cost, r.Actions)
 	}
 }
 
@@ -232,16 +197,7 @@ func (c *TranspositionCache) Import(entries []CacheEntry) {
 // warm retrain clones the prior epoch's cache so its own commits never
 // mutate the epoch snapshot it started from.
 func (c *TranspositionCache) Clone() *TranspositionCache {
-	n := NewTranspositionCache()
-	for i := range c.shards {
-		src, dst := &c.shards[i], &n.shards[i]
-		src.mu.RLock()
-		for sig, e := range src.m {
-			dst.m[sig] = e
-		}
-		src.mu.RUnlock()
-	}
-	return n
+	return &TranspositionCache{table: c.table.Snapshot(), entries: slices.Clone(c.entries)}
 }
 
 // addCounters folds one search's lookup counters into the cache stats.

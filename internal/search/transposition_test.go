@@ -132,7 +132,7 @@ func TestTranspositionCanonicalMerge(t *testing.T) {
 		cache.Commit(&rec)
 		rec.add(sig, 5.0, order[1])
 		cache.Commit(&rec)
-		e, ok := cache.lookup(sig)
+		e, ok := cache.lookupHash(sig, hashSig(sig))
 		if !ok {
 			t.Fatal("entry missing after commits")
 		}
@@ -145,7 +145,7 @@ func TestTranspositionCanonicalMerge(t *testing.T) {
 	rec.add(sig, 5.0, a)
 	rec.add(sig, 3.0, b)
 	cache.Commit(&rec)
-	if e, _ := cache.lookup(sig); e.cost != 3.0 || e.actions[0].Template != 1 {
+	if e, _ := cache.lookupHash(sig, hashSig(sig)); e.cost != 3.0 || e.actions[0].Template != 1 {
 		t.Fatalf("cheaper suffix lost the merge: %+v", e)
 	}
 	if rec.Len() != 0 {
