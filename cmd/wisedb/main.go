@@ -252,8 +252,8 @@ func main() {
 		}
 		fmt.Printf("online: %d queries, %d VMs, cost %.2f¢ (penalty %.2f¢)\n",
 			len(res.Perf), res.VMsRented, res.Cost, res.Penalty)
-		fmt.Printf("advisor overhead %s total (%d retrainings, %d adaptations, %d cache hits)\n",
-			res.SchedulingTime.Round(time.Millisecond), res.Retrainings, res.Adaptations, res.CacheHits)
+		fmt.Printf("advisor overhead %s total (%d retrainings, %d adaptations: %d samples replayed, %d solved; %d cache hits)\n",
+			res.SchedulingTime.Round(time.Millisecond), res.Retrainings, res.Adaptations, res.AdaptReplayed, res.AdaptSolved, res.CacheHits)
 
 	case "serve":
 		opts := wisedb.DefaultOnlineOptions()

@@ -176,16 +176,28 @@ func (a *Advisor) Env() *schedule.Env { return a.env }
 // Config returns the advisor's training configuration (normalized).
 func (a *Advisor) Config() TrainConfig { return a.cfg }
 
+// solvedPath is one sample workload's canonical search result under a
+// model's goal: the exact optimal schedule and its cost. It is what a later
+// search of the same workload can replay instead of searching — a warm
+// retrain under the same goal, a tightened or shifted build under a
+// stricter one (search.Searcher.Replay). Empty for non-monotonic goals'
+// one-shot models and for checkpoints that predate it.
+type solvedPath struct {
+	cost    float64
+	actions []graph.Action
+}
+
 // trainSample retains one sample workload and its search byproducts for
 // adaptive re-training.
 type trainSample struct {
-	w     *workload.Workload
+	w *workload.Workload
+	solvedPath
+	// reuse is the §5 adaptive-A* information of the search that solved
+	// the sample: its closed set and the cost the g-values count up to.
+	// A sample whose path was replayed from a looser goal carries that
+	// goal's reuse forward unchanged (same cost, and g-values of a looser
+	// goal stay a Lemma 5.1 bound under every stricter one).
 	reuse *search.Reuse
-	// actions is the sample's exact optimal schedule — the canonical
-	// search result for (w, goal, env). A warm retrain replays it
-	// verbatim for samples whose draw is unchanged, skipping the search
-	// entirely (see WarmTrain).
-	actions []graph.Action
 	// variates holds the unit variates the sample's weighted draw
 	// consumed, one per query. A warm retrain with the same seed and
 	// sample size rebins them under the drifted mix
@@ -227,6 +239,11 @@ type Model struct {
 	env     *schedule.Env
 	prob    *graph.Problem
 	samples []trainSample
+	// shifted is what a one-shot shifted model keeps in place of samples:
+	// the canonical result of each of its base model's sample workloads
+	// under this model's goal, by sample index. A later, tighter shift of
+	// the same base replays them (see adapt); nothing else reads them.
+	shifted []solvedPath
 	// searchCache is the training run's transposition cache (nil when
 	// disabled or inapplicable): the solved suffix subproblems of the
 	// sample searches. WarmRetrain seeds the next epoch's searches from
@@ -362,7 +379,7 @@ func (a *Advisor) trainPipeline(ctx context.Context, goal sla.Goal, cache *searc
 				warm++
 			}
 			if a.cfg.KeepTrainingData {
-				ts := trainSample{w: sol.w, actions: sol.res.Actions, variates: sol.variates}
+				ts := trainSample{w: sol.w, solvedPath: solvedPath{sol.res.Cost, sol.res.Actions}, variates: sol.variates}
 				if sol.res.Closed != nil {
 					ts.reuse = search.ReuseFrom(sol.res)
 				} else if p := priors[i]; p != nil {
@@ -401,17 +418,18 @@ func (a *Advisor) trainPipeline(ctx context.Context, goal sla.Goal, cache *searc
 				sampler := workload.NewSampler(a.env.Templates, deriveSeed(a.cfg.Seed, i))
 				w = sampler.Uniform(a.cfg.SampleSize)
 			}
-			if prior != nil && (prior.reuse == nil || len(prior.actions) == 0 || !sameQueries(w, prior.w)) {
+			if prior != nil && (len(prior.actions) == 0 || !sameQueries(w, prior.w)) {
 				prior = nil
 			}
 			var res *search.Result
 			if prior != nil {
 				// Unchanged draw: replay its retained path instead of
-				// searching. buildPath validates the walk (goal reached,
-				// cost matches) before recording anything, so a rejected
-				// replay — a stale or corrupted prior — leaves the cache
+				// searching. Replay validates the walk (goal reached,
+				// cost exactly as stored) before recording anything, so a
+				// rejected replay — a stale or corrupted prior, a
+				// checkpoint priced by older arithmetic — leaves the cache
 				// untouched and the sample simply solves cold below.
-				r, rErr := searcher.Replay(w, prior.actions, prior.reuse.OldCost, rec)
+				r, rErr := searcher.Replay(w, prior.actions, prior.cost, rec)
 				if rErr == nil {
 					res = r
 				} else {

@@ -123,6 +123,13 @@ type OnlineResult struct {
 	// concurrency — while the engine's shared ω-map dedups the actual
 	// builds across streams underneath (see OnlineScheduler.CacheStats).
 	Retrainings, Adaptations, CacheHits int
+	// AdaptReplayed and AdaptSolved split the sample workloads behind the
+	// models counted in Adaptations: replayed from a looser goal's solved
+	// path (the base model's, or the nearest smaller wait's in the ω-map
+	// when the model was built) or re-solved. The models themselves do
+	// not depend on the split; the split does depend on what the ω-map
+	// held when each was built.
+	AdaptReplayed, AdaptSolved int
 	// DriftTriggers counts drift retrains this stream started;
 	// DriftTriggerArrivals records the arrival-event index of each (the
 	// shift-recovery experiment reads detection latency off it).
@@ -1120,12 +1127,12 @@ func (s *Stream) shiftedModel(ctx context.Context, epoch *ModelEpoch, w time.Dur
 		if err != nil {
 			return nil, err
 		}
-		s.res.Adaptations++
+		s.countAdaptation(m)
 		return m, nil
 	}
 	key := shiftKey{reg: s.reg.id, epoch: epoch.Epoch, wait: w}
 	m, err := getOrBuild(&s.eng.cache, shiftedMap, key, key.hash(), ctx, func() (*Model, error) {
-		return epoch.Model.ShiftedModelContext(ctx, w)
+		return epoch.Model.shiftedFrom(ctx, w, s.eng.cache.nearestShifted(key))
 	})
 	if err != nil {
 		return nil, err
@@ -1134,9 +1141,17 @@ func (s *Stream) shiftedModel(ctx context.Context, epoch *ModelEpoch, w time.Dur
 		s.res.CacheHits++
 	} else {
 		s.seenShifted[key] = struct{}{}
-		s.res.Adaptations++
+		s.countAdaptation(m)
 	}
 	return m, nil
+}
+
+// countAdaptation records a shifted model this stream acquired for the
+// first time.
+func (s *Stream) countAdaptation(m *Model) {
+	s.res.Adaptations++
+	s.res.AdaptReplayed += m.WarmSamples
+	s.res.AdaptSolved += m.ColdSamples
 }
 
 // scheduleAugmented builds the "new template" specification of §6.3: each
@@ -1500,6 +1515,33 @@ func (c *modelCache) evictBefore(reg uint32, epoch uint64) {
 		}
 		s.mu.Unlock()
 	}
+}
+
+// nearestShifted returns the finished shifted model of key's registry and
+// epoch with the largest wait below key's, or nil: the looser goal whose
+// solved paths a new build replays (Model.shiftedFrom). It runs once per
+// build, never per lookup, and locks one stripe at a time.
+func (c *modelCache) nearestShifted(key shiftKey) *Model {
+	var near *Model
+	best := time.Duration(0)
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		for k, e := range s.shifted {
+			if k.reg != key.reg || k.epoch != key.epoch || k.wait >= key.wait || k.wait <= best {
+				continue
+			}
+			select {
+			case <-e.done:
+				if e.err == nil {
+					near, best = e.m, k.wait
+				}
+			default: // still building
+			}
+		}
+		s.mu.Unlock()
+	}
+	return near
 }
 
 // shiftedMap and augmentedMap select a stripe's map for the generic

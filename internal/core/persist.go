@@ -919,7 +919,11 @@ func decodeTrainData(p []byte, env *schedule.Env) ([]trainSample, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%w: sample %d: %v", store.ErrCorrupt, i, err)
 			}
+			// The stored path's cost travels as the reuse's OldCost: a
+			// sample's reuse and path always come from searches of equal
+			// cost (see adapt).
 			s.reuse = &search.Reuse{OldCost: oldCost, Closed: closed}
+			s.cost = oldCost
 		}
 		na := d.Count(9)
 		if d.Err() != nil {

@@ -358,7 +358,7 @@ func TestDecodeNormalisesStrayActionFields(t *testing.T) {
 
 	var te store.Enc
 	w := &workload.Workload{Templates: env.Templates, Queries: []workload.Query{{TemplateID: 1}}}
-	encodeTrainData(&te, []trainSample{{w: w, actions: stray}})
+	encodeTrainData(&te, []trainSample{{w: w, solvedPath: solvedPath{actions: stray}}})
 	samples, err := decodeTrainData(te.Bytes(), env)
 	if err != nil {
 		t.Fatal(err)

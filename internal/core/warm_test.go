@@ -89,6 +89,11 @@ func TestWarmRetrainMatchesCold(t *testing.T) {
 			}
 		})
 	}
+	// The same pin where it used to break: N = 500, m = 12, 5 templates
+	// (the families that take the warm path; the others are cold trains).
+	for _, name := range []string{"max", "perquery"} {
+		t.Run(name+"-serving-scale", func(t *testing.T) { warmMatchesColdAtServingScale(t, name) })
+	}
 }
 
 // Between two nearby weighted mixes — the shape of successive drift

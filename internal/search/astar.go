@@ -15,7 +15,9 @@
 // best-first branch-and-bound: nodes are re-opened when a cheaper path is
 // found, a goal's cost becomes an incumbent bound, and the search stops when
 // the cheapest open f-value cannot beat the incumbent. For monotonic goals
-// the heuristic is consistent and this degenerates to plain A*.
+// the heuristic is consistent and this degenerates to plain A* — run in
+// exact arithmetic on a fixed cost grid (grid.go), so that its result is
+// the lexicographically least optimal schedule and nothing else.
 //
 // Three engine-level optimizations keep the training-side searches fast
 // (see DESIGN.md, "The search engine"): states and their slices are
@@ -85,7 +87,9 @@ func (r *Result) Schedule() *schedule.Schedule { return graph.BuildSchedule(r.Ac
 // placements, so a tightened goal can make an edge cheaper, g_old(v) can
 // exceed g_new(v), and the reuse bound would overestimate and prune the
 // true optimum. The search therefore applies Reuse only to monotonic goals
-// and silently ignores it otherwise.
+// and silently ignores it otherwise — as it does a Reuse whose OldCost is
+// not a value of the cost grid (grid.go): one decoded from a checkpoint
+// that predates the grid, whose g-values are last-bit off today's.
 type Reuse struct {
 	// OldCost is cost(R, g): the optimal cost under the old goal.
 	OldCost float64
@@ -155,9 +159,7 @@ type node struct {
 	key []byte
 	g   float64
 	f   float64
-	// band is ⌊f·fineInv⌋, the eps-band the canonical order sorts by first.
-	band float64
-	id   uint32
+	id  uint32
 	// remaining caches state.RemainingQueries() at node creation: the
 	// legacy open-frontier tie-break reads it on every comparison, and
 	// zero is the goal test of a popped node.
@@ -185,6 +187,20 @@ type Searcher struct {
 	latOrderDesc []int
 	minStartup   float64   // cheapest VM start-up fee, used by every bound
 	arenas       sync.Pool // *arena
+
+	// gridded marks a monotonic goal, whose searches price edges on the
+	// cost grid (grid.go). The tables below are what the hot path reads
+	// instead of the Problem: nv VM types, the template×VM-type latency
+	// matrix (negative = cannot run) and processing costs, row-major, and
+	// the start-up fees — costs rounded to the grid iff gridded, so
+	// minCost and minStartup, their minima, are built from the same
+	// rounded components the edges charge.
+	gridded bool
+	nv      int
+	lat     []time.Duration
+	exec    []float64
+	startup []float64
+	exact   exactTables // gridded searchers only
 }
 
 // New returns a Searcher for the problem. It returns an error if some
@@ -193,23 +209,50 @@ func New(prob *graph.Problem) (*Searcher, error) {
 	if n := len(prob.Env.Templates) + len(prob.Env.VMTypes); n > 1<<(8*keyLabelBytes) {
 		return nil, fmt.Errorf("search: %d action labels exceed the %d a path key encodes", n, 1<<(8*keyLabelBytes))
 	}
-	minCost := make([]float64, len(prob.Env.Templates))
-	minLat := make([]time.Duration, len(prob.Env.Templates))
-	for i := range prob.Env.Templates {
-		c, ok := prob.Env.CheapestLatencyCost(i)
-		if !ok {
-			return nil, fmt.Errorf("%w: template %d runs on no VM type", ErrNoSchedule, i)
-		}
-		minCost[i] = c
-		minLat[i], _ = prob.Env.FastestLatency(i)
+	k, nv := len(prob.Env.Templates), len(prob.Env.VMTypes)
+	s := &Searcher{
+		prob:       prob,
+		minCost:    make([]float64, k),
+		minLat:     make([]time.Duration, k),
+		minStartup: math.Inf(1),
+		gridded:    prob.Goal.Monotonic(),
+		nv:         nv,
+		lat:        make([]time.Duration, k*nv),
+		exec:       make([]float64, k*nv),
+		startup:    make([]float64, nv),
 	}
-	minStartup := math.Inf(1)
-	for _, vt := range prob.Env.VMTypes {
-		if vt.StartupCost < minStartup {
-			minStartup = vt.StartupCost
+	// price puts a cost on the grid for monotonic goals and leaves it
+	// alone otherwise.
+	price := func(c float64) float64 {
+		if s.gridded {
+			return toGrid(c)
+		}
+		return c
+	}
+	for t := 0; t < k; t++ {
+		s.minCost[t] = math.Inf(1)
+		s.minLat[t], _ = prob.Env.FastestLatency(t)
+		for vt, vm := range prob.Env.VMTypes {
+			lat, ok := prob.Env.Latency(t, vt)
+			if !ok {
+				s.lat[t*nv+vt] = -1
+				continue
+			}
+			s.lat[t*nv+vt] = lat
+			s.exec[t*nv+vt] = price(vm.RunningCost(lat))
+			s.minCost[t] = math.Min(s.minCost[t], s.exec[t*nv+vt])
+		}
+		if math.IsInf(s.minCost[t], 1) {
+			return nil, fmt.Errorf("%w: template %d runs on no VM type", ErrNoSchedule, t)
 		}
 	}
-	s := &Searcher{prob: prob, minCost: minCost, minLat: minLat, minStartup: minStartup}
+	for vt, vm := range prob.Env.VMTypes {
+		s.startup[vt] = price(vm.StartupCost)
+		s.minStartup = math.Min(s.minStartup, s.startup[vt])
+	}
+	if s.gridded {
+		s.initExact()
+	}
 	s.arenas.New = func() any { return newArena() }
 	s.initLatOrder()
 	return s, nil
@@ -337,12 +380,15 @@ func appendChildKey(buf []byte, parent *node, label int) []byte {
 func (s *Searcher) Problem() *graph.Problem { return s.prob }
 
 // heuristic returns an admissible estimate of the cost-to-go from state st.
-// For monotonic goals it is Eq. 3: the cheapest possible processing cost of
-// every unassigned query. For non-monotonic goals the accumulated penalty
-// may still be refunded by future placements, so the admissible form
-// subtracts it (the final penalty is at least zero). Adaptive reuse takes
-// the max with OldCost − g_old (Lemma 5.1), found under sig and its hash
-// sigHash == hashSig(sig). Scratch is drawn from ar.
+// For monotonic goals it is Eq. 3 — the cheapest possible processing cost of
+// every unassigned query — plus packingBound, or assignmentBound where that
+// is larger; every term is a grid value, so the estimate is exact-admissible
+// (grid.go). For non-monotonic goals the accumulated penalty may still be
+// refunded by future placements, so the admissible form subtracts it (the
+// final penalty is at least zero). Adaptive reuse takes the max with
+// OldCost − g_old (Lemma 5.1), found under sig and its hash
+// sigHash == hashSig(sig); Solve hands a reuse over only where it is sound.
+// Scratch is drawn from ar.
 func (s *Searcher) heuristic(ar *arena, st *graph.State, sig []byte, sigHash uint32, reuse *Reuse) float64 {
 	h := 0.0
 	remaining := 0
@@ -352,7 +398,7 @@ func (s *Searcher) heuristic(ar *arena, st *graph.State, sig []byte, sigHash uin
 		remaining += c
 		minFutureLat += time.Duration(c) * s.minLat[t]
 	}
-	if !s.prob.Goal.Monotonic() {
+	if !s.gridded {
 		// The accumulated penalty may be partially refunded by future
 		// placements, but never below an admissible lower bound on
 		// the final penalty.
@@ -374,11 +420,13 @@ func (s *Searcher) heuristic(ar *arena, st *graph.State, sig []byte, sigHash uin
 		}
 	} else if remaining > 0 {
 		h += s.packingBound(st, minFutureLat)
+		if s.exact.assign && s.exact.penalisable(st.Unassigned) {
+			if a := s.assignmentBound(ar, st); a > h {
+				h = a
+			}
+		}
 	}
-	// Reuse is sound only for monotonic goals: non-monotonic penalties are
-	// refundable, so a tightened goal can lower an edge's cost and
-	// OldCost − g_old(v) would overestimate (see Reuse).
-	if reuse != nil && s.prob.Goal.Monotonic() {
+	if reuse != nil {
 		if gOld, ok := reuse.Closed.lookupHash(sig, sigHash); ok {
 			if adaptive := reuse.OldCost - gOld; adaptive > h {
 				h = adaptive
@@ -395,12 +443,15 @@ func (s *Searcher) heuristic(ar *arena, st *graph.State, sig []byte, sigHash uin
 // period of at least the last query of its VM, so for k additional VMs the
 // future extra cost is at least
 //
-//	k × min-startup + rate × max(0, W − openRoom − k×room)
+//	k × min-startup + P(max(0, W − openRoom − k×room))
 //
-// where W is the minimum total future execution time. The bound takes the
-// best k, which a completion is free to match but never beat.
+// where W is the minimum total future execution time and P the grid
+// penalty of a violation period (overagePenalty: the queries' violation
+// periods sum to at least the spilled work, and P is subadditive, so their
+// penalties sum to at least P of it). The bound takes the best k, which a
+// completion is free to match but never beat.
 func (s *Searcher) packingBound(st *graph.State, minFutureLat time.Duration) float64 {
-	room, rate, ok := sla.FutureRoom(s.prob.Goal, st.Unassigned)
+	room, _, ok := sla.FutureRoom(s.prob.Goal, st.Unassigned)
 	if !ok || room <= 0 {
 		return 0
 	}
@@ -428,7 +479,7 @@ func (s *Searcher) packingBound(st *graph.State, minFutureLat time.Duration) flo
 		}
 		cost := k * s.minStartup
 		if residual := spill - time.Duration(k*float64(room)); residual > 0 {
-			cost += rate * residual.Seconds()
+			cost += s.overagePenalty(residual)
 		}
 		if cost < best {
 			best = cost
@@ -454,30 +505,32 @@ type solver struct {
 	seeded        bool
 	// canonical marks a search whose result must be a pure function of
 	// (problem, workload) — invariant to transposition-cache contents,
-	// adaptive-reuse heuristic strength, and worker parallelism. It holds
-	// for every monotonic, unseeded search and is what lets a warm
-	// retrain (cache and Closed sets carried over from a prior epoch)
-	// reproduce a cold retrain bit-for-bit.
+	// adaptive-reuse heuristic strength, which looser goal a replayed path
+	// came from, and worker parallelism. It holds for every monotonic,
+	// unseeded search and is what lets a warm retrain (cache and Closed
+	// sets carried over from a prior epoch) reproduce a cold retrain, and a
+	// tightened build replay a looser goal's paths (Replay), bit for bit.
 	//
 	// The canonical schedule is the lexicographically least action
-	// sequence (under actionCmp) among complete schedules whose total
-	// cost lies in the minimal eps-quantization band. The search finds it
-	// without enumerating the band: the open list pops in
-	// (eps-banded f, lex path) order, transposition-cache hits become
-	// pseudo-goal frontier nodes (carrying prefix + cached suffix at the
-	// full completion cost) instead of incumbent adoptions, and the first
-	// goal or pseudo-goal popped is the canonical schedule. The argument:
-	// any prefix of the canonical schedule S has f within the band of S's
-	// cost under every admissible heuristic, so it pops before any
-	// lex-greater goal in that band; a cached suffix is itself the
-	// canonical completion of its state (recorded from canonical paths,
-	// merged lex-least in Commit), so a pseudo-goal either realizes S or
-	// diverges from it in its visible prefix and pops after. Band-edge
-	// float noise (~1e-13 across summation orders, vs the 1e-9 band) is
-	// the only residual nondeterminism and is the same noise class the
-	// eps tolerance already accepts everywhere else.
+	// sequence (under actionCmp) among the complete schedules of minimum
+	// cost. Cost is exact here: every edge weight is a value of the cost
+	// grid (grid.go), sums of grid values do not depend on the order of
+	// summation, and g, h and f are compared for equality, never within a
+	// tolerance — "minimum cost" means one number. The search finds the
+	// schedule without enumerating its ties: the open list pops in
+	// (f, lex path) order, transposition-cache hits become pseudo-goal
+	// frontier nodes (carrying prefix + cached suffix at the full
+	// completion cost) instead of incumbent adoptions, and the first goal
+	// or pseudo-goal popped is the canonical schedule. The argument: the
+	// heuristic is built from the rounded components the edges charge, so
+	// every prefix of the canonical schedule S has f ≤ cost(S) under every
+	// heuristic the search may run with, and pops before any lex-greater
+	// goal of that cost; a cached suffix is itself the canonical completion
+	// of its state (recorded from canonical paths, merged lex-least in
+	// Commit), so a pseudo-goal either realizes S or diverges from it in
+	// its visible prefix and pops after.
 	//
-	// Dedupe keeps the lex-least among eps-tied paths per state and
+	// Dedupe keeps the lex-least among equal-cost paths per state and
 	// re-opens on replacement; since a lex-smaller prefix maps every
 	// completion to a lex-smaller completion at the same cost, the
 	// canonical schedule's prefixes are never evicted.
@@ -486,8 +539,7 @@ type solver struct {
 
 // tieLess reports whether the candidate path (parent, label) is
 // lexicographically smaller than open node b's path. Both paths reach the
-// same state, so they are eps-tied in cost; the canonical search keeps the
-// lex-least.
+// same state at the same cost; the canonical search keeps the lex-least.
 func (sv *solver) tieLess(parent *node, label int, b *node) bool {
 	ar := sv.ar
 	ar.keyBuf = appendChildKey(ar.keyBuf[:0], parent, label)
@@ -510,14 +562,11 @@ func (sv *solver) consider(st *graph.State, parent *node, label int, g float64, 
 	}
 	if b := ar.best[id]; b != nil {
 		if sv.canonical {
-			// Keep the cheapest path; among eps-tied paths keep the
+			// Keep the cheapest path; among equal-cost paths keep the
 			// lexicographically least, re-opening the state so its
 			// subtree re-derives with the smaller prefix (the cascade
 			// terminates: the kept prefix strictly lex-decreases).
-			if b.g < g-eps {
-				return
-			}
-			if g >= b.g-eps && !sv.tieLess(parent, label, b) {
+			if b.g < g || (b.g == g && !sv.tieLess(parent, label, b)) {
 				return
 			}
 		} else if b.g <= g+eps {
@@ -572,7 +621,6 @@ func (sv *solver) openNode(st *graph.State, id uint32, parent *node, label int, 
 		cn.key = appendChildKey(ar.keySpace(len(parent.key)+keyLabelBytes), parent, label)
 	}
 	cn.g, cn.f = g, f
-	cn.band = math.Floor(f * fineInv)
 	cn.id = id
 	cn.remaining = remaining
 	ar.best[id] = cn
@@ -598,11 +646,19 @@ func (s *Searcher) Solve(w *workload.Workload, opts Options) (*Result, error) {
 	} else {
 		ar.dom = nil
 	}
-	monotonic := s.prob.Goal.Monotonic()
-	sv := solver{s: s, ar: ar, reuse: opts.Reuse, incumbentCost: math.Inf(1)}
-	if opts.Cache != nil && monotonic {
+	sv := solver{s: s, ar: ar, incumbentCost: math.Inf(1)}
+	if opts.Cache != nil && s.gridded {
 		// Sound for monotonic goals only; see TranspositionCache.
 		sv.cache = opts.Cache
+	}
+	if opts.Reuse != nil && s.gridded && onGrid(opts.Reuse.OldCost) {
+		// Sound for monotonic goals only: non-monotonic penalties are
+		// refundable, so a tightened goal can lower an edge's cost and
+		// OldCost − g_old(v) would overestimate (see Reuse). A cost off
+		// the grid was decoded from a checkpoint the old float arithmetic
+		// wrote: its g_old differ from today's in the last bits, enough to
+		// overestimate on a plateau, so that reuse is ignored as well.
+		sv.reuse = opts.Reuse
 	}
 	if opts.IncumbentCost > 0 {
 		sv.incumbentCost = opts.IncumbentCost + eps
@@ -612,7 +668,7 @@ func (s *Searcher) Solve(w *workload.Workload, opts Options) (*Result, error) {
 	// its result is invariant to cache contents and heuristic strength.
 	// Seeded searches keep the legacy incumbent-bound semantics so
 	// ErrSeedIsOptimal still means "nothing strictly beats the seed".
-	sv.canonical = monotonic && !sv.seeded
+	sv.canonical = s.gridded && !sv.seeded
 	// f-costs are in cents; a quantum of a fraction of the cheapest
 	// start-up fee separates the packing plateaus the bounds create while
 	// keeping the bucket count moderate.
@@ -672,16 +728,9 @@ func (s *Searcher) Solve(w *workload.Workload, opts Options) (*Result, error) {
 		}
 		ar.actBuf = s.prob.AppendActions(ar.actBuf[:0], n.state)
 		for _, a := range ar.actBuf {
-			var cost float64
-			switch a.Kind {
-			case graph.Startup:
-				cost = s.prob.StartupCost(a.VMType)
-			case graph.Place:
-				c, ok := s.prob.PlacementCost(n.state, a.Template)
-				if !ok {
-					continue
-				}
-				cost = c
+			cost, ok := s.edgeCost(n.state, a)
+			if !ok {
+				continue
 			}
 			child := s.prob.ApplyArena(&ar.states, n.state, a)
 			remaining := n.remaining
@@ -722,7 +771,7 @@ func (s *Searcher) Solve(w *workload.Workload, opts Options) (*Result, error) {
 		CacheHits:   sv.hits,
 		CacheMisses: sv.misses,
 	}
-	if err := s.buildPath(res, w, opts); err != nil {
+	if err := s.buildPath(res, w, opts.Record, 1e-6); err != nil {
 		return nil, err
 	}
 	if opts.KeepClosed {
@@ -744,13 +793,13 @@ func (s *Searcher) Solve(w *workload.Workload, opts Options) (*Result, error) {
 // buildPath replays the result's actions from the start vertex with
 // graph.Apply, materializing the Path steps with exact accumulators (the
 // search's internal states may share a static accumulator and be stitched
-// from cached suffixes). When opts.Record is set, the goal is monotonic,
-// and optimality was proven, it also records every path state's solved
-// suffix for later Commit into a transposition cache. The replayed edge
-// costs double-check the stitched path; a mismatch against the search cost
-// reports an error instead of a silently wrong schedule.
-func (s *Searcher) buildPath(res *Result, w *workload.Workload, opts Options) error {
-	record := opts.Record != nil && s.prob.Goal.Monotonic() && res.Optimal
+// from cached suffixes). When rec is set, the goal is monotonic, and
+// optimality was proven, it also records every path state's solved suffix
+// for later Commit into a transposition cache. The replayed edge costs
+// double-check the path: a sum further than tolerance from the result's
+// cost reports an error instead of a silently wrong schedule.
+func (s *Searcher) buildPath(res *Result, w *workload.Workload, rec *PendingSuffixes, tolerance float64) error {
+	record := rec != nil && s.gridded && res.Optimal
 	var recActions []graph.Action
 	if record {
 		// Records alias one private copy, never the caller-visible
@@ -777,16 +826,12 @@ func (s *Searcher) buildPath(res *Result, w *workload.Workload, opts Options) er
 			sigs = s.prob.AppendSignature(sigs, st)
 			sigEnd[i] = len(sigs)
 		}
-		var cost float64
-		switch a.Kind {
-		case graph.Startup:
-			cost = s.prob.StartupCost(a.VMType)
-		case graph.Place:
-			c, ok := s.prob.PlacementCost(st, a.Template)
-			if !ok {
-				return fmt.Errorf("search: internal error: invalid placement of template %d while replaying the optimal path", a.Template)
-			}
-			cost = c
+		if a.Kind == graph.Startup && (!st.CanStartup() || a.VMType < 0 || a.VMType >= s.nv) {
+			return fmt.Errorf("search: invalid start-up of VM type %d while replaying a path", a.VMType)
+		}
+		cost, ok := s.edgeCost(st, a)
+		if !ok {
+			return fmt.Errorf("search: invalid placement of template %d while replaying a path", a.Template)
 		}
 		if record {
 			edgeCosts[i] = cost
@@ -795,17 +840,16 @@ func (s *Searcher) buildPath(res *Result, w *workload.Workload, opts Options) er
 		st = s.prob.Apply(st, a)
 	}
 	if !st.IsGoal() {
-		return errors.New("search: internal error: replayed path does not reach a goal vertex")
+		return errors.New("search: replayed path does not reach a goal vertex")
 	}
-	if math.Abs(g-res.Cost) > 1e-6 {
-		return fmt.Errorf("search: internal error: replayed path costs %.9f, search reported %.9f", g, res.Cost)
+	if math.Abs(g-res.Cost) > tolerance {
+		return fmt.Errorf("search: replayed path costs %.12f, expected %.12f", g, res.Cost)
 	}
 	if record {
-		// Suffix costs accumulate backward (cost_i = edge_i + cost_{i+1})
-		// rather than as res.Cost − forward-prefix: the backward sum over a
-		// given action suffix is the same float bit pattern no matter which
-		// sample or epoch recorded it, so transposition caches built warm
-		// and cold hold identical entries for shared signatures.
+		// Suffix costs are sums of grid values, so they are the same number
+		// whichever sample or epoch recorded them and in whatever order the
+		// edges were added: transposition caches built warm and cold hold
+		// identical entries for shared signatures.
 		suffix := 0.0
 		for i := len(res.Actions) - 1; i >= 0; i-- {
 			suffix += edgeCosts[i]
@@ -813,32 +857,39 @@ func (s *Searcher) buildPath(res *Result, w *workload.Workload, opts Options) er
 			if i > 0 {
 				lo = sigEnd[i-1]
 			}
-			opts.Record.add(sigs[lo:sigEnd[i]:sigEnd[i]], suffix, recActions[i:])
+			rec.add(sigs[lo:sigEnd[i]:sigEnd[i]], suffix, recActions[i:])
 		}
 	}
 	return nil
 }
 
-// Replay reconstructs the Result a previous search of w produced from its
-// recorded action sequence, without searching: the actions are replayed
-// from the start vertex exactly as buildPath replays a fresh search's
-// incumbent, materializing the same Path steps and — via rec — the same
-// transposition-cache suffix records (cache entries only ever come from
-// returned optimal paths, so a replay regenerates precisely what the
-// search would have recorded). cost is the original search's cost, cross-
-// checked against the replayed edge sum; a mismatch (the actions were
-// recorded under a different goal or environment) is an error, never a
-// silently wrong schedule.
+// Replay returns the Result a search of w would produce, without
+// searching, from an action sequence some earlier search of w produced: the
+// actions are replayed from the start vertex exactly as buildPath replays a
+// fresh search's incumbent, materializing the same Path steps and — via
+// rec — the same transposition-cache suffix records (cache entries only
+// ever come from returned optimal paths, so a replay regenerates precisely
+// what the search would have recorded). cost is the earlier search's cost;
+// the replay succeeds only if the path, priced by this searcher, costs
+// exactly that. Anything else — another environment, a stale checkpoint, a
+// path the new goal charges more — is an error, never a silently wrong
+// schedule, and the caller solves instead.
 //
-// Soundness rests on the canonical-search invariant: for monotonic goals,
-// an unseeded search of the same (workload, goal, environment) returns the
-// lexicographically least optimal schedule regardless of cache or reuse
-// state — so the stored actions ARE today's search result, and warm
-// retraining replays unchanged samples in O(path) instead of re-searching
-// (see core's WarmTrain). The returned result carries no Closed set;
-// callers that need reuse information forward the original search's.
+// The earlier search must have been canonical (monotonic goal, unseeded),
+// of the same workload and environment, under this searcher's goal or a
+// looser one. Same goal: the canonical result is a pure function of
+// (problem, workload), so the stored actions ARE today's search result, and
+// warm retraining replays unchanged samples in O(path) (core's WarmTrain).
+// Looser goal — the replay certificate of tightened and shifted builds:
+// tightening a monotonic goal never lowers any schedule's cost, so when the
+// old canonical schedule P still costs its old optimum C, no schedule costs
+// less than C now, the new optimal set is the part of the old one that
+// kept its price, and P, lex-least in the old set and a member of the new,
+// is lex-least in the new. The returned result carries no Closed set;
+// callers that need reuse information forward the earlier search's (its
+// g-values remain a Lemma 5.1 bound under any stricter goal).
 func (s *Searcher) Replay(w *workload.Workload, actions []graph.Action, cost float64, rec *PendingSuffixes) (*Result, error) {
-	if !s.prob.Goal.Monotonic() {
+	if !s.gridded {
 		return nil, errors.New("search: Replay requires a monotonic goal (non-monotonic searches are not canonical)")
 	}
 	res := &Result{
@@ -846,7 +897,7 @@ func (s *Searcher) Replay(w *workload.Workload, actions []graph.Action, cost flo
 		Actions: append([]graph.Action(nil), actions...),
 		Optimal: true,
 	}
-	if err := s.buildPath(res, w, Options{Record: rec}); err != nil {
+	if err := s.buildPath(res, w, rec, 0); err != nil {
 		return nil, err
 	}
 	return res, nil

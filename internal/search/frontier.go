@@ -30,8 +30,8 @@ type bucketFrontier struct {
 	base float64 // f origin of bucket 0
 	inv  float64 // buckets per unit of f
 	// canonical switches the in-bucket order from the legacy comparator to
-	// the canonical one (eps-quantized f, then lexicographic action path) —
-	// see nodeLessCanonical.
+	// the canonical one (f, then lexicographic action path) — see
+	// nodeLessCanonical.
 	canonical bool
 	buckets   [][]*node
 	// touched records each bucket index that went from empty to non-empty,
@@ -90,31 +90,24 @@ func nodeLess(a, b *node) bool {
 	return a.remaining < b.remaining
 }
 
-// fineInv quantizes f-costs for the canonical pop order: two f-values are
-// order-equal iff they fall in the same 1/fineInv-wide band. The band width
-// equals eps, so float-summation noise (~1e-13) between semantically equal
-// costs lands in one band while genuinely different costs land in different
-// bands; within a band the lexicographic path order decides. See the
-// canonical-search commentary in astar.go for why this makes the popped
-// schedule a pure function of (problem, workload).
-const fineInv = 1e9
-
-// nodeLessCanonical orders the open list for canonical searches:
-// eps-quantized f ascending, then lexicographically smallest action path
-// first. Within the flat f-band of the admissible bounds this degenerates
-// into a leftmost depth-first descent — each expanded node's first child is
+// nodeLessCanonical orders the open list for canonical searches: f
+// ascending — compared exactly, f being a sum of cost-grid values (see
+// grid.go) — then lexicographically smallest action path first. On the flat
+// f-plateaus of the admissible bounds this degenerates into a leftmost
+// depth-first descent — each expanded node's first child is
 // lexicographically smaller than every other open node — so the canonical
-// (lex-least) optimal schedule is found without enumerating the band.
+// (lex-least) optimal schedule is found without enumerating the plateau.
+// See the canonical-search commentary in astar.go for why this makes the
+// popped schedule a pure function of (problem, workload).
 //
-// Both sides are read off the nodes: band is ⌊f·fineInv⌋, computed once at
-// creation, and key is the root-to-node action path, one big-endian
-// keyLabelBytes-wide graph.Action.Label per edge. Label order is actionCmp
-// order and the width is fixed, so bytes.Compare of two keys is the
-// lexicographic comparison of the two action sequences — a path that is a
-// proper prefix of the other is the shorter byte string and orders first.
+// key is the root-to-node action path, one big-endian keyLabelBytes-wide
+// graph.Action.Label per edge. Label order is actionCmp order and the width
+// is fixed, so bytes.Compare of two keys is the lexicographic comparison of
+// the two action sequences — a path that is a proper prefix of the other is
+// the shorter byte string and orders first.
 func nodeLessCanonical(a, b *node) bool {
-	if a.band != b.band {
-		return a.band < b.band
+	if a.f != b.f {
+		return a.f < b.f
 	}
 	return bytes.Compare(a.key, b.key) < 0
 }

@@ -2,7 +2,6 @@ package search
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -54,11 +53,11 @@ func TestBucketFrontierExactOrder(t *testing.T) {
 	}
 }
 
-// With canonical = true the frontier must pop in (eps-band of f, path)
-// order for any quantum: bands decided by ⌊f·fineInv⌋ — f-values a float
-// noise apart share one, f-values two eps apart do not — and paths by the
-// recursive reference comparator the byte keys replaced (pathkey_test.go),
-// over a random tree with prefixes, repeated paths and pseudo-goals.
+// With canonical = true the frontier must pop in (f, path) order for any
+// quantum: f compared exactly — grid values one grid unit apart are
+// different costs, equal ones tie — and paths by the recursive reference
+// comparator the byte keys replaced (pathkey_test.go), over a random tree
+// with prefixes, repeated paths and pseudo-goals.
 func TestBucketFrontierExactOrderCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	ar := newArena()
@@ -72,21 +71,20 @@ func TestBucketFrontierExactOrderCanonical(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				r := tree[next%len(tree)]
 				next++
-				r.n.f = float64(rng.Intn(12))*0.37*float64(3-wave) + float64(rng.Intn(3))*2e-9 + float64(rng.Intn(2))*1e-13
-				r.n.band = math.Floor(r.n.f * fineInv)
+				r.n.f = toGrid(float64(rng.Intn(12))*0.37*float64(3-wave)) + float64(rng.Intn(3))*gridUnit
 				q.push(r.n)
 				ref = append(ref, r)
 			}
 			for i := 0; i < 120; i++ {
 				n := q.pop()
 				sort.SliceStable(ref, func(a, b int) bool {
-					if ref[a].n.band != ref[b].n.band {
-						return ref[a].n.band < ref[b].n.band
+					if ref[a].n.f != ref[b].n.f {
+						return ref[a].n.f < ref[b].n.f
 					}
 					return pathCmp(ref[a], ref[b]) < 0
 				})
-				if n.band != ref[0].n.band || !bytes.Equal(n.key, ref[0].n.key) {
-					t.Fatalf("quantum %g wave %d pop %d: got (band=%v,key=%x), want (band=%v,key=%x)", quantum, wave, i, n.band, n.key, ref[0].n.band, ref[0].n.key)
+				if n.f != ref[0].n.f || !bytes.Equal(n.key, ref[0].n.key) {
+					t.Fatalf("quantum %g wave %d pop %d: got (f=%v,key=%x), want (f=%v,key=%x)", quantum, wave, i, n.f, n.key, ref[0].n.f, ref[0].n.key)
 				}
 				ref = ref[1:]
 			}

@@ -36,12 +36,12 @@ import (
 // open-VM type, queued wait) that makes cross-sample reuse pay.
 //
 // Determinism: entries are merged with a canonical tie-break — lower cost
-// wins, equal cost (within eps) resolves to the lexicographically least
-// action suffix — so the cache contents after any set of Commits are
-// independent of commit order. Worker pools additionally buffer writes in
-// PendingSuffixes and Commit them at deterministic barriers (see
-// core.Train), so every search observes a cache state that does not depend
-// on goroutine scheduling.
+// wins, equal cost (costs are exact sums of cost-grid values, see grid.go)
+// resolves to the lexicographically least action suffix — so the cache
+// contents after any set of Commits are independent of commit order.
+// Worker pools additionally buffer writes in PendingSuffixes and Commit
+// them at deterministic barriers (see core.Train), so every search observes
+// a cache state that does not depend on goroutine scheduling.
 //
 // Storage is the package's own InternTable (signature → dense id) beside a
 // slice of entries indexed by that id. Nothing is locked: writers (Commit,
@@ -81,10 +81,10 @@ func (c *TranspositionCache) lookupHash(sig []byte, h uint32) (suffixEntry, bool
 }
 
 // merge folds one solved suffix into the cache with the canonical merge:
-// lower cost wins, equal cost (within eps) keeps the lexicographically
-// least suffix under actionCmp, shorter prefix first — the order path keys
-// encode, so the kept suffix is the one the canonical search would choose.
-// The signature bytes are copied only when new.
+// lower cost wins, equal cost keeps the lexicographically least suffix
+// under actionCmp, shorter prefix first — the order path keys encode, so
+// the kept suffix is the one the canonical search would choose. The
+// signature bytes are copied only when new.
 func (c *TranspositionCache) merge(sig []byte, cost float64, actions []graph.Action) {
 	id, fresh := c.table.Intern(sig)
 	if fresh {
@@ -92,7 +92,7 @@ func (c *TranspositionCache) merge(sig []byte, cost float64, actions []graph.Act
 		return
 	}
 	e := &c.entries[id]
-	if cost < e.cost-eps || (cost <= e.cost+eps && slices.CompareFunc(actions, e.actions, actionCmp) < 0) {
+	if cost < e.cost || (cost == e.cost && slices.CompareFunc(actions, e.actions, actionCmp) < 0) {
 		*e = suffixEntry{cost: cost, actions: actions}
 	}
 }
@@ -185,10 +185,16 @@ func (c *TranspositionCache) Export(max int) []CacheEntry {
 
 // Import merges exported entries into the cache with the same canonical
 // merge Commit uses, so importing commutes with Commits and is idempotent.
-// The entries' action slices are retained; they must stay immutable.
+// An entry whose cost is off the cost grid is skipped: it was exported by
+// the float arithmetic the grid replaced, differs from today's suffix cost
+// in the last bits, and would break the ties canonical searches decide by;
+// the searches that would have hit it solve the suffix instead. The
+// entries' action slices are retained; they must stay immutable.
 func (c *TranspositionCache) Import(entries []CacheEntry) {
 	for _, r := range entries {
-		c.merge([]byte(r.Sig), r.Cost, r.Actions)
+		if onGrid(r.Cost) {
+			c.merge([]byte(r.Sig), r.Cost, r.Actions)
+		}
 	}
 }
 
