@@ -490,7 +490,9 @@ func serve(engine *wisedb.OnlineScheduler, templates []wisedb.Template, cfg serv
 	fmt.Printf("model lifecycle: %d drift triggers, %d retrains, %d hot swaps, newest epoch %d\n",
 		driftTriggers, stats.Triggers, stats.Swaps, stats.Epoch)
 	if stats.Checkpoints > 0 || stats.CheckpointFailures > 0 {
-		fmt.Printf("checkpoints: %d committed, %d failed\n", stats.Checkpoints, stats.CheckpointFailures)
+		fmt.Printf("checkpoints: %d committed, %d failed; last file %s, %s encoding and committing in all\n",
+			stats.Checkpoints, stats.CheckpointFailures, formatBytes(int(scale.LastCheckpointBytes)),
+			time.Duration(scale.CheckpointNanos).Round(time.Millisecond))
 	}
 	// Failure-path counters: silent unless something actually degraded,
 	// shed, retried, or tripped — a healthy run's summary stays unchanged.
@@ -541,7 +543,7 @@ func inspect(path string) {
 	fmt.Printf("%s: WiSeDB model container v%d, %d bytes, hash %016x\n", path, info.FormatVersion, len(data), info.Hash)
 	var parts []string
 	for _, s := range info.Sections {
-		parts = append(parts, fmt.Sprintf("%s %s", wisedb.ModelSectionName(s.ID), formatBytes(s.Len)))
+		parts = append(parts, fmt.Sprintf("%s %s (%.0f%%)", wisedb.ModelSectionName(s.ID), formatBytes(s.Len), 100*float64(s.Len)/float64(len(data))))
 	}
 	fmt.Printf("sections: %s\n", strings.Join(parts, " · "))
 	fmt.Printf("goal: %s (%s)\n", info.Goal.Name(), info.Goal.Key())

@@ -101,8 +101,7 @@ func (m *Model) adapt(ctx context.Context, goal sla.Goal, keep bool, near *Model
 		return nil, err
 	}
 
-	numLabels := len(m.env.Templates) + len(m.env.VMTypes)
-	ds := &dt.Dataset{FeatureNames: features.Names(len(m.env.Templates)), NumLabels: numLabels}
+	ds := newTrainingSet(m.env, len(m.samples), m.TrainingConfig.SampleSize)
 	fs := features.NewState(prob)
 	var samples []trainSample
 	var shifted []solvedPath

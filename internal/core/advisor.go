@@ -196,7 +196,8 @@ type trainSample struct {
 	// the sample: its closed set and the cost the g-values count up to.
 	// A sample whose path was replayed from a looser goal carries that
 	// goal's reuse forward unchanged (same cost, and g-values of a looser
-	// goal stay a Lemma 5.1 bound under every stricter one).
+	// goal stay a Lemma 5.1 bound under every stricter one). Memory only:
+	// a sample restored from a checkpoint has none until it is re-solved.
 	reuse *search.Reuse
 	// variates holds the unit variates the sample's weighted draw
 	// consumed, one per query. A warm retrain with the same seed and
@@ -364,8 +365,7 @@ func (a *Advisor) trainPipeline(ctx context.Context, goal sla.Goal, cache *searc
 	solutions := make([]sampleSolution, a.cfg.NumSamples)
 	warmed := make([]bool, a.cfg.NumSamples)
 	priors := make([]*trainSample, a.cfg.NumSamples)
-	numLabels := len(a.env.Templates) + len(a.env.VMTypes)
-	ds := &dt.Dataset{FeatureNames: features.Names(len(a.env.Templates)), NumLabels: numLabels}
+	ds := newTrainingSet(a.env, a.cfg.NumSamples, a.cfg.SampleSize)
 	fs := features.NewState(prob)
 	var samples []trainSample
 	cacheHits, cacheMisses, warm := 0, 0, 0
@@ -475,6 +475,18 @@ func (a *Advisor) trainPipeline(ctx context.Context, goal sla.Goal, cache *searc
 	}
 	m.servingTables() // compile the serving form at train time
 	return m, nil
+}
+
+// newTrainingSet returns the empty tree dataset of a training over n sample
+// workloads of m queries, sized once for all of it: an optimal schedule
+// places m queries and starts at most m VMs, so n × 2m rows is the one count
+// no training exceeds (the serving model's widest shift reaches it exactly)
+// and Ingest never regrows. The prior epoch's row count would be a tighter
+// guess and a wrong one every other retrain — see EXPERIMENTS.md.
+func newTrainingSet(env *schedule.Env, n, m int) *dt.Dataset {
+	ds := &dt.Dataset{FeatureNames: features.Names(len(env.Templates)), NumLabels: len(env.Templates) + len(env.VMTypes)}
+	ds.Reserve(n * 2 * m)
+	return ds
 }
 
 // addPathToDataset converts each decision on an optimal path into a

@@ -311,6 +311,75 @@ func TestTightenedModelCarriesItsTrainingData(t *testing.T) {
 	}
 }
 
+// A restart must not show in anything a restored registry computes. The
+// serving model decoded from its checkpoint — the §5 closed sets stayed
+// behind — shifts to the same models as the live one, replaying and solving
+// the same samples; and an epoch a drift retrain produced, restored the same
+// way, retrains on to the same model with the same replayed count. The
+// counts are what catch a lost path cost: every replay checks its walk
+// against the stored cost, so a restored sample without one solves cold and
+// still lands on the same tree.
+func TestRestartEquivalenceAtServingShape(t *testing.T) {
+	skipUnlessServingScale(t)
+	ctx := context.Background()
+	restore := func(m *Model) *Model {
+		data, err := EncodeModel(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := DecodeModel(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range back.samples {
+			if back.samples[i].reuse != nil {
+				t.Fatalf("restored sample %d carries a closed set", i)
+			}
+		}
+		return back
+	}
+	live := servingBaseModel(t)
+	restored := restore(live)
+	for _, wait := range []time.Duration{30 * time.Second, 2 * time.Minute, 9*time.Minute + 30*time.Second} {
+		want, err := live.ShiftedModel(wait)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := restored.ShiftedModel(wait)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Dump() != want.Dump() {
+			t.Fatalf("ω=%v: the restored model shifts to a different tree", wait)
+		}
+		if got.WarmSamples != want.WarmSamples || got.ColdSamples != want.ColdSamples {
+			t.Fatalf("ω=%v: %d replayed / %d solved from the restored model, %d / %d from the live one",
+				wait, got.WarmSamples, got.ColdSamples, want.WarmSamples, want.ColdSamples)
+		}
+	}
+
+	epoch, err := DriftRetrain(ctx, &ModelEpoch{Model: live}, []float64{0.3, 0.25, 0.2, 0.15, 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix := []float64{0.31, 0.24, 0.21, 0.14, 0.1}
+	want, err := DriftRetrain(ctx, &ModelEpoch{Model: epoch}, mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DriftRetrain(ctx, &ModelEpoch{Model: restore(epoch)}, mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if contentHash(t, got) != contentHash(t, want) {
+		t.Fatal("a drift retrain from the restored epoch differs from one from the live epoch")
+	}
+	if got.WarmSamples != want.WarmSamples || want.WarmSamples < len(epoch.samples)/2 {
+		t.Fatalf("a drift retrain replayed %d samples from the restored epoch, %d of %d from the live one",
+			got.WarmSamples, want.WarmSamples, len(epoch.samples))
+	}
+}
+
 // A checkpoint written by the float arithmetic the cost grid replaced (the
 // store's golden fixture as it was before the grid) holds costs that are
 // off the grid. They must be recognised and not trusted: replays of its

@@ -434,6 +434,11 @@ type ScaleStats struct {
 	// registry.
 	WarmSamples, ColdSamples             int64
 	RetrainCacheHits, RetrainCacheMisses int64
+	// Checkpoints counts the epochs every registry committed durably and
+	// CheckpointNanos sums what their encodes and commits took;
+	// LastCheckpointBytes is the largest of the registries' most recent
+	// checkpoint files.
+	Checkpoints, CheckpointNanos, LastCheckpointBytes int64
 	// Robustness aggregates every registry's retry-discipline counters;
 	// its Breaker field reports the most degraded breaker position.
 	Robustness RobustnessStats
@@ -467,6 +472,9 @@ func (o *OnlineScheduler) ScaleStats() ScaleStats {
 		s.ColdSamples += rs.ColdSamples
 		s.RetrainCacheHits += rs.RetrainCacheHits
 		s.RetrainCacheMisses += rs.RetrainCacheMisses
+		s.Checkpoints += rs.Checkpoints
+		s.CheckpointNanos += rs.CheckpointNanos
+		s.LastCheckpointBytes = max(s.LastCheckpointBytes, rs.LastCheckpointBytes)
 		s.Robustness.merge(rs.Robustness)
 	}
 	o.regMu.RUnlock()

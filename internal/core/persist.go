@@ -32,9 +32,12 @@ import (
 //	secMix       the normalized training arrival mix (optional)
 //	secTree      the decision tree, preorder-flattened with its feature
 //	             names, label domain, and pruning counts
-//	secTrain     retained training data (optional): each sample workload
-//	             plus its adaptive-A* closed set, so Shift/Adapt produce
-//	             bit-identical models after a warm start
+//	secTrain     retained training data (optional): each sample workload,
+//	             its solved path and that path's cost, and the variates of
+//	             its draw — what Shift/Adapt/WarmTrain replay after a warm
+//	             start. The §5 closed sets stay in memory: they only skip
+//	             part of a later search, never change its result, and a
+//	             restored sample regains one the first time it is re-solved
 //	secCache     the transposition cache's solved suffix subproblems
 //	             (optional): a canonical signature-sorted snapshot, so a
 //	             warm-started registry retrains warm
@@ -51,8 +54,7 @@ import (
 // records how training was scheduled or accelerated — so two models trained
 // at different Parallelism (bit-identical by the training determinism pin)
 // hash equal, a warm retrain hashes equal to the cold retrain it must
-// reproduce (their Closed exploration sets legitimately differ; their trees
-// cannot), and the hash audits model identity across checkpoints and
+// reproduce, and the hash audits model identity across checkpoints and
 // restarts. The auxiliary hash covers the training-data and cache payloads,
 // the cross-section tampering check for the sections the content hash does
 // not see.
@@ -96,8 +98,8 @@ func EncodeModel(m *Model) ([]byte, error) {
 // section's encoder runs once against a counting store.Sizer, the builder
 // lays the container out from those sizes, and the same encoders then write
 // straight into their spans of it. Nothing is staged in a growing buffer
-// and no payload is copied; the closed sets and cache keys are read through
-// views of the model's own immutable storage.
+// and no payload is copied; the cache keys are read through views of the
+// model's own immutable storage.
 func encodeModel(m *Model) ([]byte, uint64, error) {
 	if m == nil || m.env == nil {
 		return nil, 0, errors.New("core: EncodeModel requires a model bound to an environment")
@@ -278,7 +280,7 @@ func decodeModel(data []byte, env *schedule.Env) (*Model, error) {
 		trainingMix:         mix,
 	}
 	if hasTrain {
-		samples, tErr := decodeTrainData(trainPayload, env)
+		samples, tErr := decodeTrainData(trainPayload, env, c.Version())
 		if tErr != nil {
 			return nil, tErr
 		}
@@ -817,21 +819,12 @@ func encodeTrainData(e *store.Enc, samples []trainSample) {
 			e.U32(uint32(q.TemplateID))
 			e.U32(uint32(q.Tag))
 		}
-		e.Bool(s.reuse != nil)
-		if s.reuse != nil {
-			e.F64(s.reuse.OldCost)
-			ce := s.reuse.Closed.Export()
-			e.Bytes32(ce.Keys)
-			e.Int(len(ce.Offs))
-			e.U32s(ce.Offs)
-			e.U32s(ce.Lens)
-			e.F64s(ce.G)
-		}
-		// The sample's solved action path lets a registry restored from a
-		// checkpoint replay unchanged samples instead of re-searching
-		// them; the weighted draw's unit variates let a restored warm
-		// retrain rebin the stored draws instead of reseeding 500
-		// samplers.
+		// The sample's solved path and its cost let a registry restored
+		// from a checkpoint replay unchanged samples instead of re-searching
+		// them (Replay checks the walk against the cost); the weighted
+		// draw's unit variates let a restored warm retrain rebin the stored
+		// draws instead of reseeding 500 samplers.
+		e.F64(s.cost)
 		encodeActions(e, s.actions)
 		e.Int(len(s.variates))
 		e.F64s(s.variates)
@@ -872,10 +865,18 @@ func decodeAction(d *store.Dec, k, nv int) (graph.Action, error) {
 	return graph.Action{}, fmt.Errorf("%w: action kind %d", store.ErrCorrupt, kind)
 }
 
-func decodeTrainData(p []byte, env *schedule.Env) ([]trainSample, error) {
+// decodeTrainData reads the training-data section of a version-v container.
+// A v2 record holds an optional closed-set block where v3 holds the path
+// cost; the block's cost is kept and the rest of it skipped, each length
+// checked against the bytes present.
+func decodeTrainData(p []byte, env *schedule.Env, version uint16) ([]trainSample, error) {
 	d := store.NewDec(p)
 	k, nv := len(env.Templates), len(env.VMTypes)
-	n := d.Count(9) // per sample: query count + reuse flag at minimum
+	minSample := 32 // query count, cost, action count, variate count
+	if version < 3 {
+		minSample = 25 // a block flag in place of the cost
+	}
+	n := d.Count(minSample)
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
@@ -893,37 +894,12 @@ func decodeTrainData(p []byte, env *schedule.Env) ([]trainSample, error) {
 			}
 		}
 		s := trainSample{w: &workload.Workload{Templates: env.Templates, Queries: queries}}
-		if d.Bool() {
-			oldCost := d.F64()
-			ce := search.ClosedExport{Keys: d.Bytes32()}
-			nc := d.Count(16) // off + len + g
-			if d.Err() != nil {
-				return nil, d.Err()
-			}
-			ce.Offs = make([]uint32, nc)
-			for j := range ce.Offs {
-				ce.Offs[j] = d.U32()
-			}
-			ce.Lens = make([]uint32, nc)
-			for j := range ce.Lens {
-				ce.Lens[j] = d.U32()
-			}
-			ce.G = make([]float64, nc)
-			for j := range ce.G {
-				ce.G[j] = d.F64()
-			}
-			if d.Err() != nil {
-				return nil, d.Err()
-			}
-			closed, err := search.ClosedFromExport(ce)
-			if err != nil {
-				return nil, fmt.Errorf("%w: sample %d: %v", store.ErrCorrupt, i, err)
-			}
-			// The stored path's cost travels as the reuse's OldCost: a
-			// sample's reuse and path always come from searches of equal
-			// cost (see adapt).
-			s.reuse = &search.Reuse{OldCost: oldCost, Closed: closed}
-			s.cost = oldCost
+		if version >= 3 {
+			s.cost = d.F64()
+		} else if d.Bool() {
+			s.cost = d.F64()
+			d.Skip(int(d.U32()))     // interned signature bytes
+			d.Skip(16 * d.Count(16)) // offset, length and g per signature
 		}
 		na := d.Count(9)
 		if d.Err() != nil {

@@ -284,8 +284,8 @@ func TestDecodeModelTypedErrors(t *testing.T) {
 
 // Splicing one model's training-data section into another's container —
 // every section individually CRC-intact — must fail the content-hash
-// check: a foreign closed set would silently change post-restart Shift
-// results.
+// check: foreign sample paths would silently change what a post-restart Shift
+// replays.
 func TestDecodeModelRejectsSplicedTrainData(t *testing.T) {
 	env := schedule.NewEnv(workload.DefaultTemplates(3), cloud.DefaultVMTypes(1))
 	cfg := DefaultTrainConfig()
@@ -359,7 +359,7 @@ func TestDecodeNormalisesStrayActionFields(t *testing.T) {
 	var te store.Enc
 	w := &workload.Workload{Templates: env.Templates, Queries: []workload.Query{{TemplateID: 1}}}
 	encodeTrainData(&te, []trainSample{{w: w, solvedPath: solvedPath{actions: stray}}})
-	samples, err := decodeTrainData(te.Bytes(), env)
+	samples, err := decodeTrainData(te.Bytes(), env, store.FormatVersion)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,6 +75,7 @@ type ModelRegistry struct {
 
 	checkpoints, checkpointFailures atomic.Int64
 	lastCkptErr                     atomic.Pointer[error]
+	lastCkptBytes, ckptNanos        atomic.Int64
 
 	// Retry discipline (see robust.go): policy, breaker position, backoff
 	// window, and the deterministic jitter cursor, all guarded by robustMu.
@@ -155,22 +156,35 @@ func (r *ModelRegistry) install(m *Model, mix []float64, lin store.Lineage) uint
 	return next.Epoch
 }
 
-// commitCheckpoint encodes and durably commits one epoch, retrying
-// transient store faults per the retry policy. Failures are recorded in
-// Stats and never disturb serving: the in-memory epoch keeps serving, and
-// the store keeps its previous committed state.
+// commitCheckpoint is checkpoint for the background commit of an installed
+// epoch. Failures are recorded in Stats and never disturb serving: the
+// in-memory epoch keeps serving, and the store keeps its previous committed
+// state.
 func (r *ModelRegistry) commitCheckpoint(ms *store.ModelStore, e *ModelEpoch, lin store.Lineage) {
-	data, hash, err := encodeModel(e.Model)
-	if err == nil {
-		lin.ModelHash = hash
-		err = r.commitWithRetry(ms, data, lin)
-	}
-	if err != nil {
+	if err := r.checkpoint(ms, e, lin); err != nil {
 		r.checkpointFailures.Add(1)
 		r.lastCkptErr.Store(&err)
-		return
+	}
+}
+
+// checkpoint encodes one epoch and commits it durably under lin (its model
+// hash filled in here), retrying transient store faults per the retry
+// policy. A committed checkpoint is counted with what it cost: the file's
+// size and the time its encode and commit took.
+func (r *ModelRegistry) checkpoint(ms *store.ModelStore, e *ModelEpoch, lin store.Lineage) error {
+	start := time.Now()
+	data, hash, err := encodeModel(e.Model)
+	if err != nil {
+		return err
+	}
+	lin.ModelHash = hash
+	if err := r.commitWithRetry(ms, data, lin); err != nil {
+		return err
 	}
 	r.checkpoints.Add(1)
+	r.lastCkptBytes.Store(int64(len(data)))
+	r.ckptNanos.Add(int64(time.Since(start)))
+	return nil
 }
 
 // commitWithRetry attempts a durable commit up to the policy's attempt
@@ -238,22 +252,16 @@ func (r *ModelRegistry) CheckpointTo(ms *store.ModelStore) error {
 		r.ckpt = ms // warm-started from this store: current epoch already durable
 		return nil
 	}
-	data, hash, err := encodeModel(cur.Model)
-	if err != nil {
-		return fmt.Errorf("core: checkpoint epoch %d: %w", cur.Epoch, err)
-	}
 	reason := "base"
 	parent := cur.Epoch
 	if cur.Epoch > 0 {
 		reason = "manual"
 		parent = cur.Epoch - 1
 	}
-	lin := store.Lineage{Epoch: cur.Epoch, Parent: parent, Reason: reason, Mix: cur.Mix, ModelHash: hash}
-	if err := r.commitWithRetry(ms, data, lin); err != nil {
-		return err
+	if err := r.checkpoint(ms, cur, store.Lineage{Epoch: cur.Epoch, Parent: parent, Reason: reason, Mix: cur.Mix}); err != nil {
+		return fmt.Errorf("core: checkpoint epoch %d: %w", cur.Epoch, err)
 	}
 	r.ckpt = ms
-	r.checkpoints.Add(1)
 	return nil
 }
 
@@ -416,20 +424,14 @@ func (r *ModelRegistry) Drain() error {
 	if latest, ok := ms.LatestEpoch(); ok && latest >= cur.Epoch {
 		return nil
 	}
-	data, hash, err := encodeModel(cur.Model)
-	if err != nil {
-		return fmt.Errorf("core: drain epoch %d: %w", cur.Epoch, err)
-	}
 	parent := cur.Epoch
 	if cur.Epoch > 0 {
 		parent = cur.Epoch - 1
 	}
-	lin := store.Lineage{Epoch: cur.Epoch, Parent: parent, Reason: "drain", Mix: cur.Mix, ModelHash: hash}
-	if err := r.commitWithRetry(ms, data, lin); err != nil {
+	if err := r.checkpoint(ms, cur, store.Lineage{Epoch: cur.Epoch, Parent: parent, Reason: "drain", Mix: cur.Mix}); err != nil {
 		r.checkpointFailures.Add(1)
 		return fmt.Errorf("core: drain epoch %d: %w", cur.Epoch, err)
 	}
-	r.checkpoints.Add(1)
 	return nil
 }
 
@@ -452,6 +454,11 @@ type RegistryStats struct {
 	// LastCheckpointErr is the most recent checkpoint failure, nil if
 	// none.
 	LastCheckpointErr error
+	// LastCheckpointBytes is the size of the most recently committed
+	// checkpoint file; CheckpointNanos sums, over the committed
+	// checkpoints, the time each took to encode and commit (retries
+	// included) — off every arrival path, but what an epoch costs to keep.
+	LastCheckpointBytes, CheckpointNanos int64
 	// LastRetrainMS is the wall time of the most recent successful drift
 	// retrain in milliseconds; TotalRetrainMS sums all successful
 	// retrains. Failed retrains record neither.
@@ -472,20 +479,22 @@ type RegistryStats struct {
 // Stats returns a consistent-enough snapshot for monitoring and tests.
 func (r *ModelRegistry) Stats() RegistryStats {
 	s := RegistryStats{
-		Epoch:              r.Current().Epoch,
-		Triggers:           r.triggers.Load(),
-		Swaps:              r.swaps.Load(),
-		Failures:           r.failures.Load(),
-		InFlight:           r.inFlight.Load(),
-		Checkpoints:        r.checkpoints.Load(),
-		CheckpointFailures: r.checkpointFailures.Load(),
-		LastRetrainMS:      r.lastRetrainMS.Load(),
-		TotalRetrainMS:     r.retrainMSTotal.Load(),
-		WarmSamples:        r.warmSamplesTotal.Load(),
-		ColdSamples:        r.coldSamplesTotal.Load(),
-		RetrainCacheHits:   r.retrainCacheHits.Load(),
-		RetrainCacheMisses: r.retrainCacheMisses.Load(),
-		Robustness:         r.Robustness(),
+		Epoch:               r.Current().Epoch,
+		Triggers:            r.triggers.Load(),
+		Swaps:               r.swaps.Load(),
+		Failures:            r.failures.Load(),
+		InFlight:            r.inFlight.Load(),
+		Checkpoints:         r.checkpoints.Load(),
+		CheckpointFailures:  r.checkpointFailures.Load(),
+		LastCheckpointBytes: r.lastCkptBytes.Load(),
+		CheckpointNanos:     r.ckptNanos.Load(),
+		LastRetrainMS:       r.lastRetrainMS.Load(),
+		TotalRetrainMS:      r.retrainMSTotal.Load(),
+		WarmSamples:         r.warmSamplesTotal.Load(),
+		ColdSamples:         r.coldSamplesTotal.Load(),
+		RetrainCacheHits:    r.retrainCacheHits.Load(),
+		RetrainCacheMisses:  r.retrainCacheMisses.Load(),
+		Robustness:          r.Robustness(),
 	}
 	if p := r.lastErr.Load(); p != nil {
 		s.LastErr = *p

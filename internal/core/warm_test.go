@@ -237,7 +237,7 @@ func TestWarmRetrainDuringHotSwaps(t *testing.T) {
 	}
 }
 
-// A checkpoint encodes an epoch's closed sets and cache keys through
+// A checkpoint encodes an epoch's sample paths and cache keys through
 // read-only views while the next warm retrain is already replaying and
 // re-searching from that same epoch: retrains here follow one another
 // without waiting for the checkpoint between them. Under -race this pins
@@ -279,6 +279,9 @@ func TestCheckpointEncodesWhileNextRetrainRuns(t *testing.T) {
 	}
 	if !bytes.Equal(stored, want) {
 		t.Fatal("checkpoint written during the next retrain differs from a quiescent encode")
+	}
+	if s := r.Stats(); s.LastCheckpointBytes != int64(len(stored)) || s.CheckpointNanos <= 0 {
+		t.Fatalf("the last checkpoint is %d bytes; Stats reports %d bytes and %d ns over all of them", len(stored), s.LastCheckpointBytes, s.CheckpointNanos)
 	}
 }
 

@@ -82,6 +82,16 @@ func (d *Dataset) Ingest(X [][]float64, Y []int) {
 	d.encode()
 }
 
+// Reserve makes room for rows more instances of len(FeatureNames) features,
+// rows and codes both, so a trainer that knows a bound on its row count
+// ingests every batch without the dataset regrowing. Nothing a reader of
+// the dataset sees changes.
+func (d *Dataset) Reserve(rows int) {
+	d.X = slices.Grow(d.X, rows)
+	d.Y = slices.Grow(d.Y, rows)
+	d.codes.cells = slices.Grow(d.codes.cells, rows*len(d.FeatureNames))
+}
+
 // Len returns the number of instances.
 func (d *Dataset) Len() int { return len(d.X) }
 

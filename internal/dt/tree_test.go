@@ -323,6 +323,31 @@ func TestIngestEquivalentToAdd(t *testing.T) {
 	}
 }
 
+// Reserve shows in nothing but allocation: a reserved dataset trains the
+// tree an unreserved one does — short of the rows that arrive, or past them
+// — and one reserved for all of them never regrows, rows or codes.
+func TestReserveChangesOnlyAllocation(t *testing.T) {
+	x, y, labels := shapedDataset(rand.New(rand.NewSource(11)), 600, true)
+	names := make([]string, len(x[0]))
+	want := Train(datasetFrom(x, y, labels), DefaultConfig())
+	for _, reserve := range []int{0, len(x) / 3, len(x), len(x) + 100} {
+		ds := &Dataset{FeatureNames: names, NumLabels: labels}
+		ds.Reserve(reserve)
+		rows, cells := cap(ds.X), cap(ds.codes.cells)
+		for lo := 0; lo < len(x); lo += 16 {
+			hi := min(lo+16, len(x))
+			ds.Ingest(x[lo:hi], y[lo:hi])
+		}
+		if reserve >= len(x) && (cap(ds.X) != rows || cap(ds.codes.cells) != cells) {
+			t.Fatalf("reserved for %d rows, ingested %d: rows grew %d -> %d, codes %d -> %d",
+				reserve, len(x), rows, cap(ds.X), cells, cap(ds.codes.cells))
+		}
+		if err := sameTree(want.Root, Train(ds, DefaultConfig()).Root, "/"); err != nil {
+			t.Fatalf("reserve=%d: %v", reserve, err)
+		}
+	}
+}
+
 // Ingest must reject mismatched batches and invalid rows like Add does.
 func TestIngestValidation(t *testing.T) {
 	ds := &Dataset{NumLabels: 2}

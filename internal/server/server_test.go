@@ -244,7 +244,15 @@ func TestProtocolGarbageGetsTypedError(t *testing.T) {
 }
 
 func TestHTTPSidecar(t *testing.T) {
-	s := startServer(t, Config{HTTPAddr: "127.0.0.1:0"})
+	eng := testEngine(t)
+	ms, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Registry().CheckpointTo(ms); err != nil {
+		t.Fatal(err)
+	}
+	s := startServer(t, Config{Engine: eng, HTTPAddr: "127.0.0.1:0"})
 	base := "http://" + s.HTTPAddr().String()
 	get := func(path string) (int, string) {
 		t.Helper()
@@ -269,6 +277,14 @@ func TestHTTPSidecar(t *testing.T) {
 	}
 	if st.State != "serving" {
 		t.Fatalf("/stats state %q, want serving", st.State)
+	}
+	// What keeping the epoch cost: the base checkpoint's size and time.
+	_, stored, err := ms.Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc := st.Scale; sc.Checkpoints != 1 || sc.LastCheckpointBytes != int64(len(stored)) || sc.CheckpointNanos <= 0 {
+		t.Fatalf("/stats reports %d checkpoints, last %d bytes (the file has %d), %d ns", sc.Checkpoints, sc.LastCheckpointBytes, len(stored), sc.CheckpointNanos)
 	}
 	// Readiness flips the moment the drain starts — before connections
 	// close — so load balancers stop routing first. Liveness holds.

@@ -55,7 +55,11 @@ const Magic = "WSDB"
 //	   section to model files, splits the model hash into a serving-content
 //	   hash (goal/env/mix/tree) and an auxiliary hash (training data +
 //	   cache), and appends warm/cold sample counters to the meta section
-const FormatVersion = 2
+//	3  a training-data sample record is queries, solved-path cost, actions,
+//	   variates: the §5 closed sets are no longer written. A v2 record
+//	   carried the cost inside an optional closed-set block, which the
+//	   reader now bounds-checks and skips
+const FormatVersion = 3
 
 // MinFormatVersion is the oldest container version ParseContainer accepts.
 const MinFormatVersion = 2
@@ -351,45 +355,17 @@ func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
 // Duration appends a time.Duration as int64 nanoseconds.
 func (e *Enc) Duration(v time.Duration) { e.I64(int64(v)) }
 
-// U32s appends the elements of vs as U32 would, with no length prefix.
-func (e *Enc) U32s(vs []uint32) {
-	if e.sizing {
-		e.n += 4 * len(vs)
-		return
-	}
-	dst := e.extend(4 * len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint32(dst[4*i:], v)
-	}
-}
-
 // F64s appends the elements of vs as F64 would, with no length prefix.
 func (e *Enc) F64s(vs []float64) {
 	if e.sizing {
 		e.n += 8 * len(vs)
 		return
 	}
-	dst := e.extend(8 * len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
-	}
-}
-
-// extend lengthens the payload by n bytes and returns them.
-func (e *Enc) extend(n int) []byte {
 	off := len(e.buf)
-	e.buf = slices.Grow(e.buf, n)[:off+n]
-	return e.buf[off:]
-}
-
-// Bytes32 appends a length-prefixed byte string.
-func (e *Enc) Bytes32(v []byte) {
-	e.U32(uint32(len(v)))
-	if e.sizing {
-		e.n += len(v)
-		return
+	e.buf = slices.Grow(e.buf, 8*len(vs))[:off+8*len(vs)]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(e.buf[off+8*i:], math.Float64bits(v))
 	}
-	e.buf = append(e.buf, v...)
 }
 
 // String appends a length-prefixed string.
@@ -517,16 +493,8 @@ func (d *Dec) Count(elemSize int) int {
 	return n
 }
 
-// Bytes32 reads a length-prefixed byte string, copying it out of the
-// payload.
-func (d *Dec) Bytes32() []byte {
-	n := int(d.U32())
-	p := d.take(n)
-	if p == nil {
-		return nil
-	}
-	return append([]byte(nil), p...)
-}
+// Skip discards the next n bytes, failing like any read when fewer remain.
+func (d *Dec) Skip(n int) { d.take(n) }
 
 // String reads a length-prefixed string.
 func (d *Dec) String() string {

@@ -182,13 +182,11 @@ func FuzzParseContainer(f *testing.F) {
 // must be byte for byte the one AddSection builds from finished payloads,
 // and the bulk appends must write what their element-wise forms write.
 func TestReservedSectionsMatchAddSection(t *testing.T) {
-	u32s, f64s := []uint32{1, 1 << 31, 0}, []float64{0.5, -3, 1e18}
+	f64s := []float64{0.5, -3, 1e18}
 	first := func(e *Enc) {
 		e.U8(9)
 		e.Bool(true)
-		e.Bytes32([]byte("keys"))
 		e.String("sig")
-		e.U32s(u32s)
 		e.F64s(f64s)
 	}
 	second := func(e *Enc) { e.Int(-12) }
@@ -196,11 +194,7 @@ func TestReservedSectionsMatchAddSection(t *testing.T) {
 	var e1, e2 Enc
 	e1.U8(9)
 	e1.Bool(true)
-	e1.Bytes32([]byte("keys"))
 	e1.String("sig")
-	for _, v := range u32s {
-		e1.U32(v)
-	}
 	for _, v := range f64s {
 		e1.F64(v)
 	}

@@ -1,8 +1,10 @@
 package store_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -29,7 +31,7 @@ func typedDecodeError(err error) bool {
 // Run locally with: go test ./internal/store -fuzz FuzzDecodeModel
 // CI runs it as a bounded smoke (-fuzztime 30s).
 func FuzzDecodeModel(f *testing.F) {
-	golden, err := os.ReadFile(goldenV2Path)
+	golden, err := os.ReadFile(goldenV3Path)
 	if err != nil {
 		f.Fatalf("golden fixture missing: %v", err)
 	}
@@ -95,6 +97,81 @@ func TestDecodeModelBoundedAllocation(t *testing.T) {
 	}
 }
 
+// v2 sample 0 of the fixture: the section's sample count, then 4 queries, the
+// block flag and the path cost precede the closed-set block, which opens with
+// the u32 length of its signature bytes.
+const v2FirstBlockOff = 8 + 8 + 4*8 + 1 + 8
+
+// rewriteV2TrainData returns the v2 fixture with its training-data payload
+// replaced by edit's result and everything that vouches for it — the section
+// CRC, the auxiliary hash in the meta section — recomputed, so the decoder
+// trusts the container and reaches the sample records.
+func rewriteV2TrainData(t testing.TB, edit func(train []byte) []byte) []byte {
+	t.Helper()
+	old, err := os.ReadFile(goldenV2Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := store.ParseContainer(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const secMeta, secTrain, secCache = 1, 6, 7
+	payloads := map[uint32][]byte{}
+	for _, sec := range c.Sections() {
+		p, err := c.MustSection(sec.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads[sec.ID] = append([]byte(nil), p...)
+	}
+	payloads[secTrain] = edit(payloads[secTrain])
+	aux := fnv.New64a()
+	aux.Write(payloads[secTrain])
+	aux.Write(payloads[secCache])
+	meta := payloads[secMeta]
+	binary.LittleEndian.PutUint64(meta[len(meta)-24:], aux.Sum64()) // before the warm and cold counts
+	var b store.Builder
+	for _, sec := range c.Sections() {
+		b.AddSection(sec.ID, payloads[sec.ID])
+	}
+	out := b.Bytes()
+	binary.LittleEndian.PutUint16(out[4:], 2) // the builder stamps today's version
+	return out
+}
+
+// v2BlockSeeds are v2 files damaged where only the skipping reader looks:
+// cut off inside sample 0's closed-set block, and with each of the block's
+// two lengths claiming more than the payload holds.
+func v2BlockSeeds(t testing.TB) map[string][]byte {
+	return map[string][]byte{
+		"seed_v2_block_truncated": rewriteV2TrainData(t, func(p []byte) []byte { return p[:v2FirstBlockOff+4+10] }),
+		"seed_v2_block_oversized_keys": rewriteV2TrainData(t, func(p []byte) []byte {
+			binary.LittleEndian.PutUint32(p[v2FirstBlockOff:], 1<<31)
+			return p
+		}),
+		"seed_v2_block_oversized_count": rewriteV2TrainData(t, func(p []byte) []byte {
+			keys := int(binary.LittleEndian.Uint32(p[v2FirstBlockOff:]))
+			binary.LittleEndian.PutUint64(p[v2FirstBlockOff+4+keys:], 1<<40)
+			return p
+		}),
+	}
+}
+
+// The block seeds must fail where they were damaged — the skip's own bounds
+// checks — and not earlier on a checksum; the same rewrite with nothing
+// changed must load.
+func TestV2ClosedBlockIsBoundsChecked(t *testing.T) {
+	if _, err := core.DecodeModel(rewriteV2TrainData(t, func(p []byte) []byte { return p })); err != nil {
+		t.Fatalf("an unchanged rewrite of the v2 fixture does not load: %v", err)
+	}
+	for name, seed := range v2BlockSeeds(t) {
+		if _, err := core.DecodeModel(seed); !errors.Is(err, store.ErrTruncated) {
+			t.Errorf("%s: %v, want store.ErrTruncated", name, err)
+		}
+	}
+}
+
 // TestWriteFuzzCorpus materializes a few interesting seeds as committed
 // corpus files (testdata/fuzz/FuzzDecodeModel/), so `go test -fuzz` and
 // CI's bounded smoke start from real regression inputs. Regenerated with
@@ -103,7 +180,7 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	if !*update {
 		t.Skip("corpus regeneration runs with -update")
 	}
-	golden, err := os.ReadFile(goldenV2Path)
+	golden, err := os.ReadFile(goldenV3Path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +188,13 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	seeds := map[string][]byte{
-		"seed_valid_v2":      golden,
-		"seed_truncated_mid": golden[:len(golden)/2],
-		"seed_crc_flip":      func() []byte { b := append([]byte(nil), golden...); b[len(b)-9] ^= 0xFF; return b }(),
-		"seed_header_only":   golden[:12],
+	seeds := v2BlockSeeds(t)
+	seeds["seed_valid_v3"] = golden
+	seeds["seed_truncated_mid"] = golden[:len(golden)/2]
+	seeds["seed_crc_flip"] = func() []byte { b := append([]byte(nil), golden...); b[len(b)-9] ^= 0xFF; return b }()
+	seeds["seed_header_only"] = golden[:12]
+	if v2, err := os.ReadFile(goldenV2Path); err == nil {
+		seeds["seed_valid_v2"] = v2 // the old layout, closed sets skipped
 	}
 	if v1, err := os.ReadFile(goldenV1Path); err == nil {
 		seeds["seed_valid_v1"] = v1 // a version the reader refuses
