@@ -176,7 +176,7 @@ Regenerates the evaluation figures of the WiSeDB paper (VLDB 2016, §7):
 Serving-at-scale experiments (beyond the paper):
   serve     multi-tenant serving throughput (K streams, p50/p99, SLA violations)
   recovery  injected mix shift: drift detection via EMD + model hot-swap recovery
-  scaleout  sharded engine: 1 -> 10k tenant streams, sharded vs unsharded arrivals/sec
+  scaleout  batch replay: 1 -> 10k tenant streams, parallelism=GOMAXPROCS vs 1 arrivals/sec
   chaos     fault injection: VM failures, breaker-tripping retrains, degraded fallback
   scenarios trace-driven scenario catalog: Poisson/Pareto/diurnal/flash-crowd arrivals,
             gold-bronze priority tiers, spot-style time-varying VM prices

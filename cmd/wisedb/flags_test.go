@@ -48,6 +48,8 @@ func TestValidateFlags(t *testing.T) {
 			registries: 1, streams: 16, wantErr: "-admit-rate only applies to the network daemon"},
 		{name: "daemon flag with listen", cmd: "serve", explicit: set("admit-rate"),
 			registries: 1, streams: 16, listen: ":7070"},
+		{name: "parallelism is not daemon-only", cmd: "serve", explicit: set("parallelism"),
+			registries: 1, streams: 16}, // it sizes the in-process serve's worker pool
 		{name: "checkpoint check covers every command", cmd: "online", explicit: set("checkpoint"),
 			wantErr: "-checkpoint requires -store"},
 		{name: "non-serve commands skip serve rules", cmd: "train", explicit: set("model"),

@@ -25,12 +25,12 @@
 // (inject a template-mix shift mid-stream), and -drift-window (detect it
 // via EMD and hot-swap an adapted model).
 //
-// serve scales out: streams are tenants placed onto engine shards by
-// consistent hashing (-shards, default one per core), and -registries N
-// hosts N model registries (tenant tiers) with independent drift-retrain
-// lifecycles — tenants bind to them round-robin. `wisedb serve
-// -streams 10000 -queries 4` is the 10k-stream load-generator mode; the
-// summary reports migrations, shared retrains, and ω-map build counts.
+// serve scales out: the tenant streams are replayed over -parallelism
+// workers (default one per core, the same pool that trains), and
+// -registries N hosts N model registries (tenant tiers) with independent
+// drift-retrain lifecycles — tenants bind to them round-robin. `wisedb
+// serve -streams 10000 -queries 4` is the 10k-stream load-generator mode;
+// the summary reports shared retrains and ω-map build counts.
 //
 // serve can also run under chaos: -chaos-seed arms deterministic fault
 // injection (-vm-failure-rate kills rented VMs mid-stream, -fail-retrains
@@ -92,9 +92,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	tiers := flag.Int("k", 3, "service tiers for recommend")
 	delay := flag.Duration("delay", 10*time.Second, "inter-arrival delay for online/serve")
-	parallelism := flag.Int("parallelism", 0, "worker goroutines for training (0 = all cores); serve concurrency comes from -shards")
+	parallelism := flag.Int("parallelism", 0, "worker goroutines for training and for serve's tenant streams (0 = all cores)")
 	streams := flag.Int("streams", 16, "concurrent tenant streams for serve")
-	shards := flag.Int("shards", 0, "serve: engine shards for consistent-hash tenant placement (0 = one per core)")
 	registries := flag.Int("registries", 1, "serve: model registries (tenant tiers); streams bind round-robin")
 	skew := flag.Float64("skew", 0, "serve: template-mix skew injected mid-stream (0 = no shift, up to 1)")
 	shiftAt := flag.Float64("shift-at", 0.5, "serve: fraction of each stream after which the mix shifts")
@@ -258,7 +257,6 @@ func main() {
 	case "serve":
 		opts := wisedb.DefaultOnlineOptions()
 		opts.Drift = wisedb.DriftOptions{Window: *driftWindow}
-		opts.Shards = *shards
 		opts.Degrade = *degrade
 		opts.MaxBacklog = *maxBacklog
 		engine, ms := buildServeEngine(opts, getModel, *storeDir, *checkpoint)
@@ -323,7 +321,7 @@ func main() {
 		// loaded or warm-started model defines its environment.
 		serve(engine, base.Env().Templates, serveConfig{
 			streams: *streams, queries: *queries, delay: *delay, seed: *seed,
-			skew: *skew, shiftAt: *shiftAt,
+			skew: *skew, shiftAt: *shiftAt, parallelism: *parallelism,
 			registries: regNames,
 			chaos:      spec,
 		})
@@ -378,14 +376,15 @@ type serveConfig struct {
 	delay            time.Duration
 	seed             int64
 	skew, shiftAt    float64
+	parallelism      int              // RunTenants workers; 0 = one per core
 	registries       []string         // tier names; "" is the default registry
 	chaos            wisedb.ChaosSpec // zero value injects nothing
 }
 
 // serve drives K tenant streams through one serving engine at full speed
-// (virtual arrival clocks, real concurrency): tenants are placed onto the
-// engine's shards by consistent hashing and bound round-robin to its
-// registries. The summary reports throughput, tail advisor latency, SLA
+// (virtual arrival clocks, real concurrency): tenants are replayed over
+// cfg.parallelism workers and bound round-robin to its registries. The
+// summary reports throughput, tail advisor latency, SLA
 // violations, the scale-out counters, and — when a mix shift is injected —
 // each registry's drift detections, hot swaps, and checkpoints.
 func serve(engine *wisedb.OnlineScheduler, templates []wisedb.Template, cfg serveConfig) {
@@ -412,7 +411,6 @@ func serve(engine *wisedb.OnlineScheduler, templates []wisedb.Template, cfg serv
 		}
 		w := &wisedb.Workload{Templates: templates, Queries: queries}
 		tenants[i] = wisedb.Tenant{
-			ID:       wisedb.HashTenantID(fmt.Sprintf("tenant-%05d", i)),
 			Registry: cfg.registries[i%len(cfg.registries)],
 			Workload: w.WithArrivals(arrivals),
 			Faults:   cfg.chaos.VMPlan(i), // nil unless chaos is armed
@@ -420,7 +418,7 @@ func serve(engine *wisedb.OnlineScheduler, templates []wisedb.Template, cfg serv
 	}
 
 	start := time.Now()
-	results, err := engine.RunTenants(context.Background(), tenants)
+	results, err := engine.RunTenants(context.Background(), tenants, cfg.parallelism)
 	elapsed := time.Since(start)
 	if err != nil {
 		log.Fatal(err)
@@ -464,9 +462,8 @@ func serve(engine *wisedb.OnlineScheduler, templates []wisedb.Template, cfg serv
 	fmt.Printf("advisor latency p50 %s  p99 %s; %d VMs rented, total cost %.2f¢\n",
 		pct(50).Round(time.Microsecond), pct(99).Round(time.Microsecond), rented, cost)
 	scale := engine.ScaleStats()
-	fmt.Printf("scale-out: %d shards (%d active), %d registries, %d migrations, %d shared retrains, ω-map %d builds / %d entries\n",
-		scale.Shards, scale.ActiveShards, scale.Registries, scale.Migrations,
-		scale.SharedRetrains, scale.CacheBuilds, scale.CacheEntries)
+	fmt.Printf("scale-out: %d registries, %d shared retrains, ω-map %d builds / %d entries\n",
+		scale.Registries, scale.SharedRetrains, scale.CacheBuilds, scale.CacheEntries)
 	// Lifecycle counters summed across registries; each tier detects drift
 	// and hot-swaps on its own.
 	var stats wisedb.RegistryStats

@@ -101,10 +101,9 @@ func TestChaosAcceptance(t *testing.T) {
 		ms.SetPayloadWriter(spec.PayloadWriter())
 
 		results, err := o.RunTenants(context.Background(), []core.Tenant{{
-			ID:       core.HashTenantID("chaos-tenant"),
 			Workload: w,
 			Faults:   spec.VMPlan(0),
-		}})
+		}}, 1)
 		if err != nil {
 			t.Fatalf("chaos stream failed: %v", err)
 		}

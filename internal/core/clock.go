@@ -19,7 +19,7 @@ type Clock interface {
 }
 
 // SimClock is a virtual clock advanced explicitly by its driver. The
-// workload replay drivers (Run, RunStreams) advance it to each arrival
+// workload replay drivers (Run, RunTenants) advance it to each arrival
 // event's timestamp before handing the event to the stream core.
 //
 // A SimClock is owned by a single stream and is not safe for concurrent use.
@@ -64,8 +64,8 @@ type arrivalQueue struct {
 
 // newArrivalQueue wraps the queries in arrival order. Queries already
 // sorted by arrival — every workload generator emits them that way — are
-// served in place with no copy, which matters when sharded serving builds
-// 10k tenant queues; an unsorted stream is copied (keeping the caller's
+// served in place with no copy, which matters when RunTenants replays 10k
+// tenant queues; an unsorted stream is copied (keeping the caller's
 // workload untouched) and stably sorted, so same-instant queries keep their
 // submission order either way.
 func newArrivalQueue(queries []workload.Query) *arrivalQueue {

@@ -46,17 +46,6 @@ type OnlineOptions struct {
 	// Drift configures workload-drift detection and model hot-swapping
 	// (§6's adaptive loop). Disabled by default; see DriftOptions.
 	Drift DriftOptions
-	// CacheShards is the stripe count of the engine-wide ω-map. Zero
-	// selects DefaultCacheShards; values are rounded up to a power of
-	// two. One stripe reproduces the old single-lock cache — useful only
-	// as a contention measurement baseline.
-	CacheShards int
-	// Shards is the number of engine shards for consistent-hash tenant
-	// placement (RunTenants): worker-pool partitions with shard-local
-	// run queues and stream scratch. Zero selects GOMAXPROCS. Streams
-	// can be migrated between shards live (Rebalance) without dropping
-	// or doubling in-flight arrivals.
-	Shards int
 	// Retry is the failure discipline applied to every registry the
 	// engine hosts: retrain backoff + circuit breaker (measured in
 	// drift-trigger attempts, so it stays deterministic under SimClock)
@@ -180,11 +169,10 @@ type augKey struct {
 // OnlineScheduler is the multi-tenant online serving engine (§6.3,
 // productionized): it owns the model lifecycle (one or more ModelRegistrys,
 // each holding a hot-swappable serving epoch for one SLA goal / tenant
-// tier), the shared striped ω-map of derived models, and consistent-hash
-// tenant placement over engine shards. Each tenant stream — a Stream
-// created by NewStream/NewStreamOn, or one run of Run/RunContext/
-// RunStreams/RunTenants — carries its own simulator, arrival bookkeeping,
-// and scratch, and is bound to one registry at open time, so any number of
+// tier) and the shared striped ω-map of derived models. Each tenant stream
+// — a Stream opened by NewStream/NewStreamOn, or one workload replayed by
+// Run/RunTenants — carries its own simulator, arrival bookkeeping, and
+// scratch, and is bound to one registry at open time, so any number of
 // streams proceed concurrently with no serialization beyond the rare
 // shared model build.
 //
@@ -211,13 +199,6 @@ type OnlineScheduler struct {
 	// searches.
 	share retrainShare
 
-	// shards and ring implement consistent-hash tenant placement; see
-	// shard.go. ring is swapped atomically by Rebalance, exactly like a
-	// registry epoch: tenant tasks load it once per arrival event.
-	shards     []engineShard
-	ring       atomic.Pointer[hashRing]
-	migrations atomic.Int64
-
 	// retrainCtx governs background drift retrains: they outlive the
 	// triggering stream so other tenants benefit from the swap.
 	retrainCtx context.Context
@@ -239,7 +220,7 @@ type OnlineScheduler struct {
 }
 
 // DefaultRegistry is the name of the registry every engine starts with —
-// the one NewStream, Run, and RunStreams bind to.
+// the one NewStream, Run, and tenants with an empty Registry bind to.
 const DefaultRegistry = "default"
 
 // NewOnlineScheduler returns a serving engine over the base model. The
@@ -273,9 +254,8 @@ func NewOnlineScheduler(base *Model, opts OnlineOptions) *OnlineScheduler {
 			break
 		}
 	}
-	o.cache.init(opts.CacheShards)
+	o.cache.init(cacheStripes)
 	o.share.init()
-	o.initShards(opts.Shards)
 	o.registry = o.attachRegistry(DefaultRegistry, NewModelRegistry(base))
 	return o
 }
@@ -308,8 +288,8 @@ func (o *OnlineScheduler) attachRegistry(name string, r *ModelRegistry) *ModelRe
 // or tenant tier — serving base as its epoch 0 with its own drift-retrain
 // lifecycle and (optionally, via ModelRegistry.CheckpointTo) its own
 // checkpoint store. Streams bind to a registry at open time (NewStreamOn,
-// RunOn, Tenant.Registry); the engine's ω-map and worker shards are shared
-// across registries, and drift retrains that converge on the same (goal,
+// Tenant.Registry); the engine's ω-map and stream pool are shared across
+// registries, and drift retrains that converge on the same (goal,
 // mix) are built once and shared (see ScaleStats.SharedRetrains).
 //
 // The base model must be bound to an environment with the same template
@@ -399,17 +379,10 @@ func (o *OnlineScheduler) ActiveStreams() int64 { return o.active.Load() }
 // see cross-tenant deduplication at work.
 func (o *OnlineScheduler) CacheStats() (builds int64) { return o.cache.builds.Load() }
 
-// ScaleStats snapshots the engine's scale-out counters: sharding layout,
-// live migrations, ω-map size and builds, and cross-registry retrain
-// sharing.
+// ScaleStats snapshots the engine's scale-out counters: ω-map size and
+// builds, cross-registry retrain sharing, and the failure-path and
+// lifecycle counters aggregated over every registry.
 type ScaleStats struct {
-	// Shards is the engine's shard count; ActiveShards how many the
-	// current placement ring spreads tenants over (Rebalance shrinks or
-	// re-grows it).
-	Shards, ActiveShards int
-	// Migrations counts tenant streams handed between shards by a live
-	// rebalance, each without dropping or doubling an arrival.
-	Migrations int64
 	// Registries is the number of model registries the engine hosts.
 	Registries int
 	// SharedRetrains counts drift retrains satisfied by another
@@ -447,15 +420,10 @@ type ScaleStats struct {
 // ScaleStats returns a consistent-enough snapshot for monitoring and tests.
 func (o *OnlineScheduler) ScaleStats() ScaleStats {
 	s := ScaleStats{
-		Shards:         len(o.shards),
-		Migrations:     o.migrations.Load(),
 		Registries:     o.Registries(),
 		SharedRetrains: o.share.shared.Load(),
 		CacheBuilds:    o.cache.builds.Load(),
 		CacheEntries:   o.cache.size(),
-	}
-	if r := o.ring.Load(); r != nil {
-		s.ActiveShards = r.active
 	}
 	s.DegradedArrivals = o.degradedArrivals.Load()
 	s.DegradedPlacements = o.degradedPlacements.Load()
@@ -481,39 +449,89 @@ func (o *OnlineScheduler) ScaleStats() ScaleStats {
 	return s
 }
 
-// Run schedules the workload's queries at their recorded arrival times and
-// simulates execution to completion. Many Run calls may proceed
-// concurrently; each gets its own stream.
+// Tenant is one tenant stream for batch replay (RunTenants): the registry
+// it binds to (its SLA tier), the arrival stream to replay, and an optional
+// fault plan for its simulator.
+type Tenant struct {
+	// Registry names the model registry the tenant's stream binds to; ""
+	// binds to DefaultRegistry.
+	Registry string
+	// Workload is the tenant's arrival stream.
+	Workload *workload.Workload
+	// Faults, when non-nil, arms the tenant's simulator with a
+	// deterministic fault plan (VM failures, stragglers) before serving
+	// begins. Faults are per-tenant: each tenant's draws are keyed by its
+	// own simulator's rent sequence, so results stay bit-deterministic at
+	// any parallelism.
+	Faults *cloud.FaultPlan
+}
+
+// Run schedules the workload's queries at their recorded arrival times
+// against the default registry and simulates execution to completion. Many
+// Run calls may proceed concurrently; each gets its own stream.
 func (o *OnlineScheduler) Run(w *workload.Workload) (*OnlineResult, error) {
-	return o.RunContext(context.Background(), w)
-}
-
-// RunContext is Run with cancellation: between arrival events (and inside
-// any model acquisition) a cancelled ctx aborts the stream, releases its
-// simulated VMs, and returns ctx.Err().
-func (o *OnlineScheduler) RunContext(ctx context.Context, w *workload.Workload) (*OnlineResult, error) {
-	return o.runOn(ctx, o.registry, w)
-}
-
-// RunOn is RunContext against a named registry: the stream binds to that
-// registry's serving epochs (its goal, its drift lifecycle) for its whole
-// life.
-func (o *OnlineScheduler) RunOn(ctx context.Context, registry string, w *workload.Workload) (*OnlineResult, error) {
-	r := o.RegistryNamed(registry)
-	if r == nil {
-		return nil, fmt.Errorf("core: unknown registry %q", registry)
+	results, err := o.RunTenants(context.Background(), []Tenant{{Workload: w}}, 1)
+	if err != nil {
+		return nil, err
 	}
-	return o.runOn(ctx, r, w)
+	return results[0], nil
 }
 
-// runOn replays one workload as a stream bound to reg.
-func (o *OnlineScheduler) runOn(ctx context.Context, reg *ModelRegistry, w *workload.Workload) (*OnlineResult, error) {
-	if len(w.Templates) != len(o.env.Templates) {
-		return nil, fmt.Errorf("core: online workload has %d templates, model expects %d", len(w.Templates), len(o.env.Templates))
+// RunTenants replays many tenant streams concurrently over a bounded worker
+// pool (parallelism <= 0 selects GOMAXPROCS; the pool is the one training
+// uses). Each tenant binds to its registry and replays its workload at the
+// recorded arrival times on its own stream. Tenants are validated before
+// any stream runs. Results are positional and bit-deterministic for any
+// parallelism: a stream's schedule depends only on its own arrivals and the
+// deterministically built models, and the stream-local counters never
+// observe engine scheduling. The first stream error — or a cancelled ctx,
+// checked between arrival events and inside model acquisition — cancels the
+// remaining streams and releases every stream's simulated VMs.
+func (o *OnlineScheduler) RunTenants(ctx context.Context, tenants []Tenant, parallelism int) ([]*OnlineResult, error) {
+	if len(tenants) == 0 {
+		return nil, nil
 	}
+	regs := make([]*ModelRegistry, len(tenants))
+	for i, t := range tenants {
+		name := t.Registry
+		if name == "" {
+			name = DefaultRegistry
+		}
+		if regs[i] = o.RegistryNamed(name); regs[i] == nil {
+			return nil, fmt.Errorf("core: tenant %d: unknown registry %q", i, name)
+		}
+		if t.Workload == nil {
+			return nil, fmt.Errorf("core: tenant %d: nil workload", i)
+		}
+		if len(t.Workload.Templates) != len(o.env.Templates) {
+			return nil, fmt.Errorf("core: tenant %d: workload has %d templates, engine expects %d",
+				i, len(t.Workload.Templates), len(o.env.Templates))
+		}
+	}
+	results := make([]*OnlineResult, len(tenants))
+	err := forEach(ctx, parallelism, len(tenants), func(i int) error {
+		res, err := o.replay(ctx, regs[i], tenants[i].Workload, tenants[i].Faults)
+		if err != nil {
+			return fmt.Errorf("core: tenant %d: %w", i, err)
+		}
+		results[i] = res
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// replay runs one workload as a stream bound to reg, its simulator armed
+// with faults (nil injects nothing).
+func (o *OnlineScheduler) replay(ctx context.Context, reg *ModelRegistry, w *workload.Workload, faults *cloud.FaultPlan) (*OnlineResult, error) {
 	clk := &SimClock{}
-	s := o.acquireStreamOn(reg, &o.pool, clk)
-	defer o.releaseStream(s, &o.pool)
+	s := o.acquireStreamOn(reg, clk)
+	defer o.releaseStream(s)
+	if faults != nil {
+		s.InjectFaults(faults)
+	}
 	s.Reserve(len(w.Queries))
 	q := newArrivalQueue(w.Queries)
 	for {
@@ -532,59 +550,13 @@ func (o *OnlineScheduler) runOn(ctx context.Context, reg *ModelRegistry, w *work
 	return s.Finish(), nil
 }
 
-// RunStreams schedules many independent tenant streams concurrently over a
-// bounded worker pool (parallelism <= 0 selects GOMAXPROCS; the pool is the
-// same engine training uses). Results are positional. Per-stream results
-// are deterministic for any parallelism: each stream's schedule depends
-// only on its own arrivals and the (deterministically built) models, and
-// the stream-local counters never observe engine scheduling. The first
-// stream error cancels the remaining streams.
-func (o *OnlineScheduler) RunStreams(ctx context.Context, streams []*workload.Workload, parallelism int) ([]*OnlineResult, error) {
-	results := make([]*OnlineResult, len(streams))
-	err := forEach(ctx, parallelism, len(streams), func(i int) error {
-		res, err := o.RunContext(ctx, streams[i])
-		if err != nil {
-			return fmt.Errorf("core: online stream %d: %w", i, err)
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// RunStreamsOn is RunStreams with every stream bound to the named registry.
-// For mixed tiers — or for consistent-hash shard placement and live
-// rebalancing — use RunTenants, which binds per tenant.
-func (o *OnlineScheduler) RunStreamsOn(ctx context.Context, registry string, streams []*workload.Workload, parallelism int) ([]*OnlineResult, error) {
-	r := o.RegistryNamed(registry)
-	if r == nil {
-		return nil, fmt.Errorf("core: unknown registry %q", registry)
-	}
-	results := make([]*OnlineResult, len(streams))
-	err := forEach(ctx, parallelism, len(streams), func(i int) error {
-		res, err := o.runOn(ctx, r, streams[i])
-		if err != nil {
-			return fmt.Errorf("core: online stream %d: %w", i, err)
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
 // NewStream opens an event-driven tenant stream against the engine's
 // default registry: the caller submits arrivals as they happen
 // (Stream.Submit timestamps each event with the clock) and closes with
 // Stream.Finish. Use a SimClock the driver advances for virtual time, or a
 // WallClock for live serving — the stream core is identical.
 func (o *OnlineScheduler) NewStream(clock Clock) *Stream {
-	return o.acquireStreamOn(o.registry, &o.pool, clock)
+	return o.acquireStreamOn(o.registry, clock)
 }
 
 // NewStreamOn is NewStream bound to a named registry (one SLA goal /
@@ -595,7 +567,7 @@ func (o *OnlineScheduler) NewStreamOn(registry string, clock Clock) (*Stream, er
 	if r == nil {
 		return nil, fmt.Errorf("core: unknown registry %q", registry)
 	}
-	return o.acquireStreamOn(r, &o.pool, clock), nil
+	return o.acquireStreamOn(r, clock), nil
 }
 
 // tagState is the per-query bookkeeping of a stream, indexed by query tag.
@@ -612,21 +584,19 @@ type tagState struct {
 // one registry at open time — its SLA goal, serving epochs, and drift
 // lifecycle come from that binding.
 //
-// A Stream is single-owner: one goroutine submits and finishes it (in
-// sharded serving, ownership moves linearly between shard workers — never
-// two at once). Query tags must be small non-negative integers
-// (bookkeeping is indexed by tag); the samplers' dense 0..n−1 tags are
-// ideal.
+// A Stream is single-owner: one goroutine submits and finishes it. Query
+// tags must be small non-negative integers (bookkeeping is indexed by tag);
+// the samplers' dense 0..n−1 tags are ideal.
 type Stream struct {
 	eng   *OnlineScheduler
 	reg   *ModelRegistry
 	clock Clock
-	sim   *cloud.Sim
+	sim   *cloud.Sim // nil once the stream is released to the pool
 	res   *OnlineResult
 	drift *driftDetector
 	tags  []tagState
 	last  time.Duration // latest event time; Submit clamps to monotonic
-	done  bool
+	done  bool          // finished or closed: Submit refuses further events
 	// driftEpoch is the registry epoch the drift detector last baselined
 	// against. Any epoch install — a drift retrain, a manual swap, a
 	// warm start from a checkpoint — changes the baseline mix, so the
@@ -680,11 +650,10 @@ type vmCandidate struct {
 	free time.Duration
 }
 
-// acquireStreamOn draws a reset stream from the given scratch pool
-// (engine-wide, or an engine shard's local pool) and binds it to reg for
-// its whole life.
-func (o *OnlineScheduler) acquireStreamOn(reg *ModelRegistry, pool *sync.Pool, clock Clock) *Stream {
-	s, _ := pool.Get().(*Stream)
+// acquireStreamOn draws a reset stream from the engine's scratch pool and
+// binds it to reg for its whole life.
+func (o *OnlineScheduler) acquireStreamOn(reg *ModelRegistry, clock Clock) *Stream {
+	s, _ := o.pool.Get().(*Stream)
 	if s == nil {
 		s = &Stream{
 			eng:         o,
@@ -721,20 +690,25 @@ func (o *OnlineScheduler) acquireStreamOn(reg *ModelRegistry, pool *sync.Pool, c
 	return s
 }
 
-// releaseStream returns a stream's scratch to a pool — the pool of
-// whichever shard the stream last ran on, so scratch stays shard-local
-// under sharded serving. The stream's result (if finished) stays valid —
-// results are never pooled. A stream released before Finish counts as
-// cancelled: its simulator, and with it every rented VM, is dropped.
-func (o *OnlineScheduler) releaseStream(s *Stream, pool *sync.Pool) {
+// releaseStream returns a stream's scratch to the engine's pool. The
+// stream's result (if finished) stays valid — results are never pooled. A
+// stream released before Finish counts as cancelled: its simulator, and with
+// it every rented VM, is dropped. Releasing is idempotent: a stream already
+// back in the pool is not put there twice, which would hand it to two
+// owners.
+func (o *OnlineScheduler) releaseStream(s *Stream) {
+	if s.sim == nil {
+		return
+	}
 	if !s.done {
+		s.done = true
 		o.active.Add(-1)
 	}
 	s.sim = nil
 	s.res = nil
 	s.clock = nil
 	s.reg = nil
-	pool.Put(s)
+	o.pool.Put(s)
 }
 
 // Reserve preallocates the stream's bookkeeping for a run of n queries with
@@ -782,7 +756,7 @@ func (s *Stream) InjectFaults(p *cloud.FaultPlan) { s.sim.SetFaults(p) }
 // live wall-clock serving both funnel through it.
 func (s *Stream) Submit(ctx context.Context, arrived ...workload.Query) error {
 	if s.done {
-		return errors.New("core: Submit on a finished stream")
+		return errors.New("core: Submit on a finished or closed stream")
 	}
 	if len(arrived) == 0 {
 		return nil
@@ -831,11 +805,12 @@ func (s *Stream) Shed(n int) {
 
 // Close returns the stream's scratch to the engine's pool. Call after
 // Finish (the result stays valid — results are never pooled), or
-// without Finish to cancel the stream and drop its simulated VMs. Use
-// only for streams opened with NewStream/NewStreamOn; Run and the
-// sharded drivers recycle their streams themselves.
+// without Finish to cancel the stream and drop its simulated VMs. A
+// second Close is a no-op, and Submit on a closed stream returns an
+// error. Use only for streams opened with NewStream/NewStreamOn; Run and
+// RunTenants recycle their streams themselves.
 func (s *Stream) Close() {
-	s.eng.releaseStream(s, &s.eng.pool)
+	s.eng.releaseStream(s)
 }
 
 // Finish drains the stream's simulation and returns the final result: total
@@ -1447,10 +1422,10 @@ type cacheShard struct {
 	augmented map[augModelKey]*modelEntry
 }
 
-// DefaultCacheShards is the ω-map stripe count when OnlineOptions.CacheShards
-// is zero: enough stripes that even 10k concurrent streams rarely collide on
-// a lock, at a memory cost of a few empty maps.
-const DefaultCacheShards = 64
+// cacheStripes is the ω-map stripe count: enough stripes that even 10k
+// concurrent streams rarely collide on a lock, at a memory cost of a few
+// empty maps.
+const cacheStripes = 64
 
 // modelCache is the engine-wide ω-map (§6.3.1) shared by every stream,
 // striped over power-of-two cacheShard stripes so derived-model lookups
@@ -1463,16 +1438,12 @@ type modelCache struct {
 	builds atomic.Int64
 }
 
-// init sizes the stripe array. shards is rounded up to a power of two;
-// shards <= 0 selects DefaultCacheShards. shards == 1 degenerates to the
-// old single-lock ω-map — kept reachable as the measurement baseline for
-// the striped-vs-global contention numbers in EXPERIMENTS.md.
-func (c *modelCache) init(shards int) {
-	if shards <= 0 {
-		shards = DefaultCacheShards
-	}
+// init sizes the stripe array, rounding stripes up to a power of two. The
+// engine uses cacheStripes; stripes == 1 degenerates to a single-lock ω-map,
+// the baseline BenchmarkShardedCacheContention measures against.
+func (c *modelCache) init(stripes int) {
 	n := 1
-	for n < shards {
+	for n < stripes {
 		n <<= 1
 	}
 	c.shards = make([]cacheShard, n)

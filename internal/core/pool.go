@@ -80,23 +80,6 @@ func forEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 	return ctx.Err()
 }
 
-// spawnWorkers starts one goroutine per worker index and returns the group
-// to wait on. Unlike forEach — which hands out independent work items from
-// a counter — each worker here is a long-lived loop with an identity: the
-// sharded serving layer runs one worker per engine shard, each draining its
-// own shard's run queue (see RunTenants).
-func spawnWorkers(n int, fn func(worker int)) *sync.WaitGroup {
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for w := 0; w < n; w++ {
-		go func() {
-			defer wg.Done()
-			fn(w)
-		}()
-	}
-	return &wg
-}
-
 // searchCacheGeneration is the epoch size of the transposition-cache
 // barrier: sample searches run in generations of this many indices, and a
 // generation's solved suffixes are committed to the shared cache only at

@@ -442,8 +442,8 @@ func TestVMFaultsReadmitExactlyOnceDeterministic(t *testing.T) {
 	}
 }
 
-// Tenant.Faults plumbs a per-tenant fault plan through sharded serving, and
-// per-tenant results stay bit-identical across shard counts even with
+// Tenant.Faults plumbs a per-tenant fault plan through RunTenants, and
+// per-tenant results stay bit-identical across parallelism levels even with
 // injection on.
 func TestRunTenantsWithFaultsDeterministic(t *testing.T) {
 	base := onlineBase(t, 4, 2)
@@ -453,7 +453,6 @@ func TestRunTenantsWithFaultsDeterministic(t *testing.T) {
 		tenants := make([]Tenant, len(ws))
 		for i := range ws {
 			tenants[i] = Tenant{
-				ID:       TenantID(i + 1),
 				Workload: ws[i],
 				Faults:   cloud.NewFaultPlan(int64(1000+i), spec),
 			}
@@ -461,13 +460,11 @@ func TestRunTenantsWithFaultsDeterministic(t *testing.T) {
 		return tenants
 	}
 	var fps [][]string
-	for _, shards := range []int{1, 4} {
-		opts := DefaultOnlineOptions()
-		opts.Shards = shards
-		o := NewOnlineScheduler(base, opts)
-		results, err := o.RunTenants(context.Background(), build())
+	for _, p := range []int{1, 4} {
+		o := NewOnlineScheduler(base, DefaultOnlineOptions())
+		results, err := o.RunTenants(context.Background(), build(), p)
 		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatalf("parallelism=%d: %v", p, err)
 		}
 		fp := make([]string, len(results))
 		for i, res := range results {
@@ -477,7 +474,7 @@ func TestRunTenantsWithFaultsDeterministic(t *testing.T) {
 	}
 	for i := range ws {
 		if fps[0][i] != fps[1][i] {
-			t.Errorf("tenant %d differs across shard counts:\n1 shard:  %s\n4 shards: %s", i, fps[0][i], fps[1][i])
+			t.Errorf("tenant %d differs across parallelism:\n1 worker:  %s\n4 workers: %s", i, fps[0][i], fps[1][i])
 		}
 	}
 }

@@ -9,10 +9,9 @@ import (
 
 // BenchmarkShardedCacheContention measures the ω-map's lock cost under
 // parallel hot-key traffic: every worker loops over the same 64 hot keys,
-// so stripes=1 (the old single-mutex cache) serializes on one lock while
-// stripes=64 spreads the same traffic over independent stripes. The
-// ns/op gap is the headline scale-out number CI persists in
-// BENCH_scaleout.json; EXPERIMENTS.md records the mutex-profile
+// so stripes=1 (a single-mutex cache) serializes on one lock while
+// stripes=64 (the engine's cacheStripes) spreads the same traffic over
+// independent stripes. EXPERIMENTS.md records the mutex-profile
 // before/after on the reference runner.
 func BenchmarkShardedCacheContention(b *testing.B) {
 	m := benchModel(b)
@@ -45,36 +44,32 @@ func BenchmarkShardedCacheContention(b *testing.B) {
 	}
 }
 
-// BenchmarkOnlineMultiTenant measures the sharded serving engine end to
-// end: K tenants placed by consistent hashing over engine shards, half
-// bound to a second registry, fresh-batch arrivals (the steady-state
-// path). shards=1 is the unsharded baseline the scale-out acceptance bar
-// compares against; shards=0 runs one shard per core. arrivals/sec is the
-// metric CI persists in BENCH_scaleout.json.
+// BenchmarkOnlineMultiTenant measures batch replay end to end: K tenants,
+// half bound to a second registry, fresh-batch arrivals (the steady-state
+// path), replayed by RunTenants at parallelism 1 — the serial baseline —
+// and at GOMAXPROCS. arrivals/sec is the throughput metric.
 func BenchmarkOnlineMultiTenant(b *testing.B) {
 	m := benchModel(b)
 	const n = 30
 	for _, streams := range []int{64, 256} {
-		for _, shards := range []int{1, 0} {
-			name := fmt.Sprintf("streams=%d/shards=percore", streams)
-			if shards == 1 {
-				name = fmt.Sprintf("streams=%d/shards=1", streams)
+		for _, parallelism := range []int{1, 0} {
+			name := fmt.Sprintf("streams=%d/parallelism=gomaxprocs", streams)
+			if parallelism == 1 {
+				name = fmt.Sprintf("streams=%d/parallelism=1", streams)
 			}
 			b.Run(name, func(b *testing.B) {
-				opts := DefaultOnlineOptions()
-				opts.Shards = shards
-				o := NewOnlineScheduler(m, opts)
+				o := NewOnlineScheduler(m, DefaultOnlineOptions())
 				if _, err := o.AddRegistry("premium", m); err != nil {
 					b.Fatal(err)
 				}
 				tenants := scaleTenants(m.Env().Templates, streams, n, 7*time.Minute, 17, "premium")
-				if _, err := o.RunTenants(context.Background(), tenants); err != nil {
-					b.Fatal(err) // warm shard pools before measuring
+				if _, err := o.RunTenants(context.Background(), tenants, parallelism); err != nil {
+					b.Fatal(err) // warm the stream pool before measuring
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := o.RunTenants(context.Background(), tenants); err != nil {
+					if _, err := o.RunTenants(context.Background(), tenants, parallelism); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,190 +10,31 @@ import (
 	"wisedb/internal/workload"
 )
 
-// The placement ring must spread tenants evenly and move only the departed
-// shard's tenants on a rebalance: ring(7) is ring(8) minus shard 7's
-// vnodes, so any tenant whose owner changed must have been on shard 7.
-func TestHashRingPlacement(t *testing.T) {
-	const shards, tenants = 8, 4096
-	r8 := newHashRing(shards)
-	ids := make([]TenantID, tenants)
-	counts := make([]int, shards)
-	for i := range ids {
-		ids[i] = HashTenantID(fmt.Sprintf("tenant-%d", i))
-		sh := r8.shardOf(ids[i])
-		if sh < 0 || sh >= shards {
-			t.Fatalf("tenant %d placed on shard %d of %d", i, sh, shards)
-		}
-		counts[sh]++
-	}
-	mean := tenants / shards
-	for sh, c := range counts {
-		if c < mean/2 || c > 2*mean {
-			t.Errorf("shard %d owns %d tenants; want within [%d, %d] of the %d mean (counts %v)",
-				sh, c, mean/2, 2*mean, mean, counts)
-		}
-	}
-
-	r7 := newHashRing(7)
-	moved := 0
-	for i, id := range ids {
-		a, b := r8.shardOf(id), r7.shardOf(id)
-		if b >= 7 {
-			t.Fatalf("tenant %d placed on drained shard %d", i, b)
-		}
-		if a != b {
-			moved++
-			if a != 7 {
-				t.Fatalf("tenant %d moved %d -> %d although shard %d survived the rebalance", i, a, b, a)
-			}
-		}
-	}
-	if moved == 0 || moved > tenants/4 {
-		t.Errorf("rebalance 8 -> 7 moved %d of %d tenants; want roughly 1/8", moved, tenants)
-	}
-
-	// Determinism: the ring is a pure function of the shard count.
-	again := newHashRing(shards)
-	for _, id := range ids {
-		if r8.shardOf(id) != again.shardOf(id) {
-			t.Fatal("identical ring parameters produced different placements")
-		}
-	}
-}
-
 // scaleTenants builds k tenants over fixed-seed workloads, binding every
 // other tenant to the named second registry (if any).
 func scaleTenants(templates []workload.Template, k, n int, gap time.Duration, seed int64, second string) []Tenant {
-	ws := tenantWorkloads(templates, k, n, gap, seed)
-	tenants := make([]Tenant, k)
-	for i := range tenants {
-		tenants[i] = Tenant{ID: HashTenantID(fmt.Sprintf("tenant-%03d", i)), Workload: ws[i]}
-		if second != "" && i%2 == 1 {
+	tenants := asTenants(tenantWorkloads(templates, k, n, gap, seed))
+	if second != "" {
+		for i := 1; i < k; i += 2 {
 			tenants[i].Registry = second
 		}
 	}
 	return tenants
 }
 
-// Per-tenant results must be bit-identical for every shard count and every
-// ω-map stripe count, with streams spread over two registries — the
-// sharded-serving extension of TestMultiStreamDeterminism. The 10s gaps put
-// every stream on the shifted-model path, so the striped cache and the
-// registry-scoped keys are both load-bearing here.
+// Per-tenant results must be bit-identical at every worker count with
+// streams spread over two registries — and identical to the same tenants on
+// one registry, since a registry built from the same base serves the same
+// models. The engine's worker count (RunTenants' parallelism) is what the
+// shard count used to be.
 func TestRunTenantsDeterministicAcrossShardCounts(t *testing.T) {
-	base := onlineBase(t, 5, 2)
-	const streams, n = 12, 15
-	configs := []struct{ shards, cacheShards int }{
-		{1, 1}, // single worker, single-lock ω-map: the old engine
-		{4, 4},
-		{runtime.GOMAXPROCS(0), 0}, // default stripes
-	}
-	var fingerprints [][]string
-	for _, cfg := range configs {
-		opts := DefaultOnlineOptions()
-		opts.Shards = cfg.shards
-		opts.CacheShards = cfg.cacheShards
-		o := NewOnlineScheduler(base, opts)
-		if _, err := o.AddRegistry("premium", base); err != nil {
-			t.Fatal(err)
-		}
-		tenants := scaleTenants(base.Env().Templates, streams, n, 10*time.Second, 77, "premium")
-		results, err := o.RunTenants(context.Background(), tenants)
-		if err != nil {
-			t.Fatalf("shards=%d cacheShards=%d: %v", cfg.shards, cfg.cacheShards, err)
-		}
-		if got := o.ActiveStreams(); got != 0 {
-			t.Fatalf("shards=%d: %d streams still active after RunTenants", cfg.shards, got)
-		}
-		fps := make([]string, len(results))
-		for i, res := range results {
-			if res.Adaptations == 0 {
-				t.Fatalf("shards=%d tenant %d: 10s gaps must put arrivals on the shifted-model path", cfg.shards, i)
-			}
-			fps[i] = onlineResultFingerprint(res)
-		}
-		fingerprints = append(fingerprints, fps)
-	}
-	for level := 1; level < len(fingerprints); level++ {
-		for i := range fingerprints[0] {
-			if fingerprints[level][i] != fingerprints[0][i] {
-				t.Errorf("tenant %d differs between shard configs:\nbaseline: %s\nsharded:  %s",
-					i, fingerprints[0][i], fingerprints[level][i])
-			}
+	one := tenantFingerprints(t, "")
+	two := tenantFingerprints(t, "premium")
+	for i := range one {
+		if two[i] != one[i] {
+			t.Errorf("tenant %d differs between one and two registries:\none: %s\ntwo: %s", i, one[i], two[i])
 		}
 	}
-}
-
-// A live rebalance mid-run must migrate tenants between shards without
-// dropping or doubling an arrival — and without changing any tenant's
-// result: migration hands the stream linearly between workers at an event
-// boundary, so the outcome is bit-identical to an undisturbed run.
-func TestRunTenantsRebalanceMigratesExactlyOnce(t *testing.T) {
-	base := onlineBase(t, 5, 2)
-	const streams, n = 48, 30
-	opts := DefaultOnlineOptions()
-	opts.Shards = 4
-
-	// Reference run, no rebalance.
-	ref := NewOnlineScheduler(base, opts)
-	tenants := scaleTenants(base.Env().Templates, streams, n, 10*time.Second, 55, "")
-	want, err := ref.RunTenants(context.Background(), tenants)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	o := NewOnlineScheduler(base, opts)
-	var places atomic.Int64
-	var shrink, regrow sync.Once
-	o.placeStarted = func(*OnlineResult) {
-		switch c := places.Add(1); {
-		case c == 100:
-			shrink.Do(func() {
-				if err := o.Rebalance(2); err != nil {
-					t.Error(err)
-				}
-			})
-		case c == 400:
-			regrow.Do(func() {
-				if err := o.Rebalance(4); err != nil {
-					t.Error(err)
-				}
-			})
-		}
-	}
-	got, err := o.RunTenants(context.Background(), tenants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.placeStarted = nil
-	for i, res := range got {
-		seen := make([]bool, n)
-		for _, out := range res.Outcomes {
-			if seen[out.Tag] {
-				t.Fatalf("tenant %d: query tag %d completed twice across a migration", i, out.Tag)
-			}
-			seen[out.Tag] = true
-		}
-		for tag, ok := range seen {
-			if !ok {
-				t.Fatalf("tenant %d: query tag %d dropped across a migration", i, tag)
-			}
-		}
-		if a, b := onlineResultFingerprint(res), onlineResultFingerprint(want[i]); a != b {
-			t.Errorf("tenant %d result changed under rebalance:\nundisturbed: %s\nrebalanced:  %s", i, b, a)
-		}
-	}
-	stats := o.ScaleStats()
-	if stats.Migrations == 0 {
-		t.Error("shrinking 4 shards to 2 mid-run migrated no tenants")
-	}
-	if stats.ActiveShards != 4 {
-		t.Errorf("final ring spans %d shards, want 4", stats.ActiveShards)
-	}
-	if got := o.ActiveStreams(); got != 0 {
-		t.Fatalf("%d streams still active after a rebalanced run", got)
-	}
-	t.Logf("%d migrations across shrink+regrow, results bit-identical", stats.Migrations)
 }
 
 // Many concurrent streams hammering the same hot ω-map keys across repeated
@@ -229,7 +68,7 @@ func TestShardedCacheHotKeyHammerAcrossSwap(t *testing.T) {
 			}
 		}
 	}()
-	results, err := o.RunStreams(context.Background(), ws, streams)
+	results, err := o.RunTenants(context.Background(), asTenants(ws), streams)
 	close(stop)
 	swapper.Wait()
 	if err != nil {
@@ -273,10 +112,10 @@ func TestSharedRetrainAcrossRegistries(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := shiftedStream(base.Env().Templates, 40, 60, 7*time.Minute)
-	if _, err := o.RunContext(context.Background(), w); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.RunOn(context.Background(), "premium", w); err != nil {
+	// Parallelism 1 replays the default tenant to completion before the
+	// premium one starts: the second retrain finds the first one's model.
+	tenants := []Tenant{{Workload: w}, {Registry: "premium", Workload: w}}
+	if _, err := o.RunTenants(context.Background(), tenants, 1); err != nil {
 		t.Fatal(err)
 	}
 	defStats, preStats := o.Registry().Stats(), premium.Stats()
@@ -304,17 +143,17 @@ func TestRunTenantsValidation(t *testing.T) {
 	o := NewOnlineScheduler(base, DefaultOnlineOptions())
 	w := tenantWorkloads(base.Env().Templates, 1, 4, time.Minute, 3)[0]
 
-	if _, err := o.RunTenants(context.Background(), []Tenant{{ID: 1, Registry: "nope", Workload: w}}); err == nil {
+	if _, err := o.RunTenants(context.Background(), []Tenant{{Registry: "nope", Workload: w}}, 0); err == nil {
 		t.Error("unknown registry must fail")
 	}
-	if _, err := o.RunTenants(context.Background(), []Tenant{{ID: 1}}); err == nil {
+	if _, err := o.RunTenants(context.Background(), []Tenant{{}}, 0); err == nil {
 		t.Error("nil workload must fail")
 	}
 	bad := &workload.Workload{Templates: w.Templates[:2], Queries: w.Queries}
-	if _, err := o.RunTenants(context.Background(), []Tenant{{ID: 1, Workload: bad}}); err == nil {
+	if _, err := o.RunTenants(context.Background(), []Tenant{{Workload: bad}}, 0); err == nil {
 		t.Error("template-count mismatch must fail")
 	}
-	if res, err := o.RunTenants(context.Background(), nil); err != nil || res != nil {
+	if res, err := o.RunTenants(context.Background(), nil, 0); err != nil || res != nil {
 		t.Errorf("empty tenant set: want (nil, nil), got (%v, %v)", res, err)
 	}
 
@@ -340,9 +179,7 @@ func TestRunTenantsValidation(t *testing.T) {
 // stream, and leave the engine serviceable.
 func TestRunTenantsContextCancel(t *testing.T) {
 	base := onlineBase(t, 3, 1)
-	opts := DefaultOnlineOptions()
-	opts.Shards = 2
-	o := NewOnlineScheduler(base, opts)
+	o := NewOnlineScheduler(base, DefaultOnlineOptions())
 	tenants := scaleTenants(base.Env().Templates, 8, 20, time.Minute, 9, "")
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -352,20 +189,20 @@ func TestRunTenantsContextCancel(t *testing.T) {
 			cancel()
 		}
 	}
-	if _, err := o.RunTenants(ctx, tenants); err == nil {
+	if _, err := o.RunTenants(ctx, tenants, 2); err == nil {
 		t.Fatal("cancelled RunTenants must return an error")
 	}
 	o.placeStarted = nil
 	if got := o.ActiveStreams(); got != 0 {
 		t.Fatalf("cancelled run leaked %d active streams", got)
 	}
-	if _, err := o.RunTenants(context.Background(), tenants); err != nil {
+	if _, err := o.RunTenants(context.Background(), tenants, 2); err != nil {
 		t.Fatalf("run after cancellation: %v", err)
 	}
 	cancel()
 }
 
-// 1000 tenants through the sharded engine: a scaled-down smoke of the 10k
+// 1000 tenants through one RunTenants call: a scaled-down smoke of the 10k
 // serving mode (cmd/wisedb -streams drives the full size). Every arrival
 // completes exactly once and scratch is reclaimed.
 func TestRunTenantsAtScale(t *testing.T) {
@@ -376,7 +213,7 @@ func TestRunTenantsAtScale(t *testing.T) {
 	const streams, n = 1000, 4
 	o := NewOnlineScheduler(base, DefaultOnlineOptions())
 	tenants := scaleTenants(base.Env().Templates, streams, n, 7*time.Minute, 123, "")
-	results, err := o.RunTenants(context.Background(), tenants)
+	results, err := o.RunTenants(context.Background(), tenants, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,57 +224,5 @@ func TestRunTenantsAtScale(t *testing.T) {
 	}
 	if got := o.ActiveStreams(); got != 0 {
 		t.Fatalf("%d streams still active", got)
-	}
-}
-
-// Sharded serving must scale tenant throughput with cores: the same 64
-// tenants served by one shard vs. a shard per core. Core-scaled bar per the
-// TestMultiStreamThroughputScales precedent; the recorded scale-out numbers
-// live in EXPERIMENTS.md.
-func TestTenantThroughputScalesWithShards(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	procs := runtime.GOMAXPROCS(0)
-	if procs < 4 {
-		t.Skipf("%d cores: shard-scaling assertion needs >= 4", procs)
-	}
-	base := onlineBase(t, 5, 2)
-	const streams, n = 64, 60
-	tenants := scaleTenants(base.Env().Templates, streams, n, 7*time.Minute, 321, "")
-
-	run := func(shards int) time.Duration {
-		opts := DefaultOnlineOptions()
-		opts.Shards = shards
-		o := NewOnlineScheduler(base, opts)
-		if _, err := o.RunTenants(context.Background(), tenants); err != nil {
-			t.Fatal(err) // warm pools before measuring
-		}
-		start := time.Now()
-		results, err := o.RunTenants(context.Background(), tenants)
-		elapsed := time.Since(start)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, res := range results {
-			if len(res.Perf) != n {
-				t.Fatalf("tenant %d completed %d of %d queries", i, len(res.Perf), n)
-			}
-		}
-		return elapsed
-	}
-	single := run(1)
-	sharded := run(0) // one shard per core
-	speedup := single.Seconds() / sharded.Seconds()
-	t.Logf("%d tenants: 1 shard %s, %d shards %s, speedup %.1fx", streams, single, procs, sharded, speedup)
-
-	var want float64
-	if procs >= 10 {
-		want = 8
-	} else {
-		want = float64(procs) / 2
-	}
-	if speedup < want {
-		t.Errorf("%d-shard speedup %.2fx below %.1fx on %d cores", procs, speedup, want, procs)
 	}
 }

@@ -272,19 +272,14 @@ func TestFlashCrowdShedDeterministic(t *testing.T) {
 		seen[out.Tag] = true
 	}
 
-	// Two tenants replaying the identical trace through the sharded
-	// engine shed identically — per-tenant shed counts are deterministic
-	// at any placement.
+	// Two tenants replaying the identical trace concurrently shed
+	// identically — per-tenant shed counts are deterministic at any
+	// parallelism.
 	opts := DefaultOnlineOptions()
 	opts.Degrade = true
 	opts.MaxBacklog = 4
-	opts.Shards = 4
 	o := NewOnlineScheduler(base, opts)
-	tenants := []Tenant{
-		{ID: HashTenantID("crowd-a"), Workload: w},
-		{ID: HashTenantID("crowd-b"), Workload: w},
-	}
-	results, err := o.RunTenants(context.Background(), tenants)
+	results, err := o.RunTenants(context.Background(), []Tenant{{Workload: w}, {Workload: w}}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

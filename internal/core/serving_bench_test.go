@@ -103,13 +103,14 @@ func BenchmarkOnlineMultiStream(b *testing.B) {
 				ws[i] = w.WithArrivals(workload.FixedDelayArrivals(n, 7*time.Minute))
 			}
 			o := NewOnlineScheduler(m, DefaultOnlineOptions())
-			if _, err := o.RunStreams(context.Background(), ws, 0); err != nil {
+			tenants := asTenants(ws)
+			if _, err := o.RunTenants(context.Background(), tenants, 0); err != nil {
 				b.Fatal(err) // warm pools before measuring
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := o.RunStreams(context.Background(), ws, 0); err != nil {
+				if _, err := o.RunTenants(context.Background(), tenants, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -82,10 +82,7 @@ func (c *Config) Chaos() (*Table, error) {
 				queries = append(queries, q)
 			}
 			w := &workload.Workload{Templates: s.env.Templates, Queries: queries}
-			tenants[i] = core.Tenant{
-				ID:       core.HashTenantID(fmt.Sprintf("chaos-%05d", i)),
-				Workload: w.WithArrivals(workload.FixedDelayArrivals(n, gap)),
-			}
+			tenants[i] = core.Tenant{Workload: w.WithArrivals(workload.FixedDelayArrivals(n, gap))}
 			if inject {
 				tenants[i].Faults = spec.VMPlan(i)
 			}
@@ -104,7 +101,7 @@ func (c *Config) Chaos() (*Table, error) {
 		if injectRetrain {
 			o.Registry().SetRetrain(spec.Retrain(core.DriftRetrain))
 		}
-		results, err := o.RunTenants(context.Background(), makeTenants(inject))
+		results, err := o.RunTenants(context.Background(), makeTenants(inject), 0)
 		if err != nil {
 			return row{}, err
 		}

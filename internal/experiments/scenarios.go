@@ -57,7 +57,7 @@ func (c *Config) Scenarios() (*Table, error) {
 		}
 		tenants := spec.Generate(s.env.Templates)
 		start := time.Now()
-		results, err := o.RunTenants(context.Background(), tenants)
+		results, err := o.RunTenants(context.Background(), tenants, 0)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 		}
@@ -93,7 +93,7 @@ func (c *Config) Scenarios() (*Table, error) {
 			fmt.Sprintf("%d", sheds),
 			cents(cost))
 	}
-	t.Note("committed seeded specs (scenario.Catalog); every row is bit-deterministic at any Parallelism x Shards and replayed under -race in CI; gold=10m, bronze=25m, default=15m SLAs; spot row serves under a seeded price walk in [0.5x, 2.0x]")
+	t.Note("committed seeded specs (scenario.Catalog); every row is bit-deterministic at any parallelism and replayed under -race in CI; gold=10m, bronze=25m, default=15m SLAs; spot row serves under a seeded price walk in [0.5x, 2.0x]")
 	t.Fprint(c.Out)
 	return t, nil
 }

@@ -7,7 +7,7 @@
 // sinusoid, flash-crowd bursts, correlated multi-tenant shifts, gold/bronze
 // priority tiers, spot pricing) is both an evaluation suite and a directed
 // bug probe: each generated trace is bit-deterministic (a pure function of
-// the Spec), so any run can be replayed at any Parallelism × Shards and
+// the Spec), so any run can be replayed at any RunTenants parallelism and
 // must produce identical OnlineResults.
 //
 // Generation is offline — it happens before serving starts, so generator
@@ -249,8 +249,8 @@ func uniformInto(k int, skew float64, buf []float64) []float64 {
 // (registry) it binds to, and the arrival and mix processes that generate
 // its trace.
 type TenantSpec struct {
-	// Name identifies the tenant; core.HashTenantID(Name) places it on
-	// the shard ring. Names must be unique within a Spec.
+	// Name identifies the tenant and feeds its trace's sub-seed. Names
+	// must be unique within a Spec.
 	Name string
 	// Registry is the model registry (SLA tier) the tenant's stream binds
 	// to: "" for the default tier, or a named tier such as "gold" /
@@ -283,9 +283,15 @@ type Spec struct {
 
 // subSeed derives tenant i's rand seed from the spec seed: SplitMix64 over
 // the (seed, index, name-hash) triple, so every tenant owns an independent,
-// reproducible stream.
+// reproducible stream. The name hash is FNV-1a finalized by SplitMix64.
 func (s *Spec) subSeed(i int) int64 {
-	h := mix64(uint64(s.Seed)*0x9e3779b97f4a7c15 + uint64(i) + uint64(core.HashTenantID(s.Tenants[i].Name)))
+	name := s.Tenants[i].Name
+	nh := uint64(14695981039346656037)
+	for j := 0; j < len(name); j++ {
+		nh ^= uint64(name[j])
+		nh *= 1099511628211
+	}
+	h := mix64(uint64(s.Seed)*0x9e3779b97f4a7c15 + uint64(i) + mix64(nh))
 	return int64(h &^ (1 << 63)) // non-negative, rand.NewSource takes int64
 }
 
@@ -330,7 +336,6 @@ func (s *Spec) Generate(templates []workload.Template) []core.Tenant {
 		}
 		w := &workload.Workload{Templates: templates, Queries: queries}
 		tenants[i] = core.Tenant{
-			ID:       core.HashTenantID(ts.Name),
 			Registry: ts.Registry,
 			Workload: w.WithArrivals(arrivals),
 		}

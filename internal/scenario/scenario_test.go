@@ -52,11 +52,10 @@ func models(t testing.TB) map[string]*core.Model {
 // newEngine builds a serving engine for a spec: the default tier as the
 // base model, gold/bronze tiers as named registries, and the spec's price
 // schedule armed engine-wide.
-func newEngine(t testing.TB, spec *Spec, shards int) *core.OnlineScheduler {
+func newEngine(t testing.TB, spec *Spec) *core.OnlineScheduler {
 	t.Helper()
 	ms := models(t)
 	opts := core.DefaultOnlineOptions()
-	opts.Shards = shards
 	opts.Prices = spec.Prices
 	o := core.NewOnlineScheduler(ms[""], opts)
 	for _, tier := range []string{"gold", "bronze"} {
@@ -121,55 +120,27 @@ func TestCatalogGenerateDeterministic(t *testing.T) {
 }
 
 // Every catalog scenario must replay bit-identically at any engine
-// concurrency: per-tenant results are compared across Shards ∈ {1, 4,
-// GOMAXPROCS} (RunTenants) and, for single-tier scenarios, Parallelism ∈
-// {1, 4, GOMAXPROCS} (RunStreams) — the acceptance pin for the whole
+// concurrency: per-tenant results are compared across RunTenants
+// parallelism ∈ {1, 4, GOMAXPROCS} — the acceptance pin for the whole
 // harness, and under -race a concurrency bug probe per scenario.
 func TestCatalogBitDeterminism(t *testing.T) {
 	templates := workload.DefaultTemplates(5)
-	gomax := runtime.GOMAXPROCS(0)
 	for _, spec := range testCatalog() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			tenants := spec.Generate(templates)
-			singleTier := true
-			for _, ts := range spec.Tenants {
-				if ts.Registry != "" {
-					singleTier = false
-				}
-			}
-			var fingerprints [][]string
-			record := func(label string, results []*core.OnlineResult, err error) {
+			var baseline []string
+			for _, p := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+				results, err := newEngine(t, &spec).RunTenants(context.Background(), tenants, p)
 				if err != nil {
-					t.Fatalf("%s: %v", label, err)
+					t.Fatalf("parallelism=%d: %v", p, err)
 				}
-				fps := make([]string, len(results))
 				for i, res := range results {
-					fps[i] = fingerprint(res)
-				}
-				fingerprints = append(fingerprints, fps)
-			}
-			for _, shards := range []int{1, 4, gomax} {
-				o := newEngine(t, &spec, shards)
-				results, err := o.RunTenants(context.Background(), tenants)
-				record(fmt.Sprintf("shards=%d", shards), results, err)
-			}
-			if singleTier {
-				ws := make([]*workload.Workload, len(tenants))
-				for i := range tenants {
-					ws[i] = tenants[i].Workload
-				}
-				for _, p := range []int{1, 4, gomax} {
-					o := newEngine(t, &spec, 0)
-					results, err := o.RunStreams(context.Background(), ws, p)
-					record(fmt.Sprintf("parallelism=%d", p), results, err)
-				}
-			}
-			for level := 1; level < len(fingerprints); level++ {
-				for i := range fingerprints[0] {
-					if fingerprints[level][i] != fingerprints[0][i] {
-						t.Errorf("tenant %d differs between configs:\nbaseline: %s\nconfig %d: %s",
-							i, fingerprints[0][i], level, fingerprints[level][i])
+					fp := fingerprint(res)
+					if len(baseline) <= i {
+						baseline = append(baseline, fp)
+					} else if fp != baseline[i] {
+						t.Errorf("tenant %d differs at parallelism=%d:\nbaseline: %s\ngot:      %s", i, p, baseline[i], fp)
 					}
 				}
 			}
@@ -187,8 +158,7 @@ func TestCatalogExactlyOnce(t *testing.T) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			tenants := spec.Generate(templates)
-			o := newEngine(t, &spec, 4)
-			results, err := o.RunTenants(context.Background(), tenants)
+			results, err := newEngine(t, &spec).RunTenants(context.Background(), tenants, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,13 +201,13 @@ func TestSpotScenarioPricesLeases(t *testing.T) {
 		t.Fatal("spot scenario lost its price schedule")
 	}
 	tenants := spot.Generate(templates)
-	priced, err := newEngine(t, &spot, 1).RunTenants(context.Background(), tenants)
+	priced, err := newEngine(t, &spot).RunTenants(context.Background(), tenants, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	flat := spot
 	flat.Prices = nil
-	unpriced, err := newEngine(t, &flat, 1).RunTenants(context.Background(), tenants)
+	unpriced, err := newEngine(t, &flat).RunTenants(context.Background(), tenants, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

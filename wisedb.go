@@ -96,13 +96,11 @@ type (
 	RegistryStats = core.RegistryStats
 	// RetrainFunc builds a replacement model for an observed arrival mix.
 	RetrainFunc = core.RetrainFunc
-	// Tenant is one tenant stream for sharded serving (RunTenants):
-	// identity, registry tier, and arrival stream.
+	// Tenant is one tenant stream for batch replay (RunTenants): registry
+	// tier, arrival stream, and optional fault plan.
 	Tenant = core.Tenant
-	// TenantID places a tenant on the engine's consistent-hash ring.
-	TenantID = core.TenantID
-	// ScaleStats snapshots the engine's scale-out counters (shards,
-	// migrations, registries, shared retrains, ω-map size).
+	// ScaleStats snapshots the engine's scale-out counters (registries,
+	// shared retrains, ω-map size, failure-path totals).
 	ScaleStats = core.ScaleStats
 )
 
@@ -286,8 +284,6 @@ var (
 	// DriftRetrain is the default drift response: re-train toward the
 	// observed arrival mix at the base model's scale.
 	DriftRetrain = core.DriftRetrain
-	// HashTenantID derives a well-spread TenantID from a tenant name.
-	HashTenantID = core.HashTenantID
 	// NewFaultPlan seeds a deterministic VM fault plan for a simulator.
 	NewFaultPlan = cloud.NewFaultPlan
 	// DefaultRetryPolicy is the registry's stock retry discipline:
