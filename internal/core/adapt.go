@@ -21,9 +21,10 @@ import (
 // search.Searcher.Replay); every other sample is re-solved with the
 // adaptive-A* heuristic h'(v) = max(h(v), C* − g_old(v)) built from its
 // previous search (Lemma 5.1 proves h' admissible when the new goal is
-// stricter and the goal is monotonic). For Average and Percentile goals the
-// search ignores the reuse information and re-solves exactly, so adaptation
-// stays correct but gains no speedup. The model must have been trained with
+// stricter and the goal is monotonic). Average and Percentile models keep no
+// reuse information — a search under those goals could not use it — so
+// adaptation re-solves exactly, once per distinct start state, as Train
+// does. The model must have been trained with
 // KeepTrainingData. The work runs on the same worker pool as Train
 // (TrainingConfig.Parallelism) and the result is identical for any worker
 // count — and, for monotonic goals, identical to adapting without the
@@ -71,6 +72,10 @@ func (m *Model) adapt(ctx context.Context, goal sla.Goal, keep bool, near *Model
 	if !m.TrainingConfig.DisableSearchCache && goal.Monotonic() {
 		cache = search.NewTranspositionCache()
 	}
+	// As in Train: closed sets only where a later search can read them, and
+	// under a non-monotonic goal one search per distinct start state.
+	keepClosed := keep && goal.Monotonic()
+	once := newStartOnce(prob)
 	solutions := make([]*search.Result, len(m.samples))
 	// prior[i] is the looser goal's result sample i replayed; its actions
 	// are empty where the sample was solved.
@@ -90,7 +95,9 @@ func (m *Model) adapt(ctx context.Context, goal sla.Goal, keep bool, near *Model
 					}
 				}
 			}
-			res, err := searcher.Solve(s.w, search.Options{Reuse: s.reuse, KeepClosed: keep, Cache: cache, Record: rec})
+			res, err := once.solve(s.w, func() (*search.Result, error) {
+				return searcher.Solve(s.w, search.Options{Reuse: s.reuse, KeepClosed: keepClosed, Cache: cache, Record: rec})
+			})
 			if err != nil {
 				return fmt.Errorf("core: adapt sample %d: %w", i, err)
 			}
@@ -121,8 +128,8 @@ func (m *Model) adapt(ctx context.Context, goal sla.Goal, keep bool, near *Model
 		if len(path.actions) > 0 {
 			replayed++
 		} else {
-			path = solvedPath{res.Cost, res.Actions}
-			if keep {
+			path, reuse = solvedPath{res.Cost, res.Actions}, nil
+			if res.Closed != nil {
 				reuse = search.ReuseFrom(res)
 			}
 		}
@@ -145,6 +152,7 @@ func (m *Model) adapt(ctx context.Context, goal sla.Goal, keep bool, near *Model
 		// solve, not a replay.
 		WarmSamples: replayed,
 		ColdSamples: len(m.samples) - replayed,
+		searches:    once.searches(len(m.samples) - replayed),
 		env:         m.env,
 		prob:        graph.NewProblem(m.env, goal),
 		samples:     samples,

@@ -196,8 +196,10 @@ type trainSample struct {
 	// the sample: its closed set and the cost the g-values count up to.
 	// A sample whose path was replayed from a looser goal carries that
 	// goal's reuse forward unchanged (same cost, and g-values of a looser
-	// goal stay a Lemma 5.1 bound under every stricter one). Memory only:
-	// a sample restored from a checkpoint has none until it is re-solved.
+	// goal stay a Lemma 5.1 bound under every stricter one). Nil under a
+	// non-monotonic goal, whose searches never read one (see search.Reuse).
+	// Memory only: a sample restored from a checkpoint has none until it is
+	// re-solved.
 	reuse *search.Reuse
 	// variates holds the unit variates the sample's weighted draw
 	// consumed, one per query. A warm retrain with the same seed and
@@ -236,6 +238,10 @@ type Model struct {
 	// WarmRetrain) and fresh exact solves. A cold Train reports all
 	// samples cold.
 	WarmSamples, ColdSamples int
+
+	// searches counts the A* searches the build ran: ColdSamples less the
+	// repeated start states startOnce answered without one.
+	searches int
 
 	env     *schedule.Env
 	prob    *graph.Problem
@@ -353,7 +359,9 @@ func (a *Advisor) TrainContext(ctx context.Context, goal sla.Goal) (*Model, erro
 // (see search's solver) makes the stored path exactly what today's search
 // would return, and replay regenerates the same Path steps and cache
 // records buildPath would — so the trained model is bit-identical whether
-// samples replay warm or solve cold, at any Parallelism.
+// samples replay warm or solve cold, at any Parallelism. Under a
+// non-monotonic goal each distinct start state is searched once and its
+// result folded for every sample that drew it (startOnce).
 func (a *Advisor) trainPipeline(ctx context.Context, goal sla.Goal, cache *search.TranspositionCache, ws *warmSource) (*Model, error) {
 	start := time.Now()
 	prob := graph.NewProblem(a.env, goal)
@@ -362,6 +370,11 @@ func (a *Advisor) trainPipeline(ctx context.Context, goal sla.Goal, cache *searc
 		return nil, fmt.Errorf("core: training: %w", err)
 	}
 
+	// Only a monotonic search reads a §5 closed set (see search.Reuse), so
+	// only monotonic models keep one per sample. Non-monotonic samples with
+	// the same template counts share one search (startOnce).
+	keepClosed := a.cfg.KeepTrainingData && goal.Monotonic()
+	once := newStartOnce(prob)
 	solutions := make([]sampleSolution, a.cfg.NumSamples)
 	warmed := make([]bool, a.cfg.NumSamples)
 	priors := make([]*trainSample, a.cfg.NumSamples)
@@ -440,11 +453,13 @@ func (a *Advisor) trainPipeline(ctx context.Context, goal sla.Goal, cache *searc
 			priors[i] = prior
 			if res == nil {
 				var err error
-				res, err = searcher.Solve(w, search.Options{
-					MaxExpansions: a.cfg.MaxExpansions,
-					KeepClosed:    a.cfg.KeepTrainingData,
-					Cache:         cache,
-					Record:        rec,
+				res, err = once.solve(w, func() (*search.Result, error) {
+					return searcher.Solve(w, search.Options{
+						MaxExpansions: a.cfg.MaxExpansions,
+						KeepClosed:    keepClosed,
+						Cache:         cache,
+						Record:        rec,
+					})
 				})
 				if err != nil {
 					return fmt.Errorf("core: training sample %d: %w", i, err)
@@ -467,6 +482,7 @@ func (a *Advisor) trainPipeline(ctx context.Context, goal sla.Goal, cache *searc
 		TrainingCacheHits: cacheHits, TrainingCacheMisses: cacheMisses,
 		WarmSamples: warm,
 		ColdSamples: a.cfg.NumSamples - warm,
+		searches:    once.searches(a.cfg.NumSamples - warm),
 		env:         a.env,
 		prob:        graph.NewProblem(a.env, goal),
 		samples:     samples,

@@ -6,7 +6,9 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"wisedb/internal/graph"
 	"wisedb/internal/search"
+	"wisedb/internal/workload"
 )
 
 // forEach runs fn(i) for every i in [0, n) across a pool of worker
@@ -182,6 +184,66 @@ func solveSamplesFold(ctx context.Context, workers, n int, cache *search.Transpo
 		emit(base, base+g)
 	}
 	return finish(nil)
+}
+
+// startOnce solves each distinct start state once. A non-monotonic goal's
+// search reads nothing but its start vertex — Solve ignores the cache, the
+// §5 reuse set and the suffix records there — and the start vertex holds
+// only the workload's per-template counts, so sample workloads with the same
+// counts have the same result. The first worker to reach a start signature
+// searches it; every other sample with that signature waits for and shares
+// the immutable *search.Result. Which worker searches does not matter: the
+// result is a pure function of the start state. A nil *startOnce searches
+// every call: a monotonic search also reads the transposition cache earlier
+// generations filled and the sample's own §5 reuse set, and its hit/miss
+// counters and suffix records belong to the sample.
+type startOnce struct {
+	prob    *graph.Problem
+	mu      sync.Mutex
+	byStart map[string]*solveOnce
+}
+
+type solveOnce struct {
+	once sync.Once
+	res  *search.Result
+	err  error
+}
+
+// newStartOnce returns the dedupe of a build under prob's goal: nil for
+// monotonic goals.
+func newStartOnce(prob *graph.Problem) *startOnce {
+	if prob.Goal.Monotonic() {
+		return nil
+	}
+	return &startOnce{prob: prob, byStart: map[string]*solveOnce{}}
+}
+
+// solve returns solve()'s result for w's start state, running it only if no
+// earlier call had the same start signature.
+func (d *startOnce) solve(w *workload.Workload, solve func() (*search.Result, error)) (*search.Result, error) {
+	if d == nil {
+		return solve()
+	}
+	key := d.prob.Signature(d.prob.Start(w))
+	d.mu.Lock()
+	e := d.byStart[key]
+	if e == nil {
+		e = new(solveOnce)
+		d.byStart[key] = e
+	}
+	d.mu.Unlock()
+	e.once.Do(func() { e.res, e.err = solve() })
+	return e.res, e.err
+}
+
+// searches is the number of searches the build ran once its pool has
+// drained: solved, the count of samples it did not replay, less the repeats
+// the dedupe answered.
+func (d *startOnce) searches(solved int) int {
+	if d == nil {
+		return solved
+	}
+	return len(d.byStart)
 }
 
 // deriveSeed mixes a per-sample sub-seed out of the training seed and the
