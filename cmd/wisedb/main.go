@@ -30,7 +30,7 @@
 // -registries N hosts N model registries (tenant tiers) with independent
 // drift-retrain lifecycles — tenants bind to them round-robin. `wisedb
 // serve -streams 10000 -queries 4` is the 10k-stream load-generator mode;
-// the summary reports shared retrains and ω-map build counts.
+// the summary reports ω-map build counts and one lifecycle line per tier.
 //
 // serve can also run under chaos: -chaos-seed arms deterministic fault
 // injection (-vm-failure-rate kills rented VMs mid-stream, -fail-retrains
@@ -38,9 +38,9 @@
 // writes transiently fail), -degrade enables graceful fallback to
 // first-fit heuristic scheduling when the epoch model is unusable, and
 // -max-backlog sheds new arrivals admission-control style while degraded.
-// The summary then adds the failure-path counters: retrain backoff and
-// circuit-breaker state, checkpoint retries, degraded/shed arrivals, and
-// queries re-admitted after VM failures.
+// The summary then adds the failure-path counters: each tier's retrain
+// backoff, circuit-breaker state and checkpoint retries, and the engine's
+// degraded/shed arrivals and queries re-admitted after VM failures.
 //
 // With -listen, serve becomes the overload-safe network daemon instead:
 // a TCP listener speaking the internal/wire framing (one connection per
@@ -424,27 +424,21 @@ func serve(engine *wisedb.OnlineScheduler, templates []wisedb.Template, cfg serv
 		log.Fatal(err)
 	}
 	// Drain every registry's background retrains and checkpoints.
-	registryOf := func(name string) *wisedb.ModelRegistry {
-		if name == "" {
-			return engine.Registry()
-		}
-		return engine.RegistryNamed(name)
-	}
-	for _, name := range cfg.registries {
-		registryOf(name).Wait()
+	names := engine.RegistryNames()
+	for _, name := range names {
+		engine.RegistryNamed(name).Wait()
 	}
 
 	totalArrivals, rented := 0, 0
 	cost := 0.0
 	var advisor []time.Duration
-	var driftTriggers, driftSuppressed, readmitted int
+	var driftTriggers, readmitted int
 	for _, res := range results {
 		totalArrivals += len(res.PerArrival)
 		rented += res.VMsRented
 		cost += res.Cost
 		advisor = append(advisor, res.PerArrival...)
 		driftTriggers += res.DriftTriggers
-		driftSuppressed += res.DriftSuppressed
 		readmitted += res.FaultReadmissions
 	}
 	sort.Slice(advisor, func(i, j int) bool { return advisor[i] < advisor[j] })
@@ -462,58 +456,37 @@ func serve(engine *wisedb.OnlineScheduler, templates []wisedb.Template, cfg serv
 	fmt.Printf("advisor latency p50 %s  p99 %s; %d VMs rented, total cost %.2f¢\n",
 		pct(50).Round(time.Microsecond), pct(99).Round(time.Microsecond), rented, cost)
 	scale := engine.ScaleStats()
-	fmt.Printf("scale-out: %d registries, %d shared retrains, ω-map %d builds / %d entries\n",
-		scale.Registries, scale.SharedRetrains, scale.CacheBuilds, scale.CacheEntries)
-	// Lifecycle counters summed across registries; each tier detects drift
-	// and hot-swaps on its own.
-	var stats wisedb.RegistryStats
-	for _, name := range cfg.registries {
-		s := registryOf(name).Stats()
-		stats.Triggers += s.Triggers
-		stats.Swaps += s.Swaps
-		stats.Failures += s.Failures
-		stats.Checkpoints += s.Checkpoints
-		stats.CheckpointFailures += s.CheckpointFailures
-		if s.Epoch > stats.Epoch {
-			stats.Epoch = s.Epoch
+	fmt.Printf("scale-out: %d registries, ω-map %d builds / %d entries; %d drift triggers\n",
+		len(scale.Registries), scale.CacheBuilds, scale.CacheEntries, driftTriggers)
+	// One line per tier: each detects drift, retrains, hot-swaps and
+	// checkpoints on its own. Failure-path lines stay silent unless
+	// something actually failed, retried or tripped. s.Failures is the
+	// authoritative retrain-failure count: streams only tally DriftFailures
+	// for synchronous retrains, while the registry counts background
+	// failures too.
+	for _, name := range names {
+		s := scale.Registries[name]
+		rb := s.Robustness
+		fmt.Printf("tier %s: %d retrains, %d hot swaps, epoch %d\n", name, s.Triggers, s.Swaps, s.Epoch)
+		if s.Checkpoints > 0 || s.CheckpointFailures > 0 {
+			fmt.Printf("  checkpoints: %d committed, %d failed, %d retries; last file %s, %s encoding and committing in all\n",
+				s.Checkpoints, s.CheckpointFailures, rb.CheckpointRetries, formatBytes(int(s.LastCheckpointBytes)),
+				time.Duration(s.CheckpointNanos).Round(time.Millisecond))
+		}
+		if s.Failures > 0 || rb.BackoffSuppressed > 0 || rb.BreakerRejected > 0 || rb.BreakerOpens > 0 || rb.Breaker != "closed" {
+			fmt.Printf("  retrain failures: %d failed, %d suppressed by backoff, %d rejected by the breaker; breaker %s (%d opens, %d closes)\n",
+				s.Failures, rb.BackoffSuppressed, rb.BreakerRejected, rb.Breaker, rb.BreakerOpens, rb.BreakerCloses)
 		}
 		if s.LastErr != nil {
-			stats.LastErr = s.LastErr
+			fmt.Printf("  last retrain error: %v\n", s.LastErr)
 		}
 		if s.LastCheckpointErr != nil {
-			stats.LastCheckpointErr = s.LastCheckpointErr
+			fmt.Printf("  last checkpoint error: %v\n", s.LastCheckpointErr)
 		}
-	}
-	fmt.Printf("model lifecycle: %d drift triggers, %d retrains, %d hot swaps, newest epoch %d\n",
-		driftTriggers, stats.Triggers, stats.Swaps, stats.Epoch)
-	if stats.Checkpoints > 0 || stats.CheckpointFailures > 0 {
-		fmt.Printf("checkpoints: %d committed, %d failed; last file %s, %s encoding and committing in all\n",
-			stats.Checkpoints, stats.CheckpointFailures, formatBytes(int(scale.LastCheckpointBytes)),
-			time.Duration(scale.CheckpointNanos).Round(time.Millisecond))
-	}
-	// Failure-path counters: silent unless something actually degraded,
-	// shed, retried, or tripped — a healthy run's summary stays unchanged.
-	// stats.Failures is the authoritative retrain-failure count: streams only
-	// tally DriftFailures for synchronous retrains, while the registry counts
-	// background failures too.
-	rb := scale.Robustness
-	if stats.Failures > 0 || driftSuppressed > 0 || rb.BackoffSuppressed > 0 || rb.BreakerOpens > 0 || rb.Breaker != "closed" {
-		fmt.Printf("retrain failures: %d failed, %d suppressed (backoff %d, breaker rejected %d); breaker %s (%d opens, %d closes)\n",
-			stats.Failures, driftSuppressed, rb.BackoffSuppressed, rb.BreakerRejected,
-			rb.Breaker, rb.BreakerOpens, rb.BreakerCloses)
-	}
-	if rb.CheckpointRetries > 0 {
-		fmt.Printf("checkpoint retries: %d\n", rb.CheckpointRetries)
 	}
 	if scale.DegradedArrivals > 0 || scale.DegradedPlacements > 0 || scale.ShedArrivals > 0 || readmitted > 0 {
 		fmt.Printf("degradation: %d degraded arrivals, %d rerouted placements, %d shed arrivals, %d queries re-admitted after VM failures\n",
 			scale.DegradedArrivals, scale.DegradedPlacements, scale.ShedArrivals, readmitted)
-	}
-	if stats.LastErr != nil {
-		fmt.Printf("last retrain error: %v\n", stats.LastErr)
-	}
-	if stats.LastCheckpointErr != nil {
-		fmt.Printf("last checkpoint error: %v\n", stats.LastCheckpointErr)
 	}
 }
 

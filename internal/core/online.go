@@ -188,16 +188,10 @@ type OnlineScheduler struct {
 	active   atomic.Int64
 
 	// regMu guards the named-registry table; lookups off the arrival path
-	// only (streams bind at open time).
-	regMu   sync.RWMutex
-	regs    map[string]*ModelRegistry
-	regList []*ModelRegistry // by id, for stats
-
-	// share dedups drift retrains across registries: when two registries
-	// converge on the same (goal, training config, mix), the second
-	// reuses the first's model instead of duplicating the training
-	// searches.
-	share retrainShare
+	// only (streams bind at open time). A registry's id is its attach
+	// order, len(regs) when it joined.
+	regMu sync.RWMutex
+	regs  map[string]*ModelRegistry
 
 	// retrainCtx governs background drift retrains: they outlive the
 	// triggering stream so other tenants benefit from the swap.
@@ -238,6 +232,7 @@ func NewOnlineScheduler(base *Model, opts OnlineOptions) *OnlineScheduler {
 		opts:       opts,
 		env:        base.env,
 		goal:       base.Goal,
+		regs:       map[string]*ModelRegistry{},
 		retrainCtx: context.Background(),
 	}
 	o.fallbackType = -1
@@ -255,33 +250,30 @@ func NewOnlineScheduler(base *Model, opts OnlineOptions) *OnlineScheduler {
 		}
 	}
 	o.cache.init(cacheStripes)
-	o.share.init()
-	o.registry = o.attachRegistry(DefaultRegistry, NewModelRegistry(base))
+	o.registry, _ = o.attachRegistry(DefaultRegistry, base) // the table is empty: no clash
 	return o
 }
 
-// attachRegistry wires a registry into the engine: assigns its ω-map
-// stripe id, points its swap notification at the striped cache, wraps its
-// retrain in the cross-registry share, and records it under name.
-func (o *OnlineScheduler) attachRegistry(name string, r *ModelRegistry) *ModelRegistry {
+// attachRegistry creates a registry serving base and wires it into the
+// engine under name: assigns its ω-map id, applies the engine's retry
+// policy, and points its swap notification at the striped cache. The name
+// check and the insert share one critical section, so of two concurrent
+// attaches under one name exactly one succeeds.
+func (o *OnlineScheduler) attachRegistry(name string, base *Model) (*ModelRegistry, error) {
 	o.regMu.Lock()
 	defer o.regMu.Unlock()
-	if o.regs == nil {
-		o.regs = map[string]*ModelRegistry{}
+	if _, exists := o.regs[name]; exists {
+		return nil, fmt.Errorf("core: registry %q already exists", name)
 	}
-	id := uint32(len(o.regList))
+	r := NewModelRegistry(base)
+	id := uint32(len(o.regs))
 	r.id = id
 	r.SetRetryPolicy(o.opts.Retry)
 	// A hot swap retires every derived model of this registry's older
 	// epochs: their cache keys can never be requested again.
 	r.onSwap = func(e *ModelEpoch) { o.cache.evictBefore(id, e.Epoch) }
-	inner := r.retrain
-	r.retrain = func(ctx context.Context, cur *ModelEpoch, mix []float64) (*Model, error) {
-		return o.share.retrain(ctx, cur, mix, inner)
-	}
 	o.regs[name] = r
-	o.regList = append(o.regList, r)
-	return r
+	return r, nil
 }
 
 // AddRegistry adds a named model registry to the engine — one per SLA goal
@@ -289,8 +281,7 @@ func (o *OnlineScheduler) attachRegistry(name string, r *ModelRegistry) *ModelRe
 // lifecycle and (optionally, via ModelRegistry.CheckpointTo) its own
 // checkpoint store. Streams bind to a registry at open time (NewStreamOn,
 // Tenant.Registry); the engine's ω-map and stream pool are shared across
-// registries, and drift retrains that converge on the same (goal,
-// mix) are built once and shared (see ScaleStats.SharedRetrains).
+// registries, while every retrain, epoch and counter is the registry's own.
 //
 // The base model must be bound to an environment with the same template
 // and VM-type counts as the engine's: streams of every registry place onto
@@ -306,13 +297,7 @@ func (o *OnlineScheduler) AddRegistry(name string, base *Model) (*ModelRegistry,
 		return nil, fmt.Errorf("core: registry %q: base model has %d templates x %d VM types, engine has %d x %d",
 			name, len(base.env.Templates), len(base.env.VMTypes), len(o.env.Templates), len(o.env.VMTypes))
 	}
-	o.regMu.RLock()
-	_, exists := o.regs[name]
-	o.regMu.RUnlock()
-	if exists {
-		return nil, fmt.Errorf("core: registry %q already exists", name)
-	}
-	return o.attachRegistry(name, NewModelRegistry(base)), nil
+	return o.attachRegistry(name, base)
 }
 
 // RegistryNamed returns the named registry, or nil if it does not exist.
@@ -326,7 +311,7 @@ func (o *OnlineScheduler) RegistryNamed(name string) *ModelRegistry {
 func (o *OnlineScheduler) Registries() int {
 	o.regMu.RLock()
 	defer o.regMu.RUnlock()
-	return len(o.regList)
+	return len(o.regs)
 }
 
 // RegistryNames returns the names of every registry the engine hosts,
@@ -379,16 +364,14 @@ func (o *OnlineScheduler) ActiveStreams() int64 { return o.active.Load() }
 // see cross-tenant deduplication at work.
 func (o *OnlineScheduler) CacheStats() (builds int64) { return o.cache.builds.Load() }
 
-// ScaleStats snapshots the engine's scale-out counters: ω-map size and
-// builds, cross-registry retrain sharing, and the failure-path and
-// lifecycle counters aggregated over every registry.
+// ScaleStats snapshots the engine: the counters it owns — the ω-map and
+// the failure-path totals over every stream it served — and, per tier, each
+// registry's own lifecycle snapshot. No registry counter is re-summed here;
+// a tier's retrains, checkpoints and breaker are read under its name.
 type ScaleStats struct {
-	// Registries is the number of model registries the engine hosts.
-	Registries int
-	// SharedRetrains counts drift retrains satisfied by another
-	// registry's identical (goal, config, mix) build instead of a
-	// duplicate training search.
-	SharedRetrains int64
+	// Registries holds each registry's Stats, keyed by registry name
+	// (DefaultRegistry included).
+	Registries map[string]RegistryStats
 	// CacheBuilds and CacheEntries describe the striped ω-map: real
 	// derived-model builds ever, and entries currently cached.
 	CacheBuilds  int64
@@ -399,51 +382,22 @@ type ScaleStats struct {
 	// DeadlineMisses aggregates arrival events whose per-event deadline
 	// expired during model acquisition (served degraded, not aborted).
 	DeadlineMisses int64
-	// TotalRetrainMS sums successful drift-retrain wall times across every
-	// registry; LastRetrainMS is the slowest registry's most recent one.
-	TotalRetrainMS, LastRetrainMS int64
-	// WarmSamples/ColdSamples and RetrainCacheHits/Misses aggregate the
-	// warm-retrain reuse counters (see RegistryStats) across every
-	// registry.
-	WarmSamples, ColdSamples             int64
-	RetrainCacheHits, RetrainCacheMisses int64
-	// Checkpoints counts the epochs every registry committed durably and
-	// CheckpointNanos sums what their encodes and commits took;
-	// LastCheckpointBytes is the largest of the registries' most recent
-	// checkpoint files.
-	Checkpoints, CheckpointNanos, LastCheckpointBytes int64
-	// Robustness aggregates every registry's retry-discipline counters;
-	// its Breaker field reports the most degraded breaker position.
-	Robustness RobustnessStats
 }
 
 // ScaleStats returns a consistent-enough snapshot for monitoring and tests.
 func (o *OnlineScheduler) ScaleStats() ScaleStats {
 	s := ScaleStats{
-		Registries:     o.Registries(),
-		SharedRetrains: o.share.shared.Load(),
-		CacheBuilds:    o.cache.builds.Load(),
-		CacheEntries:   o.cache.size(),
+		CacheBuilds:        o.cache.builds.Load(),
+		CacheEntries:       o.cache.size(),
+		DegradedArrivals:   o.degradedArrivals.Load(),
+		DegradedPlacements: o.degradedPlacements.Load(),
+		ShedArrivals:       o.shedArrivals.Load(),
+		DeadlineMisses:     o.deadlineMisses.Load(),
 	}
-	s.DegradedArrivals = o.degradedArrivals.Load()
-	s.DegradedPlacements = o.degradedPlacements.Load()
-	s.ShedArrivals = o.shedArrivals.Load()
-	s.DeadlineMisses = o.deadlineMisses.Load()
 	o.regMu.RLock()
-	for _, r := range o.regList {
-		rs := r.Stats()
-		s.TotalRetrainMS += rs.TotalRetrainMS
-		if rs.LastRetrainMS > s.LastRetrainMS {
-			s.LastRetrainMS = rs.LastRetrainMS
-		}
-		s.WarmSamples += rs.WarmSamples
-		s.ColdSamples += rs.ColdSamples
-		s.RetrainCacheHits += rs.RetrainCacheHits
-		s.RetrainCacheMisses += rs.RetrainCacheMisses
-		s.Checkpoints += rs.Checkpoints
-		s.CheckpointNanos += rs.CheckpointNanos
-		s.LastCheckpointBytes = max(s.LastCheckpointBytes, rs.LastCheckpointBytes)
-		s.Robustness.merge(rs.Robustness)
+	s.Registries = make(map[string]RegistryStats, len(o.regs))
+	for name, r := range o.regs {
+		s.Registries[name] = r.Stats()
 	}
 	o.regMu.RUnlock()
 	return s

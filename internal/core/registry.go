@@ -445,15 +445,17 @@ type RegistryStats struct {
 	Triggers, Swaps, Failures int64
 	// InFlight reports whether a background retrain is running.
 	InFlight bool
-	// LastErr is the most recent retrain failure, nil if none.
-	LastErr error
+	// LastErr is the most recent retrain failure, nil if none. Like
+	// LastCheckpointErr it stays out of JSON (an error value has no
+	// exported fields and would encode as {}).
+	LastErr error `json:"-"`
 	// Checkpoints counts epochs durably committed to the attached model
 	// store; CheckpointFailures counts commits that errored (serving is
 	// never disturbed by one — see CheckpointTo).
 	Checkpoints, CheckpointFailures int64
 	// LastCheckpointErr is the most recent checkpoint failure, nil if
 	// none.
-	LastCheckpointErr error
+	LastCheckpointErr error `json:"-"`
 	// LastCheckpointBytes is the size of the most recently committed
 	// checkpoint file; CheckpointNanos sums, over the committed
 	// checkpoints, the time each took to encode and commit (retries
@@ -494,8 +496,18 @@ func (r *ModelRegistry) Stats() RegistryStats {
 		ColdSamples:         r.coldSamplesTotal.Load(),
 		RetrainCacheHits:    r.retrainCacheHits.Load(),
 		RetrainCacheMisses:  r.retrainCacheMisses.Load(),
-		Robustness:          r.Robustness(),
+		Robustness: RobustnessStats{
+			BackoffSuppressed: r.backoffSuppressed.Load(),
+			BreakerRejected:   r.breakerRejected.Load(),
+			BreakerOpens:      r.breakerOpens.Load(),
+			BreakerCloses:     r.breakerCloses.Load(),
+			CheckpointRetries: r.checkpointRetries.Load(),
+		},
 	}
+	r.robustMu.Lock()
+	s.Robustness.Breaker = r.breaker.String()
+	s.Robustness.ConsecutiveFailures = r.consecFailures
+	r.robustMu.Unlock()
 	if p := r.lastErr.Load(); p != nil {
 		s.LastErr = *p
 	}

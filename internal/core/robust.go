@@ -149,29 +149,6 @@ type RobustnessStats struct {
 	CheckpointRetries int64
 }
 
-// merge folds another registry's robustness counters into s, keeping the
-// most degraded breaker position (open > half-open > closed).
-func (s *RobustnessStats) merge(o RobustnessStats) {
-	s.BackoffSuppressed += o.BackoffSuppressed
-	s.BreakerRejected += o.BreakerRejected
-	s.BreakerOpens += o.BreakerOpens
-	s.BreakerCloses += o.BreakerCloses
-	s.ConsecutiveFailures += o.ConsecutiveFailures
-	s.CheckpointRetries += o.CheckpointRetries
-	rank := func(b string) int {
-		switch b {
-		case "open":
-			return 2
-		case "half-open":
-			return 1
-		}
-		return 0
-	}
-	if s.Breaker == "" || rank(o.Breaker) > rank(s.Breaker) {
-		s.Breaker = o.Breaker
-	}
-}
-
 // errRetrainSuppressed reports that the retry discipline swallowed a drift
 // trigger (backoff window or open breaker). The current epoch keeps serving;
 // the stream rebaselines its detector and moves on.
@@ -271,21 +248,4 @@ func (r *ModelRegistry) noteRetrainResult(err error) {
 		window = r.policy.BackoffMax
 	}
 	r.suppress = window + r.jitterLocked(window/2+1)
-}
-
-// Robustness returns a snapshot of the registry's failure-path counters.
-func (r *ModelRegistry) Robustness() RobustnessStats {
-	r.robustMu.Lock()
-	breaker := r.breaker.String()
-	consec := r.consecFailures
-	r.robustMu.Unlock()
-	return RobustnessStats{
-		BackoffSuppressed:   r.backoffSuppressed.Load(),
-		BreakerRejected:     r.breakerRejected.Load(),
-		BreakerOpens:        r.breakerOpens.Load(),
-		BreakerCloses:       r.breakerCloses.Load(),
-		Breaker:             breaker,
-		ConsecutiveFailures: consec,
-		CheckpointRetries:   r.checkpointRetries.Load(),
-	}
 }

@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"wisedb/internal/workload"
 )
@@ -99,41 +102,80 @@ func TestShardedCacheHotKeyHammerAcrossSwap(t *testing.T) {
 	t.Logf("%d streams, %d acquisitions, %d deduped builds across 5 hot swaps", streams, acquisitions, builds)
 }
 
-// Two registries converging on the same (goal, config, mix) must share one
-// retrain: the second registry's drift trigger reuses the first's model
-// instead of duplicating the training search.
-func TestSharedRetrainAcrossRegistries(t *testing.T) {
-	base := onlineBase(t, 5, 1)
-	opts := DefaultOnlineOptions()
-	opts.Drift = DriftOptions{Window: 20, Threshold: 1.2, Synchronous: true}
-	o := NewOnlineScheduler(base, opts)
-	premium, err := o.AddRegistry("premium", base)
-	if err != nil {
+// A hot swap must release what it replaces: once later epochs serve, nothing
+// in the engine may keep a superseded epoch's model or the derived models
+// the ω-map built from it, or memory grows with the number of swaps.
+func TestSwapReleasesSupersededEpochs(t *testing.T) {
+	base := onlineBase(t, 3, 1)
+	o := NewOnlineScheduler(base, DefaultOnlineOptions())
+	reg := o.Registry()
+	// 10s gaps against minute-long queries: every batch after the first has
+	// waited, so the ω-map fills with shifted models of epoch 0.
+	if _, err := o.Run(tenantWorkloads(base.Env().Templates, 1, 15, 10*time.Second, 77)[0]); err != nil {
 		t.Fatal(err)
 	}
-	w := shiftedStream(base.Env().Templates, 40, 60, 7*time.Minute)
-	// Parallelism 1 replays the default tenant to completion before the
-	// premium one starts: the second retrain finds the first one's model.
-	tenants := []Tenant{{Workload: w}, {Registry: "premium", Workload: w}}
-	if _, err := o.RunTenants(context.Background(), tenants, 1); err != nil {
-		t.Fatal(err)
+	weakShifted := weak.Make(o.cache.nearestShifted(shiftKey{epoch: 0, wait: math.MaxInt64}))
+	if weakShifted.Value() == nil {
+		t.Fatal("the waited stream built no shifted model")
 	}
-	defStats, preStats := o.Registry().Stats(), premium.Stats()
-	if defStats.Swaps != 1 || preStats.Swaps != 1 {
-		t.Fatalf("want one swap per registry, got default=%d premium=%d", defStats.Swaps, preStats.Swaps)
+
+	var weakEpoch1 weak.Pointer[Model]
+	ctx := context.Background()
+	for i, mix := range [][]float64{{0.6, 0.2, 0.2}, {0.2, 0.6, 0.2}, {0.2, 0.2, 0.6}, {0.4, 0.4, 0.2}} {
+		if err := reg.RetrainNow(ctx, mix); err != nil {
+			t.Fatalf("retrain %d: %v", i, err)
+		}
+		if i == 0 {
+			weakEpoch1 = weak.Make(reg.Current().Model)
+		}
 	}
-	stats := o.ScaleStats()
-	if stats.SharedRetrains != 1 {
-		t.Fatalf("want 1 shared retrain, got %d", stats.SharedRetrains)
+	reg.Wait()
+	if got := reg.Current().Epoch; got != 4 {
+		t.Fatalf("serving epoch %d, want 4", got)
 	}
-	if stats.Registries != 2 {
-		t.Fatalf("want 2 registries, got %d", stats.Registries)
+	// Two collections: a model's serving scratch is a sync.Pool inside it,
+	// and the runtime's list of pools keeps a pool used since the last
+	// collection — and so its model — reachable through one more.
+	runtime.GC()
+	runtime.GC()
+	if weakEpoch1.Value() != nil {
+		t.Error("epoch 1's model is still reachable three swaps later")
 	}
-	if o.Registry().Current().Model != premium.Current().Model {
-		t.Error("identical (goal, config, mix) retrains produced distinct models")
+	if weakShifted.Value() != nil {
+		t.Error("a shifted model of epoch 0 is still reachable after the swaps")
 	}
-	if o.Registry().Current() == premium.Current() {
-		t.Error("registries must own their epochs even when sharing a model")
+	// The engine must be live across the collection: an unreachable engine
+	// releases everything and would prove nothing.
+	runtime.KeepAlive(o)
+}
+
+// Concurrent AddRegistry calls under one name: exactly one succeeds, and no
+// losing registry is left counted in the engine's stats without a stream
+// being able to bind to it.
+func TestAddRegistryConcurrentSameName(t *testing.T) {
+	base := onlineBase(t, 3, 1)
+	o := NewOnlineScheduler(base, DefaultOnlineOptions())
+	const callers = 32
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	var ok atomic.Int64
+	for range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if _, err := o.AddRegistry("tier", base); err == nil {
+				ok.Add(1)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if got := ok.Load(); got != 1 {
+		t.Fatalf("%d of %d concurrent AddRegistry calls succeeded under one name, want 1", got, callers)
+	}
+	if got := len(o.ScaleStats().Registries); got != 2 {
+		t.Fatalf("ScaleStats reports %d registries, want 2", got)
 	}
 }
 

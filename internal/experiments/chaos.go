@@ -134,7 +134,7 @@ func (c *Config) Chaos() (*Table, error) {
 		r.violPct = 100 * float64(violations) / float64(r.completed)
 		r.degradedPct = 100 * float64(degradedArrivals) / float64(arrivalEvents)
 		r.p99 = time.Duration(stats.Percentile(latencies, 99)).Round(time.Second)
-		rb := o.ScaleStats().Robustness
+		rb := o.Registry().Stats().Robustness
 		r.breaker = fmt.Sprintf("%s (%d/%d)", rb.Breaker, rb.BreakerOpens, rb.BreakerCloses)
 		return r, nil
 	}

@@ -11,7 +11,7 @@ import (
 // keeps overload cost at the price of a decode — the advisor never
 // spends a microsecond on work the server cannot afford — and the shed
 // counters land in the same ledger as the engine's internal MaxBacklog
-// shedding (OnlineResult.ShedArrivals, ScaleStats.ShedArrivals).
+// shedding (OnlineResult.ShedArrivals, engine-owned ScaleStats.ShedArrivals).
 //
 // The refill is lazy: tokens accrue on each take from the elapsed
 // wall-clock time, so an idle bucket costs nothing. A mutex (not CAS)

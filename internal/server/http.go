@@ -34,8 +34,8 @@ type Stats struct {
 	Completed int64 `json:"completed"`
 	// StreamsServed counts tenant streams opened over the daemon's life.
 	StreamsServed int64 `json:"streams_served"`
-	// Scale is the engine's ScaleStats snapshot (shards, ω-map,
-	// degraded/shed/deadline counters, registry robustness).
+	// Scale is the engine's ScaleStats snapshot: ω-map, degraded/shed/
+	// deadline totals, and each tier's lifecycle and breaker (Registries).
 	Scale core.ScaleStats `json:"scale"`
 }
 

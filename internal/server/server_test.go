@@ -278,13 +278,24 @@ func TestHTTPSidecar(t *testing.T) {
 	if st.State != "serving" {
 		t.Fatalf("/stats state %q, want serving", st.State)
 	}
-	// What keeping the epoch cost: the base checkpoint's size and time.
+	// What keeping the epoch cost, under the tier that kept it: the base
+	// checkpoint's size and time, and the tier's breaker position.
 	_, stored, err := ms.Latest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc := st.Scale; sc.Checkpoints != 1 || sc.LastCheckpointBytes != int64(len(stored)) || sc.CheckpointNanos <= 0 {
-		t.Fatalf("/stats reports %d checkpoints, last %d bytes (the file has %d), %d ns", sc.Checkpoints, sc.LastCheckpointBytes, len(stored), sc.CheckpointNanos)
+	rs, ok := st.Scale.Registries[core.DefaultRegistry]
+	if !ok {
+		t.Fatalf("/stats has no %q registry block:\n%s", core.DefaultRegistry, body)
+	}
+	if rs.Checkpoints != 1 || rs.LastCheckpointBytes != int64(len(stored)) || rs.CheckpointNanos <= 0 {
+		t.Fatalf("/stats reports %d checkpoints, last %d bytes (the file has %d), %d ns", rs.Checkpoints, rs.LastCheckpointBytes, len(stored), rs.CheckpointNanos)
+	}
+	if rs.Robustness.Breaker != "closed" {
+		t.Fatalf("/stats reports breaker %q, want closed", rs.Robustness.Breaker)
+	}
+	if strings.Contains(body, "LastErr") || strings.Contains(body, "LastCheckpointErr") {
+		t.Fatalf("/stats encodes the registry's error fields:\n%s", body)
 	}
 	// Readiness flips the moment the drain starts — before connections
 	// close — so load balancers stop routing first. Liveness holds.

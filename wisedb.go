@@ -99,8 +99,8 @@ type (
 	// Tenant is one tenant stream for batch replay (RunTenants): registry
 	// tier, arrival stream, and optional fault plan.
 	Tenant = core.Tenant
-	// ScaleStats snapshots the engine's scale-out counters (registries,
-	// shared retrains, ω-map size, failure-path totals).
+	// ScaleStats snapshots what the engine owns (ω-map size, failure-path
+	// totals) and each registry's RegistryStats under its tier name.
 	ScaleStats = core.ScaleStats
 )
 
