@@ -96,7 +96,7 @@ func (m *Model) scheduleBatchInto(w *workload.Workload, dst *schedule.Schedule, 
 		sc.fs.Apply(act)
 		sc.actions = append(sc.actions, act)
 	}
-	sched, backing := buildScheduleInto(dst, backing, sc.actions, len(w.Queries))
+	sched, backing := graph.BuildScheduleInto(dst, backing, sc.actions)
 	sc.retag(sched, w)
 	return sched, backing, nil
 }
@@ -129,10 +129,10 @@ func (m *Model) repair(s *graph.State, act graph.Action) graph.Action {
 	panic("core: no valid action available")
 }
 
-// guardDominatedPlacement overrides a placement that is strictly dominated
-// by renting a fresh VM for the same query. For every supported goal,
-// placing a query on an empty VM yields a completion time — and hence a
-// penalty delta — no larger than placing it behind queued work, so whenever
+// guardWithCost overrides a placement that is strictly dominated by renting
+// a fresh VM for the same query. For every supported goal, placing a query
+// on an empty VM yields a completion time — and hence a penalty delta — no
+// larger than placing it behind queued work, so whenever
 //
 //	cost(place on open VM) > min over types [f_s + f_r·l + fresh penalty delta]
 //
@@ -142,23 +142,13 @@ func (m *Model) repair(s *graph.State, act graph.Action) graph.Action {
 // compounding penalties on every subsequent step; correct placements are
 // never overridden because their cost is at most the fresh-VM alternative
 // (queue consolidation is exactly how schedules avoid start-up fees).
-func (m *Model) guardDominatedPlacement(s *graph.State, act graph.Action) graph.Action {
-	if act.Kind != graph.Place || !s.CanStartup() || len(s.OpenQueue) == 0 {
-		return act
-	}
-	cur, ok := m.prob.PlacementCost(s, act.Template)
-	if !ok {
-		return act
-	}
-	return m.guardWithCost(s, act, cur, 1)
-}
-
-// guardWithCost is guardDominatedPlacement once the placement's Eq. 2 cost
-// is known; the serving loop reads cur out of the feature vector it just
-// extracted instead of recomputing it. priceMult scales the fee side of the
-// fresh-VM alternative (both f_s and f_r live in tables.fresh); the caller
-// must have scaled cur's fee component to match. 1·fees is bit-exact fees,
-// so flat prices reproduce the historical guard decisions.
+//
+// cur is the placement's Eq. 2 cost; the serving loop reads it out of the
+// feature vector it just extracted instead of recomputing it. priceMult
+// scales the fee side of the fresh-VM alternative (both f_s and f_r live in
+// tables.fresh); the caller must have scaled cur's fee component to match.
+// 1·fees is bit-exact fees, so flat prices reproduce the historical guard
+// decisions.
 func (m *Model) guardWithCost(s *graph.State, act graph.Action, cur, priceMult float64) graph.Action {
 	// Fresh-VM fees come from the precomputed serving table; only the
 	// goal-dependent penalty delta is evaluated per candidate type.

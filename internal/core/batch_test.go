@@ -37,7 +37,7 @@ func TestGuardDominatedPlacement(t *testing.T) {
 		graph.Action{Kind: graph.Place, Template: 0})
 	// Placing the second T0 behind the first misses the deadline by a
 	// full template latency: the guard must turn it into a start-up.
-	got := m.guardDominatedPlacement(s, graph.Action{Kind: graph.Place, Template: 0})
+	got := guard(t, m, s, graph.Action{Kind: graph.Place, Template: 0})
 	if got.Kind != graph.Startup {
 		t.Fatalf("dominated placement not overridden: %+v", got)
 	}
@@ -49,14 +49,14 @@ func TestGuardDominatedPlacement(t *testing.T) {
 	sl := buildState(ml.prob, w,
 		graph.Action{Kind: graph.Startup, VMType: 0},
 		graph.Action{Kind: graph.Place, Template: 0})
-	got = ml.guardDominatedPlacement(sl, graph.Action{Kind: graph.Place, Template: 0})
+	got = guard(t, ml, sl, graph.Action{Kind: graph.Place, Template: 0})
 	if got.Kind != graph.Place {
 		t.Fatalf("beneficial stacking overridden: %+v", got)
 	}
 }
 
-// The guard must never fire on an empty open VM (the fresh-VM alternative
-// is identical) nor at the start vertex.
+// The guard must never fire on an empty open VM: the fresh-VM alternative
+// is the same placement plus a start-up fee.
 func TestGuardLeavesEmptyVMAlone(t *testing.T) {
 	env := schedule.NewEnv(workload.DefaultTemplates(2), cloud.DefaultVMTypes(1))
 	goal := sla.NewMaxLatency(time.Minute, env.Templates, sla.DefaultPenaltyRate)
@@ -64,9 +64,20 @@ func TestGuardLeavesEmptyVMAlone(t *testing.T) {
 	w := &workload.Workload{Templates: env.Templates, Queries: []workload.Query{{TemplateID: 0, Tag: 0}}}
 	s := buildState(m.prob, w, graph.Action{Kind: graph.Startup, VMType: 0})
 	act := graph.Action{Kind: graph.Place, Template: 0}
-	if got := m.guardDominatedPlacement(s, act); got != act {
+	if got := guard(t, m, s, act); got != act {
 		t.Fatalf("guard fired on an empty VM: %+v", got)
 	}
+}
+
+// guard runs the dominated-placement guard the way the serving loop does,
+// at flat prices, with the placement's Eq. 2 cost.
+func guard(t *testing.T, m *Model, s *graph.State, act graph.Action) graph.Action {
+	t.Helper()
+	cost, ok := m.prob.PlacementCost(s, act.Template)
+	if !ok {
+		t.Fatalf("placement %+v is not an edge", act)
+	}
+	return m.guardWithCost(s, act, cost, 1)
 }
 
 // repair must convert every invalid prediction into a valid action, for

@@ -18,9 +18,6 @@ type DriftOptions struct {
 	// stats.EMDHist; templates are ordered by base latency). Zero selects
 	// DefaultDriftThreshold.
 	Threshold float64
-	// MinArrivals is the number of arrivals a stream must observe before
-	// it may trigger — a cold histogram is all noise. Zero selects Window.
-	MinArrivals int
 	// StableWindow, when positive, requires drift to be confirmed by a
 	// second, slower histogram over the last StableWindow arrivals before
 	// a retrain triggers: both the fast Window and the stable window must
@@ -54,9 +51,6 @@ func (d DriftOptions) normalized() DriftOptions {
 	if d.Threshold == 0 {
 		d.Threshold = DefaultDriftThreshold
 	}
-	if d.MinArrivals == 0 {
-		d.MinArrivals = d.Window
-	}
 	if d.StableWindow > 0 && d.StableWindow < d.Window {
 		d.StableWindow = d.Window
 	}
@@ -83,10 +77,9 @@ type driftDetector struct {
 
 // driftRuntimeOpts is DriftOptions after normalization.
 type driftRuntimeOpts struct {
-	window      int
-	threshold   float64
-	minArrivals int
-	stable      int
+	window    int
+	threshold float64
+	stable    int
 }
 
 // newDriftDetector returns a detector over k templates, or nil when
@@ -97,7 +90,7 @@ func newDriftDetector(k int, opts DriftOptions) *driftDetector {
 	}
 	o := opts.normalized()
 	d := &driftDetector{
-		opts: driftRuntimeOpts{window: o.Window, threshold: o.Threshold, minArrivals: o.MinArrivals, stable: o.StableWindow},
+		opts: driftRuntimeOpts{window: o.Window, threshold: o.Threshold, stable: o.StableWindow},
 		ring: make([]int32, o.Window),
 		hist: make([]float64, k),
 	}
@@ -155,7 +148,8 @@ func (d *driftDetector) observe(tpl int, baseline []float64) (emd float64, drift
 	}
 	d.seen++
 	emd = stats.EMDHist(d.hist, baseline)
-	drifted = d.seen >= d.opts.minArrivals && emd > d.opts.threshold
+	// Only a full window may trigger: a cold histogram is all noise.
+	drifted = d.seen >= d.opts.window && emd > d.opts.threshold
 	if drifted && d.opts.stable > 0 {
 		drifted = d.seen >= d.opts.stable && stats.EMDHist(d.stableHist, baseline) > d.opts.threshold
 	}

@@ -199,7 +199,7 @@ func (r *ModelRegistry) commitWithRetry(ms *store.ModelStore, data []byte, lin s
 		if attempt > 0 {
 			r.checkpointRetries.Add(1)
 			if p.CheckpointBackoff > 0 {
-				time.Sleep(p.RetryDelay(attempt, uint64(p.JitterSeed)))
+				time.Sleep(p.RetryDelay(attempt, 0))
 			}
 		}
 		if err = ms.Commit(data, lin); err == nil {

@@ -18,16 +18,11 @@ import (
 type RetryPolicy struct {
 	// BackoffBase is how many subsequent drift triggers are suppressed
 	// after the first consecutive retrain failure. Each further failure
-	// doubles the suppression window up to BackoffMax, plus deterministic
-	// jitter of up to half the window. Default 1; negative disables
+	// doubles the suppression window up to backoffMax, plus deterministic
+	// jitter of up to half the window (two registries with equal failure
+	// histories draw identical jitter). Default 1; negative disables
 	// backoff.
 	BackoffBase int
-	// BackoffMax caps the suppression window. Default 16.
-	BackoffMax int
-	// JitterSeed seeds the deterministic jitter sequence. The default (0)
-	// is a valid seed; two registries with equal seeds and equal failure
-	// histories draw identical jitter.
-	JitterSeed int64
 	// BreakerThreshold consecutive retrain failures trip the circuit
 	// breaker. While open, drift triggers are rejected outright (no
 	// retrain starts, the detector rebaselines) until BreakerCooldown
@@ -50,7 +45,6 @@ type RetryPolicy struct {
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{
 		BackoffBase:        1,
-		BackoffMax:         16,
 		BreakerThreshold:   4,
 		BreakerCooldown:    32,
 		CheckpointAttempts: 3,
@@ -64,9 +58,6 @@ func (p RetryPolicy) normalized() RetryPolicy {
 	d := DefaultRetryPolicy()
 	if p.BackoffBase == 0 {
 		p.BackoffBase = d.BackoffBase
-	}
-	if p.BackoffMax == 0 {
-		p.BackoffMax = d.BackoffMax
 	}
 	if p.BreakerThreshold == 0 {
 		p.BreakerThreshold = d.BreakerThreshold
@@ -82,6 +73,9 @@ func (p RetryPolicy) normalized() RetryPolicy {
 	}
 	return p
 }
+
+// backoffMax caps the retrain backoff's suppression window, in triggers.
+const backoffMax = 16
 
 // RetryDelay returns the wall-clock delay before retry number attempt
 // (attempt ≥ 1 — the delay after the attempt'th failure): the policy's
@@ -176,7 +170,7 @@ func (r *ModelRegistry) jitterLocked(n int) int {
 	if n <= 1 {
 		return 0
 	}
-	h := mix64(uint64(r.policy.JitterSeed) ^ (r.jitterN + 0x7f4a7c15))
+	h := mix64(r.jitterN + 0x7f4a7c15)
 	r.jitterN++
 	return int(h % uint64(n))
 }
@@ -241,11 +235,9 @@ func (r *ModelRegistry) noteRetrainResult(err error) {
 		return
 	}
 	window := r.policy.BackoffBase
-	for i := 1; i < r.consecFailures && window < r.policy.BackoffMax; i++ {
+	for i := 1; i < r.consecFailures && window < backoffMax; i++ {
 		window <<= 1
 	}
-	if window > r.policy.BackoffMax {
-		window = r.policy.BackoffMax
-	}
+	window = min(window, backoffMax)
 	r.suppress = window + r.jitterLocked(window/2+1)
 }

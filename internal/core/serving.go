@@ -114,11 +114,10 @@ func (sc *servingScratch) resetState(w *workload.Workload, k int) {
 	sc.actions = sc.actions[:0]
 }
 
-// retag rewrites the placeholder tags produced by BuildSchedule with the
-// workload's real query tags, matching instances template by template in
-// workload order. It is the scratch-buffered replacement for the per-call
-// map the serving path used to build: a counting sort over the scratch's
-// integer buffers, zero allocations in steady state.
+// retag overwrites the placement-order tags graph.BuildScheduleInto writes
+// with the workload's real query tags, matching instances template by
+// template in workload order: a counting sort over the scratch's integer
+// buffers, zero allocations in steady state.
 func (sc *servingScratch) retag(s *schedule.Schedule, w *workload.Workload) {
 	k := len(w.Templates)
 	sc.start = resizeInts(sc.start, k+1)
@@ -146,62 +145,6 @@ func (sc *servingScratch) retag(s *schedule.Schedule, w *workload.Workload) {
 			sc.next[t]++
 		}
 	}
-}
-
-// buildScheduleInto materializes an action walk into an exactly-sized
-// Schedule: one allocation for the VM list and one backing array shared by
-// every queue (capacity-capped sub-slices, so appending to one queue can
-// never clobber a neighbor). It is graph.BuildSchedule minus the
-// incremental growth — the growslice traffic of the generic builder
-// dominated the serving profile once the walk itself stopped allocating.
-// Tags are left zero; retag overwrites them with the workload's.
-//
-// A non-nil dst and a sufficiently large backing are recycled instead of
-// allocated: the online stream core consumes each schedule before asking
-// for the next, so its steady-state arrival path reuses one schedule
-// skeleton for the whole stream. Passing nil/nil allocates fresh storage.
-func buildScheduleInto(dst *schedule.Schedule, backing []schedule.Placed, actions []graph.Action, numQueries int) (*schedule.Schedule, []schedule.Placed) {
-	numVMs := 0
-	for _, a := range actions {
-		if a.Kind == graph.Startup {
-			numVMs++
-		}
-	}
-	s := dst
-	if s == nil {
-		s = &schedule.Schedule{}
-	}
-	if cap(s.VMs) < numVMs {
-		s.VMs = make([]schedule.VM, 0, numVMs)
-	} else {
-		s.VMs = s.VMs[:0]
-	}
-	if cap(backing) < numQueries {
-		backing = make([]schedule.Placed, 0, numQueries)
-	} else {
-		backing = backing[:0]
-	}
-	segStart := 0
-	closeOpen := func() {
-		if len(s.VMs) > 0 {
-			s.VMs[len(s.VMs)-1].Queue = backing[segStart:len(backing):len(backing)]
-		}
-		segStart = len(backing)
-	}
-	for _, a := range actions {
-		switch a.Kind {
-		case graph.Startup:
-			closeOpen()
-			s.VMs = append(s.VMs, schedule.VM{TypeID: a.VMType})
-		case graph.Place:
-			if len(s.VMs) == 0 {
-				panic("core: placement before any start-up action")
-			}
-			backing = append(backing, schedule.Placed{TemplateID: a.Template})
-		}
-	}
-	closeOpen()
-	return s, backing
 }
 
 // resizeInts returns s with length n and every element zeroed, reusing the

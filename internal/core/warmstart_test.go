@@ -207,7 +207,7 @@ func TestCheckpointLineage(t *testing.T) {
 // moment a different-mix epoch is installed (warm start of an old epoch,
 // or a cross-tenant swap) — the stale window says nothing about the new
 // baseline. The detector must rebaseline on any epoch install and re-earn
-// MinArrivals before it may trigger.
+// a full window before it may trigger.
 func TestDriftRebaselinesOnAnyEpochInstall(t *testing.T) {
 	base := onlineBase(t, 5, 1)
 	opts := DefaultOnlineOptions()
@@ -230,7 +230,7 @@ func TestDriftRebaselinesOnAnyEpochInstall(t *testing.T) {
 		next++
 	}
 	// Fill the window with uniform arrivals against the uniform epoch-0
-	// mix: no drift, detector warmed up past MinArrivals.
+	// mix: no drift, detector warmed up past a full window.
 	for next < 24 {
 		submit()
 	}

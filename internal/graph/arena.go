@@ -91,45 +91,31 @@ func (a *Arena) ints(n int) []int {
 // so arena states must not escape to consumers that read absolute
 // penalties. Callers exporting a path replay it with Apply.
 func (p *Problem) ApplyArena(ar *Arena, s *State, a Action) *State {
-	switch a.Kind {
-	case Startup:
-		if !s.CanStartup() {
-			panic("graph: invalid start-up edge")
-		}
-		if a.VMType < 0 || a.VMType >= len(p.Env.VMTypes) {
-			panic("graph: unknown VM type")
-		}
-		child := ar.newState()
+	lat := p.edge(s, a)
+	child := ar.newState()
+	if a.Kind == Startup {
 		child.Unassigned = s.Unassigned
 		child.OpenType = a.VMType
 		child.OpenQueue = nil
 		child.Wait = 0
 		child.Acc = s.Acc
 		return child
-	case Place:
-		lat, ok := p.placeLatency(s, a.Template)
-		if !ok {
-			panic("graph: invalid placement edge")
-		}
-		unassigned := ar.ints(len(s.Unassigned))
-		copy(unassigned, s.Unassigned)
-		unassigned[a.Template]--
-		queue := ar.ints(len(s.OpenQueue) + 1)
-		copy(queue, s.OpenQueue)
-		queue[len(s.OpenQueue)] = a.Template
-		completion := s.Wait + lat
-		acc := s.Acc
-		if !p.histFree {
-			acc = s.Acc.Add(a.Template, completion)
-		}
-		child := ar.newState()
-		child.Unassigned = unassigned
-		child.OpenType = s.OpenType
-		child.OpenQueue = queue
-		child.Wait = completion
-		child.Acc = acc
-		return child
-	default:
-		panic("graph: unknown action kind")
 	}
+	unassigned := ar.ints(len(s.Unassigned))
+	copy(unassigned, s.Unassigned)
+	unassigned[a.Template]--
+	queue := ar.ints(len(s.OpenQueue) + 1)
+	copy(queue, s.OpenQueue)
+	queue[len(s.OpenQueue)] = a.Template
+	completion := s.Wait + lat
+	acc := s.Acc
+	if !p.histFree {
+		acc = s.Acc.Add(a.Template, completion)
+	}
+	child.Unassigned = unassigned
+	child.OpenType = s.OpenType
+	child.OpenQueue = queue
+	child.Wait = completion
+	child.Acc = acc
+	return child
 }

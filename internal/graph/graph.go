@@ -99,7 +99,7 @@ type Problem struct {
 	// first-query template) that was removed because it never beat the
 	// plain graph; the field survives only because the frozen bench/
 	// module still assigns it, and goes once those assignments do
-	// (ROADMAP item 4).
+	// (ROADMAP item 6(e)).
 	NoSymmetryBreaking bool
 
 	// Tables NewProblem freezes: histFree caches
@@ -206,9 +206,10 @@ func (p *Problem) PlacementCost(s *State, template int) (cost float64, ok bool) 
 	return vt.RunningCost(lat) + delta, true
 }
 
-// Apply returns the successor state reached by taking the action from s.
-// It panics if the action is invalid; use CanStartup/CanPlace first.
-func (p *Problem) Apply(s *State, a Action) *State {
+// edge validates action a out of s — panicking if the graph has no such
+// edge — and returns, for a placement, the template's latency on the open
+// VM. Apply, ApplyInPlace and ApplyArena all validate through it.
+func (p *Problem) edge(s *State, a Action) time.Duration {
 	switch a.Kind {
 	case Startup:
 		if !s.CanStartup() {
@@ -217,34 +218,37 @@ func (p *Problem) Apply(s *State, a Action) *State {
 		if a.VMType < 0 || a.VMType >= len(p.Env.VMTypes) {
 			panic("graph: unknown VM type")
 		}
-		return &State{
-			Unassigned: s.Unassigned,
-			OpenType:   a.VMType,
-			OpenQueue:  nil,
-			Wait:       0,
-			Acc:        s.Acc,
-		}
+		return 0
 	case Place:
 		lat, ok := p.placeLatency(s, a.Template)
 		if !ok {
 			panic("graph: invalid placement edge")
 		}
-		unassigned := make([]int, len(s.Unassigned))
-		copy(unassigned, s.Unassigned)
-		unassigned[a.Template]--
-		queue := make([]int, len(s.OpenQueue)+1)
-		copy(queue, s.OpenQueue)
-		queue[len(s.OpenQueue)] = a.Template
-		completion := s.Wait + lat
-		return &State{
-			Unassigned: unassigned,
-			OpenType:   s.OpenType,
-			OpenQueue:  queue,
-			Wait:       completion,
-			Acc:        s.Acc.Add(a.Template, completion),
-		}
-	default:
-		panic("graph: unknown action kind")
+		return lat
+	}
+	panic("graph: unknown action kind")
+}
+
+// Apply returns the successor state reached by taking the action from s.
+// It panics if the action is invalid; use CanStartup/CanPlace first.
+func (p *Problem) Apply(s *State, a Action) *State {
+	lat := p.edge(s, a)
+	if a.Kind == Startup {
+		return &State{Unassigned: s.Unassigned, OpenType: a.VMType, Acc: s.Acc}
+	}
+	unassigned := make([]int, len(s.Unassigned))
+	copy(unassigned, s.Unassigned)
+	unassigned[a.Template]--
+	queue := make([]int, len(s.OpenQueue)+1)
+	copy(queue, s.OpenQueue)
+	queue[len(s.OpenQueue)] = a.Template
+	completion := s.Wait + lat
+	return &State{
+		Unassigned: unassigned,
+		OpenType:   s.OpenType,
+		OpenQueue:  queue,
+		Wait:       completion,
+		Acc:        s.Acc.Add(a.Template, completion),
 	}
 }
 
@@ -258,30 +262,17 @@ func (p *Problem) Apply(s *State, a Action) *State {
 // Accumulator.Add, which allocates per placement unless s.Acc is a mutable
 // accumulator such as *sla.Tracker.
 func (p *Problem) ApplyInPlace(s *State, a Action) {
-	switch a.Kind {
-	case Startup:
-		if !s.CanStartup() {
-			panic("graph: invalid start-up edge")
-		}
-		if a.VMType < 0 || a.VMType >= len(p.Env.VMTypes) {
-			panic("graph: unknown VM type")
-		}
+	lat := p.edge(s, a)
+	if a.Kind == Startup {
 		s.OpenType = a.VMType
 		s.OpenQueue = s.OpenQueue[:0]
 		s.Wait = 0
-	case Place:
-		lat, ok := p.placeLatency(s, a.Template)
-		if !ok {
-			panic("graph: invalid placement edge")
-		}
-		s.Unassigned[a.Template]--
-		s.OpenQueue = append(s.OpenQueue, a.Template)
-		completion := s.Wait + lat
-		s.Wait = completion
-		s.Acc = s.Acc.Add(a.Template, completion)
-	default:
-		panic("graph: unknown action kind")
+		return
 	}
+	s.Unassigned[a.Template]--
+	s.OpenQueue = append(s.OpenQueue, a.Template)
+	s.Wait += lat
+	s.Acc = s.Acc.Add(a.Template, s.Wait)
 }
 
 // Actions returns the out-edges of s in a deterministic order: placement
@@ -347,22 +338,54 @@ func (p *Problem) AppendSignature(buf []byte, s *State) []byte {
 }
 
 // BuildSchedule replays an action path from the start vertex into a
-// concrete Schedule.
+// concrete Schedule whose tags number the placements in path order.
 func BuildSchedule(actions []Action) *schedule.Schedule {
-	s := &schedule.Schedule{}
-	tag := 0
+	s, _ := BuildScheduleInto(nil, nil, actions)
+	return s
+}
+
+// BuildScheduleInto is BuildSchedule into caller-owned storage, sized
+// exactly: one VM list and one backing array shared by every queue
+// (capacity-capped sub-slices, so appending to one queue can never clobber a
+// neighbor). A non-nil dst and a large enough backing are recycled instead
+// of allocated — the online stream core consumes each schedule before asking
+// for the next, so its arrival path reuses one skeleton for the whole stream
+// — and the returned backing must be passed back in on the next call.
+// Nil dst and backing allocate fresh storage.
+func BuildScheduleInto(dst *schedule.Schedule, backing []schedule.Placed, actions []Action) (*schedule.Schedule, []schedule.Placed) {
+	numVMs := 0
+	for _, a := range actions {
+		if a.Kind == Startup {
+			numVMs++
+		}
+	}
+	s := dst
+	if s == nil {
+		s = &schedule.Schedule{}
+	}
+	if cap(s.VMs) < numVMs {
+		s.VMs = make([]schedule.VM, 0, numVMs)
+	} else {
+		s.VMs = s.VMs[:0]
+	}
+	if numPlaced := len(actions) - numVMs; cap(backing) < numPlaced {
+		backing = make([]schedule.Placed, 0, numPlaced)
+	} else {
+		backing = backing[:0]
+	}
+	open := 0 // where the open VM's queue starts in backing
 	for _, a := range actions {
 		switch a.Kind {
 		case Startup:
 			s.VMs = append(s.VMs, schedule.VM{TypeID: a.VMType})
+			open = len(backing)
 		case Place:
 			if len(s.VMs) == 0 {
 				panic("graph: placement before any start-up action")
 			}
-			vm := &s.VMs[len(s.VMs)-1]
-			vm.Queue = append(vm.Queue, schedule.Placed{TemplateID: a.Template, Tag: tag})
-			tag++
+			backing = append(backing, schedule.Placed{TemplateID: a.Template, Tag: len(backing)})
+			s.VMs[len(s.VMs)-1].Queue = backing[open:len(backing):len(backing)]
 		}
 	}
-	return s
+	return s, backing
 }

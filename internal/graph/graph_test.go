@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -167,22 +168,31 @@ func TestActionsDeterministicOrder(t *testing.T) {
 	}
 }
 
+// BuildSchedule numbers placements in path order and caps each queue's
+// capacity at its length, and BuildScheduleInto rebuilds the same schedule
+// into recycled storage without allocating.
 func TestBuildSchedule(t *testing.T) {
-	sched := BuildSchedule([]Action{
+	actions := []Action{
 		{Kind: Startup, VMType: 0},
 		{Kind: Place, Template: 2},
 		{Kind: Place, Template: 0},
 		{Kind: Startup, VMType: 1},
 		{Kind: Place, Template: 1},
+	}
+	sched := BuildSchedule(actions)
+	want := "[{0 [{2 0} {0 1}]} {1 [{1 2}]}]"
+	if got := fmt.Sprint(sched.VMs); got != want {
+		t.Fatalf("schedule %s, want %s", got, want)
+	}
+	if q := sched.VMs[0].Queue; cap(q) != len(q) {
+		t.Fatalf("first queue has capacity %d beyond its %d queries", cap(q), len(q))
+	}
+	dst, backing := BuildScheduleInto(nil, nil, actions)
+	allocs := testing.AllocsPerRun(20, func() {
+		dst, backing = BuildScheduleInto(dst, backing, actions)
 	})
-	if len(sched.VMs) != 2 {
-		t.Fatalf("want 2 VMs, got %d", len(sched.VMs))
-	}
-	if sched.VMs[0].Queue[0].TemplateID != 2 || sched.VMs[0].Queue[1].TemplateID != 0 {
-		t.Fatalf("bad first VM queue %v", sched.VMs[0].Queue)
-	}
-	if sched.VMs[1].TypeID != 1 || sched.VMs[1].Queue[0].TemplateID != 1 {
-		t.Fatalf("bad second VM %v", sched.VMs[1])
+	if got := fmt.Sprint(dst.VMs); got != want || allocs != 0 {
+		t.Fatalf("recycled build: %s with %g allocs, want %s with 0", got, allocs, want)
 	}
 }
 

@@ -139,13 +139,7 @@ func (s *Searcher) percentileBound(ar *arena, st *graph.State, goal sla.Percenti
 		return 0
 	}
 	nTotal := below + len(above) + remaining
-	rank := int((goal.Percent/100)*float64(nTotal) + 0.999999)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > nTotal {
-		rank = nTotal
-	}
+	rank := goal.Rank(nTotal)
 	budget := nTotal - rank - len(above) // future queries allowed over deadline
 	mustFit := remaining
 	if budget > 0 {

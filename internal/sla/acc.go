@@ -2,7 +2,8 @@ package sla
 
 import (
 	"encoding/binary"
-	"sort"
+	"fmt"
+	"slices"
 	"time"
 )
 
@@ -32,45 +33,21 @@ type Accumulator interface {
 	AppendSignature(buf []byte) []byte
 }
 
-// NewAccumulator returns an empty accumulator for the goal.
+// NewAccumulator returns an empty accumulator for the goal. It panics for a
+// goal outside the four families: the search bounds, persistence and the
+// serving heuristics all switch on them, so another goal needs each of those
+// taught first.
 func NewAccumulator(g Goal) Accumulator {
-	if pct, ok := g.(Percentile); ok {
-		return pctAcc{goal: pct}
+	switch goal := g.(type) {
+	case MaxLatency, PerQuery:
+		// The interface conversion reuses g's boxed value.
+		return decompAcc{one: g.(SingleQueryPenalty)}
+	case Average:
+		return meanAcc{goal: goal}
+	case Percentile:
+		return pctAcc{goal: goal}
 	}
-	switch g.Class() {
-	case ClassDecomposable:
-		one, _ := g.(SingleQueryPenalty)
-		return decompAcc{goal: g, one: one}
-	case ClassMeanBased:
-		mean, _ := g.(MeanPenalty)
-		return meanAcc{goal: g, mean: mean}
-	case ClassDistribution:
-		return distAcc{goal: g}
-	default:
-		panic("sla: unknown goal class")
-	}
-}
-
-// penaltyOne evaluates a goal's penalty for one query outcome, through the
-// allocation-free SingleQueryPenalty fast path when the goal provides it.
-func penaltyOne(goal Goal, one SingleQueryPenalty, templateID int, latency time.Duration) float64 {
-	if one != nil {
-		return one.PenaltyOne(templateID, latency)
-	}
-	return goal.Penalty([]QueryPerf{{TemplateID: templateID, Latency: latency}})
-}
-
-// penaltyMean evaluates a goal's penalty for a workload with the given
-// count and latency sum, through the allocation-free MeanPenalty fast path
-// when the goal provides it.
-func penaltyMean(goal Goal, mean MeanPenalty, n int, sum time.Duration) float64 {
-	if n == 0 {
-		return 0
-	}
-	if mean != nil {
-		return mean.PenaltyMean(sum / time.Duration(n))
-	}
-	return goal.Penalty([]QueryPerf{{TemplateID: 0, Latency: sum / time.Duration(n)}})
+	panic(fmt.Sprintf("sla: no accumulator for goal %s (%T)", g.Name(), g))
 }
 
 // decompAcc handles decomposable goals (PerQuery, Max): the penalty is a sum
@@ -78,20 +55,24 @@ func penaltyMean(goal Goal, mean MeanPenalty, n int, sum time.Duration) float64 
 // the deduplication signature is empty (history cannot affect future
 // penalties).
 type decompAcc struct {
-	goal    Goal
-	one     SingleQueryPenalty // non-nil fast path, resolved once
+	one     SingleQueryPenalty
 	penalty float64
 }
 
 func (a decompAcc) Penalty() float64 { return a.penalty }
 
 func (a decompAcc) Add(templateID int, latency time.Duration) Accumulator {
-	a.penalty += penaltyOne(a.goal, a.one, templateID, latency)
+	a.add(templateID, latency)
 	return a
 }
 
+// add advances the accumulator in place; Add and Tracker share it.
+func (a *decompAcc) add(templateID int, latency time.Duration) {
+	a.penalty += a.one.PenaltyOne(templateID, latency)
+}
+
 func (a decompAcc) PeekAdd(templateID int, latency time.Duration) float64 {
-	return a.penalty + penaltyOne(a.goal, a.one, templateID, latency)
+	return a.penalty + a.one.PenaltyOne(templateID, latency)
 }
 
 func (a decompAcc) AppendSignature(buf []byte) []byte { return buf }
@@ -99,24 +80,35 @@ func (a decompAcc) AppendSignature(buf []byte) []byte { return buf }
 // meanAcc handles the Average goal: the penalty depends only on the count
 // and sum of latencies.
 type meanAcc struct {
-	goal Goal
-	mean MeanPenalty // non-nil fast path, resolved once
+	goal Average
 	n    int
 	sum  time.Duration
 }
 
-func (a meanAcc) Penalty() float64 {
-	return penaltyMean(a.goal, a.mean, a.n, a.sum)
+func (a meanAcc) Penalty() float64 { return a.penaltyOf(a.n, a.sum) }
+
+// penaltyOf is the goal's penalty for a workload of n latencies summing to
+// sum.
+func (a meanAcc) penaltyOf(n int, sum time.Duration) float64 {
+	if n == 0 {
+		return 0
+	}
+	return a.goal.PenaltyMean(sum / time.Duration(n))
 }
 
 func (a meanAcc) Add(templateID int, latency time.Duration) Accumulator {
-	a.n++
-	a.sum += latency
+	a.add(latency)
 	return a
 }
 
+// add advances the accumulator in place; Add and Tracker share it.
+func (a *meanAcc) add(latency time.Duration) {
+	a.n++
+	a.sum += latency
+}
+
 func (a meanAcc) PeekAdd(templateID int, latency time.Duration) float64 {
-	return penaltyMean(a.goal, a.mean, a.n+1, a.sum+latency)
+	return a.penaltyOf(a.n+1, a.sum+latency)
 }
 
 func (a meanAcc) AppendSignature(buf []byte) []byte {
@@ -133,28 +125,11 @@ func (a meanAcc) AppendSignature(buf []byte) []byte {
 type pctAcc struct {
 	goal  Percentile
 	below int             // latencies <= deadline
-	above []time.Duration // latencies > deadline, sorted ascending; copied on Add
-}
-
-// rank returns the 1-based rank of the goal's percentile in a workload of
-// size n (nearest-rank definition, as in Percentile.Penalty).
-func (a pctAcc) rank(n int) int {
-	rank := int((a.goal.Percent/100)*float64(n) + 0.999999)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	return rank
+	above []time.Duration // latencies > deadline, sorted ascending
 }
 
 func (a pctAcc) Penalty() float64 {
-	n := a.below + len(a.above)
-	if n == 0 {
-		return 0
-	}
-	rank := a.rank(n)
+	rank := a.goal.Rank(a.below + len(a.above))
 	if rank <= a.below {
 		return 0
 	}
@@ -162,42 +137,45 @@ func (a pctAcc) Penalty() float64 {
 }
 
 func (a pctAcc) Add(templateID int, latency time.Duration) Accumulator {
-	if latency <= a.goal.Deadline {
-		a.below++
-		return a
+	if latency > a.goal.Deadline {
+		// The parent may still be read or branched: insert into an
+		// exactly-sized copy.
+		a.above = append(make([]time.Duration, 0, len(a.above)+1), a.above...)
 	}
-	above := make([]time.Duration, len(a.above)+1)
-	i := sort.Search(len(a.above), func(i int) bool { return a.above[i] >= latency })
-	copy(above, a.above[:i])
-	above[i] = latency
-	copy(above[i+1:], a.above[i:])
-	a.above = above
+	a.add(latency)
 	return a
 }
 
-func (a pctAcc) PeekAdd(templateID int, latency time.Duration) float64 {
-	n := a.below + len(a.above) + 1
-	rank := a.rank(n)
-	below := a.below
+// add advances the accumulator in place, growing above only when its
+// capacity is exhausted; Add and Tracker share it.
+func (a *pctAcc) add(latency time.Duration) {
 	if latency <= a.goal.Deadline {
-		below++
-		if rank <= below {
+		a.below++
+		return
+	}
+	i, _ := slices.BinarySearch(a.above, latency)
+	a.above = slices.Insert(a.above, i, latency)
+}
+
+func (a pctAcc) PeekAdd(templateID int, latency time.Duration) float64 {
+	rank := a.goal.Rank(a.below + len(a.above) + 1)
+	if latency <= a.goal.Deadline {
+		if rank <= a.below+1 {
 			return 0
 		}
-		return ratePenalty(a.above[rank-below-1]-a.goal.Deadline, a.goal.Rate)
+		return ratePenalty(a.above[rank-a.below-2]-a.goal.Deadline, a.goal.Rate)
 	}
-	if rank <= below {
+	if rank <= a.below {
 		return 0
 	}
-	idx := sort.Search(len(a.above), func(i int) bool { return a.above[i] >= latency })
-	p := rank - below - 1 // index into the virtual sorted "above" with latency inserted at idx
-	var at time.Duration
+	// The rank's index into above with latency virtually inserted at idx.
+	p := rank - a.below - 1
+	idx, _ := slices.BinarySearch(a.above, latency)
+	at := latency
 	switch {
 	case p < idx:
 		at = a.above[p]
-	case p == idx:
-		at = latency
-	default:
+	case p > idx:
 		at = a.above[p-1]
 	}
 	return ratePenalty(at-a.goal.Deadline, a.goal.Rate)
@@ -231,67 +209,4 @@ func PctState(acc Accumulator) (below int, above []time.Duration, ok bool) {
 		return 0, nil, false
 	}
 	return a.below, a.above, true
-}
-
-// distAcc handles distribution-dependent goals other than Percentile: the
-// penalty depends on the full latency multiset, kept sorted.
-type distAcc struct {
-	goal Goal
-	lats []time.Duration // sorted ascending; shared, copied on Add
-}
-
-func (a distAcc) Penalty() float64 {
-	if len(a.lats) == 0 {
-		return 0
-	}
-	perf := make([]QueryPerf, len(a.lats))
-	for i, l := range a.lats {
-		perf[i] = QueryPerf{Latency: l}
-	}
-	return a.goal.Penalty(perf)
-}
-
-func (a distAcc) Add(templateID int, latency time.Duration) Accumulator {
-	lats := make([]time.Duration, len(a.lats)+1)
-	i := sort.Search(len(a.lats), func(i int) bool { return a.lats[i] >= latency })
-	copy(lats, a.lats[:i])
-	lats[i] = latency
-	copy(lats[i+1:], a.lats[i:])
-	a.lats = lats
-	return a
-}
-
-func (a distAcc) PeekAdd(templateID int, latency time.Duration) float64 {
-	goal, ok := a.goal.(Percentile)
-	if !ok {
-		return a.Add(templateID, latency).Penalty()
-	}
-	n := len(a.lats) + 1
-	rank := int((goal.Percent/100)*float64(n) + 0.999999)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	// Value at the rank-th position of the sorted multiset with the new
-	// latency virtually inserted at index idx.
-	idx := sort.Search(len(a.lats), func(i int) bool { return a.lats[i] >= latency })
-	var at time.Duration
-	switch {
-	case rank-1 < idx:
-		at = a.lats[rank-1]
-	case rank-1 == idx:
-		at = latency
-	default:
-		at = a.lats[rank-2]
-	}
-	return ratePenalty(overage(at, goal.Deadline), goal.Rate)
-}
-
-func (a distAcc) AppendSignature(buf []byte) []byte {
-	for _, l := range a.lats {
-		buf = binary.AppendVarint(buf, int64(l/time.Millisecond))
-	}
-	return buf
 }

@@ -32,11 +32,7 @@ func MinFinalPenalty(g Goal, acc Accumulator, remaining int, minFutureLat time.D
 		if !ok {
 			return 0
 		}
-		n := a.below + len(a.above) + remaining
-		if n == 0 {
-			return 0
-		}
-		rank := a.rank(n)
+		rank := a.goal.Rank(a.below + len(a.above) + remaining)
 		// Best case: every future query meets the deadline. The final
 		// percentile then exceeds the deadline only if the violating
 		// latencies already assigned reach down to the rank.

@@ -86,15 +86,6 @@ type SingleQueryPenalty interface {
 	PenaltyOne(templateID int, latency time.Duration) float64
 }
 
-// MeanPenalty is implemented by goals whose penalty depends only on the
-// mean latency (ClassMeanBased). PenaltyMean evaluates the penalty of a
-// workload with the given mean without materializing per-query outcomes.
-type MeanPenalty interface {
-	// PenaltyMean returns the penalty of a workload whose mean latency is
-	// mean.
-	PenaltyMean(mean time.Duration) float64
-}
-
 // PenaltyHistoryFree reports whether the goal's penalty deltas are
 // independent of schedule history: adding a query outcome changes the
 // penalty by an amount that depends only on that outcome, never on the

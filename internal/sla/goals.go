@@ -236,7 +236,8 @@ func (g Average) Penalty(perf []QueryPerf) float64 {
 	return ratePenalty(overage(avg, g.Deadline), g.Rate)
 }
 
-// PenaltyMean implements MeanPenalty.
+// PenaltyMean returns the penalty of a workload whose mean latency is mean,
+// without materializing per-query outcomes.
 func (g Average) PenaltyMean(mean time.Duration) float64 {
 	return ratePenalty(overage(mean, g.Deadline), g.Rate)
 }
@@ -308,14 +309,15 @@ func (g Percentile) Penalty(perf []QueryPerf) float64 {
 		lats[i] = p.Latency
 	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	rank := int((g.Percent/100)*float64(len(lats)) + 0.999999)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(lats) {
-		rank = len(lats)
-	}
-	return ratePenalty(overage(lats[rank-1], g.Deadline), g.Rate)
+	return ratePenalty(overage(lats[g.Rank(len(lats))-1], g.Deadline), g.Rate)
+}
+
+// Rank returns the 1-based nearest-rank position of the goal's percentile in
+// a workload of n queries — ⌈Percent/100 · n⌉, with slack for float error —
+// clamped to [1, n], or 0 when n is 0. Every Percentile penalty, incremental
+// or batch, and every search bound reads its rank here.
+func (g Percentile) Rank(n int) int {
+	return min(max(int((g.Percent/100)*float64(n)+0.999999), 1), n)
 }
 
 // Monotonic implements Goal: adding fast queries can pull the percentile

@@ -1,17 +1,14 @@
 package sla
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // Tracker is the mutable counterpart of Accumulator for single-owner
-// serving loops. It implements Accumulator, but Add updates the receiver in
-// place and returns it, so a scheduling loop that threads one Tracker
-// through a sequence of placements performs zero allocations in steady
-// state (internal buffers are retained across Reset). The penalty values it
-// produces are bit-identical to those of the immutable accumulator for the
-// same goal and placement sequence.
+// serving loops. It holds its goal's own accumulator value and advances it
+// in place — a counter, or a sorted insert into a retained buffer for
+// Percentile — so a scheduling loop that threads one Tracker through a
+// sequence of placements performs zero allocations in steady state, and
+// every penalty it reports is the accumulator's own arithmetic, bit-identical
+// to the immutable accumulator's for the same goal and placement sequence.
 //
 // The immutability contract of Accumulator is deliberately traded away:
 // a Tracker must be owned by exactly one schedule under construction, and
@@ -20,181 +17,79 @@ import (
 // accumulators, keeps using NewAccumulator; the tree-guided serving path,
 // which walks a single line of states, uses NewTracker.
 type Tracker struct {
-	goal  Goal
-	kind  Class
-	pct   Percentile // valid when isPct
-	one   SingleQueryPenalty
-	mean  MeanPenalty
-	isPct bool
-
-	// ClassDecomposable state.
-	penalty float64
-	// ClassMeanBased state.
-	n   int
-	sum time.Duration
-	// Percentile state (mirrors pctAcc).
-	below int
-	above []time.Duration // latencies > deadline, sorted ascending; owned
-	// Generic ClassDistribution state (mirrors distAcc).
-	lats []time.Duration // sorted ascending; owned
+	class Class // selects which of the three accumulators is live
+	dec   decompAcc
+	mean  meanAcc
+	pct   pctAcc
 }
 
-// NewTracker returns an empty Tracker for the goal.
+// NewTracker returns an empty Tracker for the goal. Like NewAccumulator, it
+// panics for a goal outside the four families.
 func NewTracker(g Goal) *Tracker {
-	tr := &Tracker{goal: g, kind: g.Class()}
-	if pct, ok := g.(Percentile); ok {
-		tr.pct = pct
-		tr.isPct = true
+	tr := &Tracker{}
+	switch a := NewAccumulator(g).(type) {
+	case decompAcc:
+		tr.class, tr.dec = ClassDecomposable, a
+	case meanAcc:
+		tr.class, tr.mean = ClassMeanBased, a
+	case pctAcc:
+		tr.class, tr.pct = ClassDistribution, a
 	}
-	tr.one, _ = g.(SingleQueryPenalty)
-	tr.mean, _ = g.(MeanPenalty)
 	return tr
 }
 
 // Reset empties the tracker for a fresh schedule, retaining buffer capacity.
 func (tr *Tracker) Reset() {
-	tr.penalty = 0
-	tr.n, tr.sum = 0, 0
-	tr.below = 0
-	tr.above = tr.above[:0]
-	tr.lats = tr.lats[:0]
-}
-
-// rank returns the 1-based nearest-rank position of the percentile in a
-// workload of size n (as in pctAcc.rank).
-func (tr *Tracker) rank(n int) int {
-	rank := int((tr.pct.Percent/100)*float64(n) + 0.999999)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	return rank
+	tr.dec.penalty = 0
+	tr.mean.n, tr.mean.sum = 0, 0
+	tr.pct.below, tr.pct.above = 0, tr.pct.above[:0]
 }
 
 // Penalty implements Accumulator.
 func (tr *Tracker) Penalty() float64 {
-	switch {
-	case tr.isPct:
-		n := tr.below + len(tr.above)
-		if n == 0 {
-			return 0
-		}
-		rank := tr.rank(n)
-		if rank <= tr.below {
-			return 0
-		}
-		return ratePenalty(tr.above[rank-tr.below-1]-tr.pct.Deadline, tr.pct.Rate)
-	case tr.kind == ClassDecomposable:
-		return tr.penalty
-	case tr.kind == ClassMeanBased:
-		return penaltyMean(tr.goal, tr.mean, tr.n, tr.sum)
-	default:
-		if len(tr.lats) == 0 {
-			return 0
-		}
-		perf := make([]QueryPerf, len(tr.lats))
-		for i, l := range tr.lats {
-			perf[i] = QueryPerf{Latency: l}
-		}
-		return tr.goal.Penalty(perf)
+	switch tr.class {
+	case ClassDecomposable:
+		return tr.dec.Penalty()
+	case ClassMeanBased:
+		return tr.mean.Penalty()
 	}
+	return tr.pct.Penalty()
 }
 
-// Add implements Accumulator by mutating the receiver in place and
+// Add implements Accumulator by advancing the receiver in place and
 // returning it.
 func (tr *Tracker) Add(templateID int, latency time.Duration) Accumulator {
-	switch {
-	case tr.isPct:
-		if latency <= tr.pct.Deadline {
-			tr.below++
-			return tr
-		}
-		tr.above = insertSorted(tr.above, latency)
-	case tr.kind == ClassDecomposable:
-		tr.penalty += penaltyOne(tr.goal, tr.one, templateID, latency)
-	case tr.kind == ClassMeanBased:
-		tr.n++
-		tr.sum += latency
+	switch tr.class {
+	case ClassDecomposable:
+		tr.dec.add(templateID, latency)
+	case ClassMeanBased:
+		tr.mean.add(latency)
 	default:
-		tr.lats = insertSorted(tr.lats, latency)
+		tr.pct.add(latency)
 	}
 	return tr
 }
 
-// insertSorted inserts v into the ascending slice in place, growing only
-// when capacity is exhausted.
-func insertSorted(s []time.Duration, v time.Duration) []time.Duration {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
 // PeekAdd implements Accumulator.
 func (tr *Tracker) PeekAdd(templateID int, latency time.Duration) float64 {
-	switch {
-	case tr.isPct:
-		// Mirrors pctAcc.PeekAdd.
-		n := tr.below + len(tr.above) + 1
-		rank := tr.rank(n)
-		below := tr.below
-		if latency <= tr.pct.Deadline {
-			below++
-			if rank <= below {
-				return 0
-			}
-			return ratePenalty(tr.above[rank-below-1]-tr.pct.Deadline, tr.pct.Rate)
-		}
-		if rank <= below {
-			return 0
-		}
-		idx := sort.Search(len(tr.above), func(i int) bool { return tr.above[i] >= latency })
-		p := rank - below - 1
-		var at time.Duration
-		switch {
-		case p < idx:
-			at = tr.above[p]
-		case p == idx:
-			at = latency
-		default:
-			at = tr.above[p-1]
-		}
-		return ratePenalty(at-tr.pct.Deadline, tr.pct.Rate)
-	case tr.kind == ClassDecomposable:
-		return tr.penalty + penaltyOne(tr.goal, tr.one, templateID, latency)
-	case tr.kind == ClassMeanBased:
-		return penaltyMean(tr.goal, tr.mean, tr.n+1, tr.sum+latency)
-	default:
-		// Mirrors distAcc.PeekAdd's generic fallback: materialize the
-		// hypothetical multiset. Non-Percentile distribution goals are
-		// not on any hot path.
-		perf := make([]QueryPerf, 0, len(tr.lats)+1)
-		for _, l := range tr.lats {
-			perf = append(perf, QueryPerf{Latency: l})
-		}
-		perf = append(perf, QueryPerf{Latency: latency}) // distAcc drops template IDs
-		return tr.goal.Penalty(perf)
+	switch tr.class {
+	case ClassDecomposable:
+		return tr.dec.PeekAdd(templateID, latency)
+	case ClassMeanBased:
+		return tr.mean.PeekAdd(templateID, latency)
 	}
+	return tr.pct.PeekAdd(templateID, latency)
 }
 
-// AppendSignature implements Accumulator with the same encoding as the
-// immutable accumulator for the goal, so a serving state and a search state
-// that agree otherwise produce identical signatures.
+// AppendSignature implements Accumulator with the immutable accumulator's
+// encoding, so a serving state and a search state that agree otherwise
+// produce identical signatures.
 func (tr *Tracker) AppendSignature(buf []byte) []byte {
-	switch {
-	case tr.isPct:
-		acc := pctAcc{goal: tr.pct, below: tr.below, above: tr.above}
-		return acc.AppendSignature(buf)
-	case tr.kind == ClassDecomposable:
-		return buf
-	case tr.kind == ClassMeanBased:
-		acc := meanAcc{goal: tr.goal, mean: tr.mean, n: tr.n, sum: tr.sum}
-		return acc.AppendSignature(buf)
-	default:
-		acc := distAcc{goal: tr.goal, lats: tr.lats}
-		return acc.AppendSignature(buf)
+	switch tr.class {
+	case ClassDecomposable:
+		return tr.dec.AppendSignature(buf)
+	case ClassMeanBased:
+		return tr.mean.AppendSignature(buf)
 	}
+	return tr.pct.AppendSignature(buf)
 }

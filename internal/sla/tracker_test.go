@@ -1,7 +1,10 @@
 package sla
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,12 +24,23 @@ func trackerGoals() map[string]Goal {
 
 // A Tracker must be observationally identical to the immutable accumulator
 // for the same goal over any placement sequence: same Penalty, same PeekAdd
-// for arbitrary probes, same signature bytes — across Reset reuse.
+// for random and boundary probes, same signature bytes — across Reset
+// reuse. The boundary probes (a latency exactly at the deadline, one equal
+// to each violating latency already recorded, both extremes) and the
+// percentiles at both ends of the workload drive every branch of the
+// percentile PeekAdd, which the test counts.
 func TestTrackerMatchesAccumulator(t *testing.T) {
-	for name, goal := range trackerGoals() {
+	templates := workload.DefaultTemplates(4)
+	goals := trackerGoals()
+	goals["percentile-lowest"] = NewPercentile(1, 4*time.Minute, templates, DefaultPenaltyRate)
+	goals["percentile-highest"] = NewPercentile(100, 4*time.Minute, templates, DefaultPenaltyRate)
+	for name, goal := range goals {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			tr := NewTracker(goal)
+			// Violating probes whose virtual insert lands before, at and
+			// after the rank's position among the violating latencies.
+			var inserts [3]int
 			for round := 0; round < 5; round++ {
 				tr.Reset()
 				acc := NewAccumulator(goal)
@@ -34,9 +48,23 @@ func TestTrackerMatchesAccumulator(t *testing.T) {
 				for step := 0; step < 40; step++ {
 					tpl := rng.Intn(4)
 					lat := time.Duration(rng.Intn(600)) * time.Second
-					// Probe before mutating: PeekAdd must agree.
-					if got, want := trAcc.PeekAdd(tpl, lat), acc.PeekAdd(tpl, lat); got != want {
-						t.Fatalf("round %d step %d: PeekAdd(%d,%s) = %g, accumulator says %g", round, step, tpl, lat, got, want)
+					// Probe before mutating: both PeekAdds must agree with
+					// adding for real.
+					probes := append([]time.Duration{lat, 4 * time.Minute, 5 * time.Minute, 0, time.Hour}, tr.pct.above...)
+					for _, probe := range probes {
+						want := acc.Add(tpl, probe).Penalty()
+						if got := trAcc.PeekAdd(tpl, probe); got != want {
+							t.Fatalf("round %d step %d: Tracker PeekAdd(%d,%s) = %g, Add says %g", round, step, tpl, probe, got, want)
+						}
+						if got := acc.PeekAdd(tpl, probe); got != want {
+							t.Fatalf("round %d step %d: accumulator PeekAdd(%d,%s) = %g, Add says %g", round, step, tpl, probe, got, want)
+						}
+						if a, ok := acc.(pctAcc); ok && probe > a.goal.Deadline {
+							if rank := a.goal.Rank(a.below + len(a.above) + 1); rank > a.below {
+								idx, _ := slices.BinarySearch(a.above, probe)
+								inserts[cmp.Compare(idx, rank-a.below-1)+1]++
+							}
+						}
 					}
 					trAcc = trAcc.Add(tpl, lat)
 					acc = acc.Add(tpl, lat)
@@ -50,15 +78,18 @@ func TestTrackerMatchesAccumulator(t *testing.T) {
 					}
 				}
 			}
+			if name == "percentile" && (inserts[0] == 0 || inserts[1] == 0 || inserts[2] == 0) {
+				t.Fatalf("virtual inserts before / at / after the rank: %v; every branch must run", inserts)
+			}
 		})
 	}
 }
 
-// Steady-state Tracker use must not allocate for goals on the serving hot
-// path (decomposable and mean-based classes; the percentile tracker only
-// grows its violation buffer).
+// Steady-state Tracker use must not allocate, for every goal family: the
+// percentile tracker's violation buffer grows during the warm-up run and is
+// reused after Reset.
 func TestTrackerAllocationFree(t *testing.T) {
-	for _, name := range []string{"max", "perquery", "average"} {
+	for _, name := range []string{"max", "perquery", "average", "percentile"} {
 		goal := trackerGoals()[name]
 		t.Run(name, func(t *testing.T) {
 			tr := NewTracker(goal)
@@ -75,6 +106,30 @@ func TestTrackerAllocationFree(t *testing.T) {
 				t.Fatalf("Tracker allocated %g times per run", allocs)
 			}
 		})
+	}
+}
+
+// medianGoal is a goal outside the four families the package implements.
+type medianGoal struct{ Percentile }
+
+func (medianGoal) Name() string { return "Median" }
+
+// Both accumulator constructors must refuse a goal they have no arithmetic
+// for, naming it, instead of falling back to a generic path.
+func TestUnknownGoalPanicsByName(t *testing.T) {
+	goal := medianGoal{trackerGoals()["percentile"].(Percentile)}
+	for name, build := range map[string]func(){
+		"NewAccumulator": func() { NewAccumulator(goal) },
+		"NewTracker":     func() { NewTracker(goal) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "Median") {
+					t.Errorf("%s: panic %q does not name the goal", name, msg)
+				}
+			}()
+			build()
+		}()
 	}
 }
 
