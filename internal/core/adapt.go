@@ -5,10 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"wisedb/internal/dt"
-	"wisedb/internal/features"
-	"wisedb/internal/graph"
-	"wisedb/internal/search"
 	"wisedb/internal/sla"
 )
 
@@ -21,11 +17,12 @@ import (
 // search.Searcher.Replay); every other sample is re-solved with the
 // adaptive-A* heuristic h'(v) = max(h(v), C* − g_old(v)) built from its
 // previous search (Lemma 5.1 proves h' admissible when the new goal is
-// stricter and the goal is monotonic). Average and Percentile models keep no
-// reuse information — a search under those goals could not use it — so
-// adaptation re-solves exactly, once per distinct start state, as Train
-// does. The model must have been trained with
-// KeepTrainingData. The work runs on the same worker pool as Train
+// stricter and the goal is monotonic). Both rest on the new goal being at
+// least as strict, so a looser Max or PerQuery goal is an error. Average
+// and Percentile models keep no reuse information — a search under those
+// goals could not use it — so adaptation re-solves exactly, once per
+// distinct start state, as Train does. The model must have been trained
+// with KeepTrainingData. The work runs on the same worker pool as Train
 // (TrainingConfig.Parallelism) and the result is identical for any worker
 // count — and, for monotonic goals, identical to adapting without the
 // certificate or the reuse, both of which only skip work.
@@ -42,132 +39,51 @@ func (m *Model) AdaptContext(ctx context.Context, goal sla.Goal) (*Model, error)
 	return m.adapt(ctx, goal, true, nil, true)
 }
 
-// adapt implements Adapt. keep controls whether the new model retains its
-// own training data (needed to adapt it further; one-shot shifts keep only
-// each sample's solved path). near, when non-nil, is a one-shot shift of m
-// to a goal no stricter than the new one: its solved paths, closer to the
-// new goal's than m's own, are the ones the certificate tries. certify
-// false re-solves every sample (tests compare the two).
+// adapt implements Adapt: a build over the model's own samples. keep
+// controls whether the new model retains its own training data (needed to
+// adapt it further; one-shot shifts keep only each sample's solved path).
+// near, when non-nil, is a one-shot shift of m to a goal no stricter than
+// the new one: its solved paths, closer to the new goal's than m's own, are
+// the ones the certificate tries. certify false re-solves every sample
+// (tests compare the two).
 func (m *Model) adapt(ctx context.Context, goal sla.Goal, keep bool, near *Model, certify bool) (*Model, error) {
 	if len(m.samples) == 0 {
 		return nil, fmt.Errorf("core: Adapt requires a model trained with KeepTrainingData")
 	}
-	start := time.Now()
-	prob := graph.NewProblem(m.env, goal)
-	searcher, err := search.New(prob)
-	if err != nil {
-		return nil, fmt.Errorf("core: adapt: %w", err)
+	if !atLeastAsStrict(goal, m.Goal) {
+		return nil, fmt.Errorf("core: Adapt to %s: adaptive re-training requires a goal at least as strict as the model's; train a fresh model for looser ones", goal.Key())
 	}
 	// The certificate needs the retained paths to be canonical optima:
-	// monotonic goals on both sides, no expansion cap when they were found.
-	certify = certify && goal.Monotonic() && m.Goal.Monotonic() && m.TrainingConfig.MaxExpansions == 0
-	if near != nil && len(near.shifted) != len(m.samples) {
-		near = nil
+	// monotonic goals on both sides.
+	src := sources{prior: m.samples, replay: certify && goal.Monotonic() && m.Goal.Monotonic(), oneShot: !keep}
+	if src.replay && near != nil && len(near.shifted) == len(m.samples) {
+		src.near = near.shifted
 	}
+	// The same sample workloads, so the same arrival mix.
+	return build(ctx, m.env, goal, m.TrainingConfig, nil, m.trainingMix, src)
+}
 
-	// Like Train, adaptation shares a per-call transposition cache across
-	// its worker pool: the new goal changes every suffix optimum, so the
-	// cache never outlives the call.
-	var cache *search.TranspositionCache
-	if !m.TrainingConfig.DisableSearchCache && goal.Monotonic() {
-		cache = search.NewTranspositionCache()
-	}
-	// As in Train: closed sets only where a later search can read them, and
-	// under a non-monotonic goal one search per distinct start state.
-	keepClosed := keep && goal.Monotonic()
-	once := newStartOnce(prob)
-	solutions := make([]*search.Result, len(m.samples))
-	// prior[i] is the looser goal's result sample i replayed; its actions
-	// are empty where the sample was solved.
-	prior := make([]solvedPath, len(m.samples))
-	err = solveSamples(ctx, m.TrainingConfig.Parallelism, len(m.samples), cache,
-		func(i int, cache *search.TranspositionCache, rec *search.PendingSuffixes) error {
-			s := &m.samples[i]
-			if certify {
-				from := s.solvedPath
-				if near != nil {
-					from = near.shifted[i]
-				}
-				if len(from.actions) > 0 {
-					if res, err := searcher.Replay(s.w, from.actions, from.cost, rec); err == nil {
-						solutions[i], prior[i] = res, from
-						return nil
-					}
-				}
-			}
-			res, err := once.solve(s.w, func() (*search.Result, error) {
-				return searcher.Solve(s.w, search.Options{Reuse: s.reuse, KeepClosed: keepClosed, Cache: cache, Record: rec})
-			})
-			if err != nil {
-				return fmt.Errorf("core: adapt sample %d: %w", i, err)
-			}
-			solutions[i] = res
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-
-	ds := newTrainingSet(m.env, len(m.samples), m.TrainingConfig.SampleSize)
-	fs := features.NewState(prob)
-	var samples []trainSample
-	var shifted []solvedPath
-	if !keep && goal.Monotonic() {
-		shifted = make([]solvedPath, len(solutions))
-	}
-	cacheHits, cacheMisses, replayed := 0, 0, 0
-	for i, res := range solutions {
-		addPathToDataset(ds, fs, res.Path)
-		cacheHits += res.CacheHits
-		cacheMisses += res.CacheMisses
-		// A replayed sample shares the looser goal's immutable path
-		// rather than holding a copy of it, and carries that goal's reuse
-		// forward: same cost, and still a Lemma 5.1 bound.
-		s := &m.samples[i]
-		path, reuse := prior[i], s.reuse
-		if len(path.actions) > 0 {
-			replayed++
-		} else {
-			path, reuse = solvedPath{res.Cost, res.Actions}, nil
-			if res.Closed != nil {
-				reuse = search.ReuseFrom(res)
+// atLeastAsStrict reports whether goal prices no schedule below old, which
+// the replay certificate and the Lemma 5.1 reuse both assume: for the
+// monotonic families, the same family with no later deadline and no lower
+// penalty rate. Average and Percentile adaptations re-solve exactly.
+func atLeastAsStrict(goal, old sla.Goal) bool {
+	switch g := goal.(type) {
+	case sla.MaxLatency:
+		o, ok := old.(sla.MaxLatency)
+		return ok && g.Deadline <= o.Deadline && g.Rate >= o.Rate
+	case sla.PerQuery:
+		o, ok := old.(sla.PerQuery)
+		if !ok || len(g.Deadlines) != len(o.Deadlines) || g.Rate < o.Rate {
+			return false
+		}
+		for i, d := range g.Deadlines {
+			if d > o.Deadlines[i] {
+				return false
 			}
 		}
-		if keep {
-			samples = append(samples, trainSample{w: s.w, solvedPath: path, reuse: reuse, variates: s.variates})
-		} else if shifted != nil {
-			shifted[i] = path
-		}
 	}
-	tree := dt.Train(ds, m.TrainingConfig.Tree)
-	adapted := &Model{
-		Goal:              goal,
-		Tree:              tree,
-		TrainingTime:      time.Since(start),
-		TrainingRows:      ds.Len(),
-		TrainingConfig:    m.TrainingConfig,
-		TrainingCacheHits: cacheHits, TrainingCacheMisses: cacheMisses,
-		// Replayed samples (the certificate held) count as warm, re-solved
-		// ones as cold; the §5 heuristic reuse is an accelerant of a
-		// solve, not a replay.
-		WarmSamples: replayed,
-		ColdSamples: len(m.samples) - replayed,
-		searches:    once.searches(len(m.samples) - replayed),
-		env:         m.env,
-		prob:        graph.NewProblem(m.env, goal),
-		samples:     samples,
-		shifted:     shifted,
-		// Adaptation re-solves the same sample workloads, so the adapted
-		// model serves the same arrival mix.
-		trainingMix: m.trainingMix,
-	}
-	if keep {
-		// A kept model may be checkpointed and warm-retrained, both of
-		// which read the cache; a one-shot shift is only ever served from.
-		adapted.searchCache = cache
-	}
-	adapted.servingTables() // compile the serving form at adapt time
-	return adapted, nil
+	return true
 }
 
 // Tighten adapts the model to its own goal tightened by fraction p (§7.3's

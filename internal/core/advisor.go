@@ -54,17 +54,9 @@ type TrainConfig struct {
 	Parallelism int
 	// Tree configures the decision-tree learner.
 	Tree dt.Config
-	// MaxExpansions bounds per-sample search effort (0 = unlimited).
-	MaxExpansions int
 	// KeepTrainingData retains each sample's workload and search data on
 	// the model so that adaptive modeling (§5) can re-train cheaply.
 	KeepTrainingData bool
-	// DisableSearchCache turns off the cross-sample transposition cache
-	// that Train/Adapt share across their worker pool (see
-	// search.TranspositionCache). The cache applies to monotonic goals
-	// only and never changes solution costs; disabling it is for
-	// measurement and debugging.
-	DisableSearchCache bool
 }
 
 // normalized returns the config with zero values replaced by defaults.
@@ -91,8 +83,6 @@ func (cfg TrainConfig) validate() error {
 		return fmt.Errorf("core: TrainConfig.SampleSize must be positive, got %d", cfg.SampleSize)
 	case cfg.Parallelism < 0:
 		return fmt.Errorf("core: TrainConfig.Parallelism must be >= 0, got %d", cfg.Parallelism)
-	case cfg.MaxExpansions < 0:
-		return fmt.Errorf("core: TrainConfig.MaxExpansions must be >= 0, got %d", cfg.MaxExpansions)
 	}
 	return nil
 }
@@ -231,12 +221,13 @@ type Model struct {
 	TrainingConfig TrainConfig
 	// TrainingCacheHits and TrainingCacheMisses aggregate the
 	// transposition-cache lookups of the sample searches that built this
-	// model (both zero when the cache was disabled or inapplicable).
+	// model (both zero under a non-monotonic goal, which has no cache).
 	TrainingCacheHits, TrainingCacheMisses int
 	// WarmSamples and ColdSamples split the training run's sample
-	// workloads into warm replays (reused from a prior epoch by
-	// WarmRetrain) and fresh exact solves. A cold Train reports all
-	// samples cold.
+	// workloads into replays of a stored path — a prior epoch's (WarmTrain)
+	// or, under Adapt and ShiftedModel, a looser goal's that the replay
+	// certificate accepted — and fresh exact solves. A cold Train reports
+	// all samples cold.
 	WarmSamples, ColdSamples int
 
 	// searches counts the A* searches the build ran: ColdSamples less the
@@ -251,11 +242,12 @@ type Model struct {
 	// under this model's goal, by sample index. A later, tighter shift of
 	// the same base replays them (see adapt); nothing else reads them.
 	shifted []solvedPath
-	// searchCache is the training run's transposition cache (nil when
-	// disabled or inapplicable): the solved suffix subproblems of the
-	// sample searches. WarmRetrain seeds the next epoch's searches from
-	// it, and persistence snapshots it so warm-started registries retrain
-	// warm. Immutable after training, like the rest of the model.
+	// searchCache is the training run's transposition cache (nil under a
+	// non-monotonic goal and in one-shot shifted models): the solved suffix
+	// subproblems of the sample searches. WarmTrain seeds the next epoch's
+	// searches from it, and persistence snapshots it so warm-started
+	// registries retrain warm. Immutable after training, like the rest of
+	// the model.
 	searchCache *search.TranspositionCache
 	// trainingMix is the normalized template distribution the sample
 	// workloads were drawn from: uniform unless the model was trained with
@@ -323,174 +315,10 @@ func (a *Advisor) Train(goal sla.Goal) (*Model, error) {
 	return a.TrainContext(context.Background(), goal)
 }
 
-// sampleSolution is one worker's output: the sample workload and its
-// exactly solved search result, buffered per index so the fold into the
-// training set happens in sample order regardless of completion order.
-type sampleSolution struct {
-	w        *workload.Workload
-	res      *search.Result
-	variates []float64
-}
-
 // TrainContext is Train with cancellation: ctx aborts the remaining sample
 // searches and returns ctx.Err().
 func (a *Advisor) TrainContext(ctx context.Context, goal sla.Goal) (*Model, error) {
-	// The transposition cache is scoped to this call: suffix optima are
-	// goal-specific, and a per-call cache keeps sequences of Train/Adapt
-	// calls deterministic regardless of what ran before them. (A warm
-	// retrain instead clones the prior epoch's cache — see WarmTrain —
-	// which the canonical-search invariant makes equally deterministic.)
-	var cache *search.TranspositionCache
-	if !a.cfg.DisableSearchCache && goal.Monotonic() {
-		cache = search.NewTranspositionCache()
-	}
-	return a.trainPipeline(ctx, goal, cache, nil)
-}
-
-// trainPipeline is the sample-generation / exact-search / dataset-fold /
-// tree-fit pipeline shared by cold training and warm retraining. The N
-// sample searches run on the worker pool; solved generations stream into
-// the decision-tree dataset through solveSamplesFold's pipelined fold, so
-// dataset building overlaps the remaining searches instead of waiting for
-// all of them. ws, when non-nil, carries the prior epoch's retained
-// searches (the warm path): a sample whose draw is unchanged replays its
-// stored action path verbatim in O(path) instead of searching, falling
-// back to a cold solve when the replay rejects. Canonical search
-// (see search's solver) makes the stored path exactly what today's search
-// would return, and replay regenerates the same Path steps and cache
-// records buildPath would — so the trained model is bit-identical whether
-// samples replay warm or solve cold, at any Parallelism. Under a
-// non-monotonic goal each distinct start state is searched once and its
-// result folded for every sample that drew it (startOnce).
-func (a *Advisor) trainPipeline(ctx context.Context, goal sla.Goal, cache *search.TranspositionCache, ws *warmSource) (*Model, error) {
-	start := time.Now()
-	prob := graph.NewProblem(a.env, goal)
-	searcher, err := search.New(prob)
-	if err != nil {
-		return nil, fmt.Errorf("core: training: %w", err)
-	}
-
-	// Only a monotonic search reads a §5 closed set (see search.Reuse), so
-	// only monotonic models keep one per sample. Non-monotonic samples with
-	// the same template counts share one search (startOnce).
-	keepClosed := a.cfg.KeepTrainingData && goal.Monotonic()
-	once := newStartOnce(prob)
-	solutions := make([]sampleSolution, a.cfg.NumSamples)
-	warmed := make([]bool, a.cfg.NumSamples)
-	priors := make([]*trainSample, a.cfg.NumSamples)
-	ds := newTrainingSet(a.env, a.cfg.NumSamples, a.cfg.SampleSize)
-	fs := features.NewState(prob)
-	var samples []trainSample
-	cacheHits, cacheMisses, warm := 0, 0, 0
-	fold := func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			sol := solutions[i]
-			addPathToDataset(ds, fs, sol.res.Path)
-			cacheHits += sol.res.CacheHits
-			cacheMisses += sol.res.CacheMisses
-			if warmed[i] {
-				warm++
-			}
-			if a.cfg.KeepTrainingData {
-				ts := trainSample{w: sol.w, solvedPath: solvedPath{sol.res.Cost, sol.res.Actions}, variates: sol.variates}
-				if sol.res.Closed != nil {
-					ts.reuse = search.ReuseFrom(sol.res)
-				} else if p := priors[i]; p != nil {
-					// Replayed sample: no search ran, so no Closed set was
-					// built. The prior epoch's reuse is still exact for this
-					// (workload, goal) and Closed sets are immutable, so the
-					// next epoch inherits it unchanged.
-					ts.reuse = p.reuse
-				}
-				samples = append(samples, ts)
-			}
-			solutions[i] = sampleSolution{} // folded; free the search result early
-		}
-		return nil
-	}
-	err = solveSamplesFold(ctx, a.cfg.Parallelism, a.cfg.NumSamples, cache,
-		func(i int, cache *search.TranspositionCache, rec *search.PendingSuffixes) error {
-			var prior *trainSample
-			if ws != nil && i < len(ws.samples) {
-				prior = &ws.samples[i]
-			}
-			var w *workload.Workload
-			var variates []float64
-			switch {
-			case a.cfg.SampleWeights != nil && ws != nil && ws.useVariates &&
-				prior != nil && len(prior.variates) == a.cfg.SampleSize:
-				// Same seed and size: the prior epoch's variates ARE this
-				// epoch's draws — rebin them under the drifted mix instead
-				// of reconstructing (and expensively reseeding) a sampler.
-				variates = prior.variates
-				w = workload.WeightedFromVariates(a.env.Templates, variates, a.cfg.SampleWeights)
-			case a.cfg.SampleWeights != nil:
-				sampler := workload.NewSampler(a.env.Templates, deriveSeed(a.cfg.Seed, i))
-				w, variates = sampler.WeightedVariates(a.cfg.SampleSize, a.cfg.SampleWeights)
-			default:
-				sampler := workload.NewSampler(a.env.Templates, deriveSeed(a.cfg.Seed, i))
-				w = sampler.Uniform(a.cfg.SampleSize)
-			}
-			if prior != nil && (len(prior.actions) == 0 || !sameQueries(w, prior.w)) {
-				prior = nil
-			}
-			var res *search.Result
-			if prior != nil {
-				// Unchanged draw: replay its retained path instead of
-				// searching. Replay validates the walk (goal reached,
-				// cost exactly as stored) before recording anything, so a
-				// rejected replay — a stale or corrupted prior, a
-				// checkpoint priced by older arithmetic — leaves the cache
-				// untouched and the sample simply solves cold below.
-				r, rErr := searcher.Replay(w, prior.actions, prior.cost, rec)
-				if rErr == nil {
-					res = r
-				} else {
-					prior = nil
-				}
-			}
-			warmed[i] = prior != nil
-			priors[i] = prior
-			if res == nil {
-				var err error
-				res, err = once.solve(w, func() (*search.Result, error) {
-					return searcher.Solve(w, search.Options{
-						MaxExpansions: a.cfg.MaxExpansions,
-						KeepClosed:    keepClosed,
-						Cache:         cache,
-						Record:        rec,
-					})
-				})
-				if err != nil {
-					return fmt.Errorf("core: training sample %d: %w", i, err)
-				}
-			}
-			solutions[i] = sampleSolution{w: w, res: res, variates: variates}
-			return nil
-		}, fold)
-	if err != nil {
-		return nil, err
-	}
-
-	tree := dt.Train(ds, a.cfg.Tree)
-	m := &Model{
-		Goal:              goal,
-		Tree:              tree,
-		TrainingTime:      time.Since(start),
-		TrainingRows:      ds.Len(),
-		TrainingConfig:    a.cfg,
-		TrainingCacheHits: cacheHits, TrainingCacheMisses: cacheMisses,
-		WarmSamples: warm,
-		ColdSamples: a.cfg.NumSamples - warm,
-		searches:    once.searches(a.cfg.NumSamples - warm),
-		env:         a.env,
-		prob:        graph.NewProblem(a.env, goal),
-		samples:     samples,
-		searchCache: cache,
-		trainingMix: normalizedMix(a.cfg.SampleWeights, len(a.env.Templates)),
-	}
-	m.servingTables() // compile the serving form at train time
-	return m, nil
+	return build(ctx, a.env, goal, a.cfg, nil, normalizedMix(a.cfg.SampleWeights, len(a.env.Templates)), sources{draw: true})
 }
 
 // newTrainingSet returns the empty tree dataset of a training over n sample

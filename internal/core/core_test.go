@@ -165,6 +165,54 @@ func TestAdaptRequiresTrainingData(t *testing.T) {
 	}
 }
 
+// Adapt's replay certificate and §5 reuse both assume the new goal is at
+// least as strict as the model's. Under Max and PerQuery a later deadline or
+// a lower penalty rate must be refused, as Tighten(p < 0) is: unchecked,
+// every sample replayed its old path and the model cost more than a fresh
+// Train's. An equal goal still adapts (every sample replays), and Average,
+// which re-solves exactly, still adapts to a looser goal.
+func TestAdaptRejectsLooserGoal(t *testing.T) {
+	env := schedule.NewEnv(workload.DefaultTemplates(4), cloud.DefaultVMTypes(2))
+	cfg := warmTrainConfig()
+	cfg.NumSamples = 24
+	goals := testGoals(env)
+	halfRate := sla.DefaultPenaltyRate / 2
+	for name, looser := range map[string][]sla.Goal{
+		"max":      {goals["max"].Shift(-time.Minute), sla.NewMaxLatency(15*time.Minute, env.Templates, halfRate)},
+		"perquery": {goals["perquery"].Shift(-time.Minute), sla.NewPerQuery(3, env.Templates, halfRate)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			m, err := MustNewAdvisor(env, cfg).Train(goals[name])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, g := range looser {
+				if _, err := m.Adapt(g); err == nil {
+					t.Errorf("Adapt to the looser %s succeeded", g.Key())
+				}
+			}
+			if _, err := m.ShiftedModel(-time.Minute); err == nil {
+				t.Error("ShiftedModel(-1m) succeeded")
+			}
+			same, err := m.Adapt(goals[name])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if same.Dump() != m.Dump() || same.WarmSamples != cfg.NumSamples {
+				t.Fatalf("Adapt to the model's own goal replayed %d of %d samples; same tree: %v",
+					same.WarmSamples, cfg.NumSamples, same.Dump() == m.Dump())
+			}
+		})
+	}
+	avg, err := MustNewAdvisor(env, cfg).Train(goals["average"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := avg.Adapt(goals["average"].Tighten(-0.3)); err != nil {
+		t.Fatalf("Adapt to a looser Average goal: %v", err)
+	}
+}
+
 // Strategy recommendation must return k strategies ordered loosest to
 // strictest, with cost estimates that increase with workload size.
 func TestRecommend(t *testing.T) {

@@ -78,32 +78,26 @@ func checkAgainstPerSample(t *testing.T, what string, m *Model, want perSampleBu
 // A non-monotonic build searches each distinct start state once and shares
 // the result with every sample that drew the same template counts. That
 // must be invisible: Train and Tighten give, at every parallelism, exactly
-// the model that searching every sample on its own gives — with and
-// without an expansion cap — while running one search per distinct start.
+// the model that searching every sample on its own gives, while running one
+// search per distinct start.
 func TestDistinctSolvesMatchPerSampleSearch(t *testing.T) {
 	env := schedule.NewEnv(workload.DefaultTemplates(3), cloud.DefaultVMTypes(2))
 	goals := testGoals(env)
 	for _, c := range []struct {
-		name          string
-		goal          sla.Goal
-		maxExpansions int
+		name string
+		goal sla.Goal
 	}{
-		{"average", goals["average"], 0},
-		{"percentile", goals["percentile"], 0},
-		// A non-monotonic search stops at the first goal it pops, which is
-		// optimal, so a cap either lets it finish or fails it. 80 sits just
-		// above the dearest sample here (69 expansions): the cap rides
-		// through the shared search without failing the build.
-		{"average-capped", goals["average"], 80},
+		{"average", goals["average"]},
+		{"percentile", goals["percentile"]},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := DefaultTrainConfig()
-			cfg.NumSamples, cfg.SampleSize, cfg.MaxExpansions = 200, 6, c.maxExpansions
+			cfg.NumSamples, cfg.SampleSize = 200, 6
 			ws := make([]*workload.Workload, cfg.NumSamples)
 			for i := range ws {
 				ws[i] = workload.NewSampler(env.Templates, deriveSeed(cfg.Seed, i)).Uniform(cfg.SampleSize)
 			}
-			train := solveEverySample(t, env, c.goal, ws, search.Options{MaxExpansions: c.maxExpansions}, cfg.Tree)
+			train := solveEverySample(t, env, c.goal, ws, search.Options{}, cfg.Tree)
 			tightGoal := c.goal.Tighten(0.2)
 			tight := solveEverySample(t, env, tightGoal, ws, search.Options{}, cfg.Tree)
 			if train.distinct >= cfg.NumSamples/2 {

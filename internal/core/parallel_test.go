@@ -57,34 +57,6 @@ func TestTrainParallelDeterminism(t *testing.T) {
 	}
 }
 
-// Disabling the transposition cache must still train successfully (it may
-// pick different equal-cost optima, so only behavior, not tree identity, is
-// compared) and must record zero cache traffic.
-func TestTrainWithoutSearchCache(t *testing.T) {
-	env := schedule.NewEnv(workload.DefaultTemplates(5), cloud.DefaultVMTypes(2))
-	cfg := DefaultTrainConfig()
-	cfg.NumSamples = 40
-	cfg.SampleSize = 6
-	cfg.Seed = 42
-	cfg.DisableSearchCache = true
-	adv := MustNewAdvisor(env, cfg)
-	m, err := adv.Train(sla.NewMaxLatency(15*time.Minute, env.Templates, sla.DefaultPenaltyRate))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.TrainingCacheHits != 0 || m.TrainingCacheMisses != 0 {
-		t.Fatalf("cache disabled but counters report (%d, %d)", m.TrainingCacheHits, m.TrainingCacheMisses)
-	}
-	w := workload.NewSampler(env.Templates, 7).Uniform(30)
-	sched, err := m.ScheduleBatch(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.Validate(env, w); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Adaptive re-training must also be deterministic across worker counts.
 func TestAdaptParallelDeterminism(t *testing.T) {
 	var dumps []string

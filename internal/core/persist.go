@@ -380,9 +380,9 @@ func encodeMeta(e *store.Enc, m *Model, hash, auxHash uint64) {
 	e.Int(cfg.SampleSize)
 	e.I64(cfg.Seed)
 	e.Int(cfg.Parallelism)
-	e.Int(cfg.MaxExpansions)
+	e.Int(0) // no expansion cap; format v3 keeps the slot
 	e.Bool(cfg.KeepTrainingData)
-	e.Bool(cfg.DisableSearchCache)
+	e.Bool(false) // search cache on; format v3 keeps the slot
 	e.Int(cfg.Tree.MinLeaf)
 	e.Int(cfg.Tree.MaxDepth)
 	e.Bool(cfg.Tree.Prune)
@@ -409,9 +409,9 @@ func decodeMeta(p []byte) (modelMeta, error) {
 	m.config.SampleSize = d.Int()
 	m.config.Seed = d.I64()
 	m.config.Parallelism = d.Int()
-	m.config.MaxExpansions = d.Int()
+	capped := d.Int() != 0
 	m.config.KeepTrainingData = d.Bool()
-	m.config.DisableSearchCache = d.Bool()
+	uncached := d.Bool()
 	m.config.Tree.MinLeaf = d.Int()
 	m.config.Tree.MaxDepth = d.Int()
 	m.config.Tree.Prune = d.Bool()
@@ -428,7 +428,15 @@ func decodeMeta(p []byte) (modelMeta, error) {
 	m.auxHash = d.U64()
 	m.warmSamples = d.Int()
 	m.coldSamples = d.Int()
-	return m, d.Done()
+	if err := d.Done(); err != nil {
+		return m, err
+	}
+	if capped || uncached {
+		// Such a model's paths need not be canonical optima, and replaying
+		// them would make a warm retrain differ from a cold one.
+		return m, fmt.Errorf("%w: model trained with an expansion cap or without the search cache", store.ErrCorrupt)
+	}
+	return m, nil
 }
 
 // ---- goal section ----

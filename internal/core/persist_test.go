@@ -321,6 +321,50 @@ func TestDecodeModelRejectsSplicedTrainData(t *testing.T) {
 	}
 }
 
+// Container v3 keeps the meta slots of the removed expansion cap and
+// search-cache switch, written as 0 and false. A file that sets either holds
+// paths that need not be canonical optima — a warm retrain replaying them
+// would differ from a cold one — so it must fail to decode as corrupt.
+func TestDecodeModelRejectsCappedOrUncachedTraining(t *testing.T) {
+	env := schedule.NewEnv(workload.DefaultTemplates(3), cloud.DefaultVMTypes(1))
+	cfg := DefaultTrainConfig()
+	cfg.NumSamples, cfg.SampleSize = 20, 4
+	m, err := MustNewAdvisor(env, cfg).Train(sla.NewMaxLatency(15*time.Minute, env.Templates, sla.DefaultPenaltyRate))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := EncodeModel(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := store.ParseContainer(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Byte offsets in the meta payload: eight fixed-width fields (hash,
+	// training time, rows, cache hits and misses, N, m, seed) and the worker
+	// count precede the cap; the keep-data flag sits between the two.
+	const capAt, cacheOffAt = 9 * 8, 9*8 + 8 + 1
+	for _, at := range []int{-1, capAt, cacheOffAt} {
+		var b store.Builder
+		for _, s := range c.Sections() {
+			p, _ := c.MustSection(s.ID)
+			if s.ID == secMeta && at >= 0 {
+				p = append([]byte(nil), p...)
+				p[at] = 1
+			}
+			b.AddSection(s.ID, p)
+		}
+		_, err := DecodeModel(b.Bytes())
+		if at < 0 && err != nil {
+			t.Fatalf("the rebuilt container does not decode: %v", err)
+		}
+		if at >= 0 && !errors.Is(err, store.ErrCorrupt) {
+			t.Fatalf("meta byte %d set: want store.ErrCorrupt, got %v", at, err)
+		}
+	}
+}
+
 // Models that cannot round-trip must refuse to encode rather than persist
 // a lie.
 func TestEncodeModelRejectsUnsupported(t *testing.T) {

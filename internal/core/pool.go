@@ -92,70 +92,52 @@ func forEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 // suffixes. The constant is deliberately independent of the worker count.
 const searchCacheGeneration = 32
 
-// solveSamples runs run(i) for every sample index on the worker pool,
+// solveSamplesFold runs run(i) for every sample index on the worker pool,
 // inserting deterministic commit barriers when a transposition cache is in
-// play. With cache == nil it degenerates to one forEach over all indices.
-func solveSamples(ctx context.Context, workers, n int, cache *search.TranspositionCache,
-	run func(i int, cache *search.TranspositionCache, rec *search.PendingSuffixes) error) error {
-	return solveSamplesFold(ctx, workers, n, cache, run, nil)
-}
-
-// solveSamplesFold is solveSamples with a pipelined fold stage: after each
-// generation's commit barrier, the completed index range [lo, hi) is handed
-// to fold on a dedicated goroutine, so folding generation k (building the
-// decision-tree dataset, harvesting counters) overlaps the searches of
-// generation k+1. Ranges arrive in index order and fold runs
-// single-threaded, so any fold that appends per index in range order
-// produces exactly the sequence a post-hoc loop over [0, n) would — the
-// pipelining is invisible to the result. The channel hand-off
-// happens-before each fold call, so fold may freely read the per-index
-// slots the workers wrote. solveSamplesFold returns only after the fold
-// goroutine has drained (on error, remaining ranges are discarded).
+// play, and pipelines a fold stage: after each generation's commit barrier,
+// the completed index range [lo, hi) is handed to fold on a dedicated
+// goroutine, so folding generation k (building the decision-tree dataset,
+// harvesting counters) overlaps the searches of generation k+1. Ranges
+// arrive in index order and fold runs single-threaded, so any fold that
+// appends per index in range order produces exactly the sequence a
+// post-hoc loop over [0, n) would — the pipelining is invisible to the
+// result. The channel hand-off happens-before each fold call, so fold may
+// freely read the per-index slots the workers wrote. With cache == nil
+// there is one forEach over all indices and one fold. solveSamplesFold
+// returns only after the fold goroutine has drained (on error, remaining
+// ranges are discarded).
 func solveSamplesFold(ctx context.Context, workers, n int, cache *search.TranspositionCache,
 	run func(i int, cache *search.TranspositionCache, rec *search.PendingSuffixes) error,
 	fold func(lo, hi int) error) error {
-	var (
-		ranges   chan [2]int
-		foldDone chan error
-	)
-	emit := func(lo, hi int) {
-		if ranges != nil && hi > lo {
-			ranges <- [2]int{lo, hi}
+	// A few generations may queue behind a slow fold without stalling the
+	// pool; the fold goroutine always drains, so sends never block for good.
+	ranges := make(chan [2]int, 8)
+	foldDone := make(chan error, 1)
+	go func() {
+		var err error
+		for r := range ranges {
+			if err == nil {
+				err = fold(r[0], r[1])
+			}
+			// After a fold error, keep draining so a send never blocks.
 		}
-	}
+		foldDone <- err
+	}()
 	// finish closes the pipeline and joins the fold goroutine; the run
 	// error wins over a fold error (it happened first).
 	finish := func(err error) error {
-		if ranges == nil {
-			return err
-		}
 		close(ranges)
-		foldErr := <-foldDone
-		if err == nil {
+		if foldErr := <-foldDone; err == nil {
 			err = foldErr
 		}
 		return err
-	}
-	if fold != nil {
-		ranges = make(chan [2]int, 8)
-		foldDone = make(chan error, 1)
-		go func() {
-			var err error
-			for r := range ranges {
-				if err == nil {
-					err = fold(r[0], r[1])
-				}
-				// After a fold error, keep draining so emit never blocks.
-			}
-			foldDone <- err
-		}()
 	}
 
 	if cache == nil {
 		// No barriers to pipeline against: one pool pass, one fold.
 		err := forEach(ctx, workers, n, func(i int) error { return run(i, nil, nil) })
-		if err == nil {
-			emit(0, n)
+		if err == nil && n > 0 {
+			ranges <- [2]int{0, n}
 		}
 		return finish(err)
 	}
@@ -181,7 +163,7 @@ func solveSamplesFold(ctx context.Context, workers, n int, cache *search.Transpo
 		for j := 0; j < g; j++ {
 			cache.Commit(&pending[j])
 		}
-		emit(base, base+g)
+		ranges <- [2]int{base, base + g}
 	}
 	return finish(nil)
 }

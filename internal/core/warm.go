@@ -7,13 +7,13 @@ import (
 	"wisedb/internal/search"
 	"wisedb/internal/sla"
 	"wisedb/internal/store"
-	"wisedb/internal/workload"
 )
 
 // Warm retraining: a drift retrain that reuses the prior epoch's search
-// products instead of solving every sample workload from scratch. Three
-// layers compose, each individually sound and jointly bit-transparent —
-// the warm model's serving content is identical to the cold retrain's (see
+// products instead of solving every sample workload from scratch. It is the
+// model builder (build) with the prior epoch as a source. Two layers
+// compose, each individually sound and jointly bit-transparent — the warm
+// model's serving content is identical to the cold retrain's (see
 // DESIGN.md, "Warm retrain"):
 //
 //  1. Cross-epoch transposition cache. The prior epoch's cache holds solved
@@ -31,10 +31,6 @@ import (
 //     O(path) (search.Replay), regenerating the identical training steps
 //     and cache records the search would have produced. Every other
 //     sample solves cold (with the cache of layer 1).
-//  3. Pipelined tree build. Solved generations stream into the
-//     decision-tree dataset at the worker pool's commit barriers
-//     (solveSamplesFold), overlapping dataset construction with the
-//     remaining searches.
 //
 // Soundness rests on the canonical-search invariant (search's solver):
 // monotonic, unseeded searches return the lexicographically least optimal
@@ -60,17 +56,16 @@ func (a *Advisor) WarmTrainContext(ctx context.Context, goal sla.Goal, prior *Mo
 	if !a.warmEligible(goal, prior) {
 		return a.TrainContext(ctx, goal)
 	}
-	cache := search.NewTranspositionCache()
+	var cache *search.TranspositionCache
 	if prior.searchCache != nil {
 		// Clone, do not share: the warm train commits its own suffix
 		// records as it runs, and the prior epoch may still be serving
 		// (and being checkpointed) concurrently.
 		cache = prior.searchCache.Clone()
 	}
-	return a.trainPipeline(ctx, goal, cache, &warmSource{
-		samples: prior.samples,
-		useVariates: prior.TrainingConfig.Seed == a.cfg.Seed &&
-			prior.TrainingConfig.SampleSize == a.cfg.SampleSize,
+	return build(ctx, a.env, goal, a.cfg, cache, normalizedMix(a.cfg.SampleWeights, len(a.env.Templates)), sources{
+		prior: prior.samples, draw: true, replay: true,
+		rebin: prior.TrainingConfig.Seed == a.cfg.Seed && prior.TrainingConfig.SampleSize == a.cfg.SampleSize,
 	})
 }
 
@@ -79,8 +74,6 @@ func (a *Advisor) WarmTrainContext(ctx context.Context, goal sla.Goal, prior *Mo
 //
 //   - monotonic goal: the transposition cache is only sound there, and
 //     only monotonic searches are canonical;
-//   - cache enabled, no expansion cap: a capped search can return a
-//     non-optimal schedule, which is not a pure function of the inputs;
 //   - same goal: cache entries and stored path costs are goal-specific;
 //   - same environment object: the prior epoch's searches priced edges on
 //     this exact latency matrix (DriftRetrain always retrains on the
@@ -90,8 +83,6 @@ func (a *Advisor) WarmTrainContext(ctx context.Context, goal sla.Goal, prior *Mo
 func (a *Advisor) warmEligible(goal sla.Goal, prior *Model) bool {
 	return prior != nil &&
 		goal.Monotonic() &&
-		!a.cfg.DisableSearchCache &&
-		a.cfg.MaxExpansions == 0 &&
 		prior.env == a.env &&
 		goalsEqual(goal, prior.Goal) &&
 		(prior.searchCache != nil || len(prior.samples) > 0)
@@ -111,29 +102,4 @@ func goalsEqual(a, b sla.Goal) bool {
 	encodeGoal(&pa, a)
 	encodeGoal(&pb, b)
 	return bytes.Equal(pa.Bytes(), pb.Bytes())
-}
-
-// warmSource carries the prior epoch's retained searches into
-// trainPipeline. useVariates reports that the prior epoch drew its
-// samples with this configuration's seed and sample size, so its stored
-// per-sample variates reproduce this epoch's draws exactly and the
-// samplers need not be reconstructed.
-type warmSource struct {
-	samples     []trainSample
-	useVariates bool
-}
-
-// sameQueries reports whether two sample workloads drew exactly the same
-// query sequence (template and tag per position) — the condition for
-// replaying the prior epoch's search of the sample.
-func sameQueries(a, b *workload.Workload) bool {
-	if b == nil || len(a.Queries) != len(b.Queries) {
-		return false
-	}
-	for i, q := range a.Queries {
-		if b.Queries[i] != q {
-			return false
-		}
-	}
-	return true
 }
