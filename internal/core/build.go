@@ -34,8 +34,9 @@ type sources struct {
 	// near holds, by sample index, the solved paths of a one-shot shift to a
 	// goal no stricter than the build's: closer to its answers than prior's.
 	near []solvedPath
-	// oneShot keeps only each sample's solved path (Model.shifted) and no
-	// transposition cache: the model is served from, never built from.
+	// oneShot keeps only each sample's solved path (Model.shifted, the
+	// near of a later, tighter shift) and no transposition cache: the model
+	// is served from and never adapted further.
 	oneShot bool
 }
 

@@ -127,7 +127,8 @@ func solveSamplesFold(ctx context.Context, workers, n int, cache *search.Transpo
 	// error wins over a fold error (it happened first).
 	finish := func(err error) error {
 		close(ranges)
-		if foldErr := <-foldDone; err == nil {
+		foldErr := <-foldDone
+		if err == nil {
 			err = foldErr
 		}
 		return err
