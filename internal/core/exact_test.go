@@ -130,8 +130,8 @@ func TestShiftedModelsIdenticalHoweverBuilt(t *testing.T) {
 		res.AdaptSolved += r.AdaptSolved
 	}
 	inMap := map[time.Duration]*Model{}
-	for i := range eng.cache.shards {
-		for k, e := range eng.cache.shards[i].shifted {
+	for i := range eng.Registry().Current().derived.shards {
+		for k, e := range eng.Registry().Current().derived.shards[i].m {
 			inMap[k.wait] = e.m
 		}
 	}
@@ -514,8 +514,8 @@ func TestConcurrentShiftedBuildsFromNeighbours(t *testing.T) {
 	}
 	wg.Wait()
 	built, replayed := 0, 0
-	for i := range eng.cache.shards {
-		for k, e := range eng.cache.shards[i].shifted {
+	for i := range eng.Registry().Current().derived.shards {
+		for k, e := range eng.Registry().Current().derived.shards[i].m {
 			want, err := base.ShiftedModel(k.wait)
 			if err != nil {
 				t.Fatal(err)

@@ -25,9 +25,10 @@ import (
 type OnlineOptions struct {
 	// Reuse enables the model-reuse optimization (§6.3.1): models built
 	// for a given pattern of query waits (the ω-map) are cached and
-	// reused when the same pattern recurs. The cache is shared by every
-	// stream of the engine, with duplicate builds suppressed — when two
-	// tenants need the same model at once, exactly one builds it.
+	// reused when the same pattern recurs. Each serving epoch has its own
+	// cache, shared by every stream it serves, with duplicate builds
+	// suppressed — when two tenants need the same model at once, exactly
+	// one builds it.
 	Reuse bool
 	// Shift enables the linear-shifting optimization (§6.3.1): for
 	// shiftable goals (Max, PerQuery), a batch whose queries have waited
@@ -109,7 +110,7 @@ type OnlineResult struct {
 	// shifting; CacheHits counts re-acquisitions of a model the stream
 	// had already used. The counters are stream-local — and therefore
 	// deterministic for a fixed arrival sequence at any engine
-	// concurrency — while the engine's shared ω-map dedups the actual
+	// concurrency — while the epoch's shared ω-map dedups the actual
 	// builds across streams underneath (see OnlineScheduler.CacheStats).
 	Retrainings, Adaptations, CacheHits int
 	// AdaptReplayed and AdaptSolved split the sample workloads behind the
@@ -168,13 +169,13 @@ type augKey struct {
 
 // OnlineScheduler is the multi-tenant online serving engine (§6.3,
 // productionized): it owns the model lifecycle (one or more ModelRegistrys,
-// each holding a hot-swappable serving epoch for one SLA goal / tenant
-// tier) and the shared striped ω-map of derived models. Each tenant stream
-// — a Stream opened by NewStream/NewStreamOn, or one workload replayed by
-// Run/RunTenants — carries its own simulator, arrival bookkeeping, and
-// scratch, and is bound to one registry at open time, so any number of
-// streams proceed concurrently with no serialization beyond the rare
-// shared model build.
+// each holding a hot-swappable serving epoch, with that epoch's striped
+// ω-map of derived models, for one SLA goal / tenant tier). Each tenant
+// stream — a Stream opened by NewStream/NewStreamOn, or one workload
+// replayed by Run/RunTenants — carries its own simulator, arrival
+// bookkeeping, and scratch, and is bound to one registry at open time, so
+// any number of streams proceed concurrently with no serialization beyond
+// the rare shared model build.
 //
 // An OnlineScheduler is safe for concurrent use.
 type OnlineScheduler struct {
@@ -183,13 +184,13 @@ type OnlineScheduler struct {
 	goal sla.Goal
 
 	registry *ModelRegistry // the default registry (DefaultRegistry)
-	cache    modelCache
-	pool     sync.Pool // *Stream
+	pool     sync.Pool      // *Stream
 	active   atomic.Int64
+	// builds counts derived models built into any epoch's ω-map.
+	builds atomic.Int64
 
 	// regMu guards the named-registry table; lookups off the arrival path
-	// only (streams bind at open time). A registry's id is its attach
-	// order, len(regs) when it joined.
+	// only (streams bind at open time).
 	regMu sync.RWMutex
 	regs  map[string]*ModelRegistry
 
@@ -249,16 +250,14 @@ func NewOnlineScheduler(base *Model, opts OnlineOptions) *OnlineScheduler {
 			break
 		}
 	}
-	o.cache.init(cacheStripes)
 	o.registry, _ = o.attachRegistry(DefaultRegistry, base) // the table is empty: no clash
 	return o
 }
 
 // attachRegistry creates a registry serving base and wires it into the
-// engine under name: assigns its ω-map id, applies the engine's retry
-// policy, and points its swap notification at the striped cache. The name
-// check and the insert share one critical section, so of two concurrent
-// attaches under one name exactly one succeeds.
+// engine under name with the engine's retry policy. The name check and the
+// insert share one critical section, so of two concurrent attaches under
+// one name exactly one succeeds.
 func (o *OnlineScheduler) attachRegistry(name string, base *Model) (*ModelRegistry, error) {
 	o.regMu.Lock()
 	defer o.regMu.Unlock()
@@ -266,12 +265,7 @@ func (o *OnlineScheduler) attachRegistry(name string, base *Model) (*ModelRegist
 		return nil, fmt.Errorf("core: registry %q already exists", name)
 	}
 	r := NewModelRegistry(base)
-	id := uint32(len(o.regs))
-	r.id = id
 	r.SetRetryPolicy(o.opts.Retry)
-	// A hot swap retires every derived model of this registry's older
-	// epochs: their cache keys can never be requested again.
-	r.onSwap = func(e *ModelEpoch) { o.cache.evictBefore(id, e.Epoch) }
 	o.regs[name] = r
 	return r, nil
 }
@@ -280,8 +274,9 @@ func (o *OnlineScheduler) attachRegistry(name string, base *Model) (*ModelRegist
 // or tenant tier — serving base as its epoch 0 with its own drift-retrain
 // lifecycle and (optionally, via ModelRegistry.CheckpointTo) its own
 // checkpoint store. Streams bind to a registry at open time (NewStreamOn,
-// Tenant.Registry); the engine's ω-map and stream pool are shared across
-// registries, while every retrain, epoch and counter is the registry's own.
+// Tenant.Registry); the engine's stream pool is shared across registries,
+// while every retrain, epoch (with its ω-map) and counter is the registry's
+// own.
 //
 // The base model must be bound to an environment with the same template
 // and VM-type counts as the engine's: streams of every registry place onto
@@ -357,14 +352,14 @@ func (o *OnlineScheduler) Registry() *ModelRegistry { return o.registry }
 // neither finished nor cancelled).
 func (o *OnlineScheduler) ActiveStreams() int64 { return o.active.Load() }
 
-// CacheStats reports the shared ω-map's build counter: how many derived
-// (shifted or augmented) models the engine actually trained, across all
-// streams, registries, and epochs — aggregated over every cache stripe.
+// CacheStats reports the ω-map build counter: how many derived (shifted or
+// augmented) models the engine actually trained, across all streams,
+// registries, and epochs.
 // Compare against the per-stream Adaptations and Retrainings counters to
 // see cross-tenant deduplication at work.
-func (o *OnlineScheduler) CacheStats() (builds int64) { return o.cache.builds.Load() }
+func (o *OnlineScheduler) CacheStats() (builds int64) { return o.builds.Load() }
 
-// ScaleStats snapshots the engine: the counters it owns — the ω-map and
+// ScaleStats snapshots the engine: the counters it owns — the ω-map's and
 // the failure-path totals over every stream it served — and, per tier, each
 // registry's own lifecycle snapshot. No registry counter is re-summed here;
 // a tier's retrains, checkpoints and breaker are read under its name.
@@ -372,8 +367,9 @@ type ScaleStats struct {
 	// Registries holds each registry's Stats, keyed by registry name
 	// (DefaultRegistry included).
 	Registries map[string]RegistryStats
-	// CacheBuilds and CacheEntries describe the striped ω-map: real
-	// derived-model builds ever, and entries currently cached.
+	// CacheBuilds counts real derived-model builds ever; CacheEntries sums
+	// the entries of each registry's current epoch's ω-map (a superseded
+	// epoch's map goes with its epoch).
 	CacheBuilds  int64
 	CacheEntries int
 	// DegradedArrivals, DegradedPlacements, and ShedArrivals aggregate
@@ -387,8 +383,7 @@ type ScaleStats struct {
 // ScaleStats returns a consistent-enough snapshot for monitoring and tests.
 func (o *OnlineScheduler) ScaleStats() ScaleStats {
 	s := ScaleStats{
-		CacheBuilds:        o.cache.builds.Load(),
-		CacheEntries:       o.cache.size(),
+		CacheBuilds:        o.builds.Load(),
 		DegradedArrivals:   o.degradedArrivals.Load(),
 		DegradedPlacements: o.degradedPlacements.Load(),
 		ShedArrivals:       o.shedArrivals.Load(),
@@ -398,6 +393,7 @@ func (o *OnlineScheduler) ScaleStats() ScaleStats {
 	s.Registries = make(map[string]RegistryStats, len(o.regs))
 	for name, r := range o.regs {
 		s.Registries[name] = r.Stats()
+		s.CacheEntries += r.Current().derived.size()
 	}
 	o.regMu.RUnlock()
 	return s
@@ -533,10 +529,10 @@ type tagState struct {
 
 // Stream is one tenant's arrival stream: per-stream simulator, per-query
 // bookkeeping, drift detector, and scratch buffers. Streams of one engine
-// share its registries and ω-map but nothing mutable, so they run
-// concurrently without locks on the arrival path. Each stream is bound to
-// one registry at open time — its SLA goal, serving epochs, and drift
-// lifecycle come from that binding.
+// share its registries and their epochs' ω-maps but nothing else mutable,
+// so they run concurrently with no lock on the arrival path beyond an
+// ω-map stripe's. Each stream is bound to one registry at open time — its
+// SLA goal, serving epochs, and drift lifecycle come from that binding.
 //
 // A Stream is single-owner: one goroutine submits and finishes it. Query
 // tags must be small non-negative integers (bookkeeping is indexed by tag);
@@ -580,11 +576,10 @@ type Stream struct {
 	// scheduler's dominated-placement guard prices fees with it.
 	priceMult float64
 
-	// seenShifted/seenAug track which derived models this stream has
-	// already acquired, making the CacheHits/Adaptations/Retrainings
-	// counters stream-local and scheduling-independent.
-	seenShifted map[shiftKey]struct{}
-	seenAug     map[augModelKey]struct{}
+	// seen tracks which derived models this stream has already acquired,
+	// making the CacheHits/Adaptations/Retrainings counters stream-local
+	// and scheduling-independent.
+	seen map[seenKey]struct{}
 
 	// Persistent scratch: the arrival loop re-batches, re-schedules, and
 	// re-places on every event, and these buffers keep that machinery
@@ -609,11 +604,7 @@ type vmCandidate struct {
 func (o *OnlineScheduler) acquireStreamOn(reg *ModelRegistry, clock Clock) *Stream {
 	s, _ := o.pool.Get().(*Stream)
 	if s == nil {
-		s = &Stream{
-			eng:         o,
-			seenShifted: map[shiftKey]struct{}{},
-			seenAug:     map[augModelKey]struct{}{},
-		}
+		s = &Stream{eng: o, seen: map[seenKey]struct{}{}}
 	}
 	s.reg = reg
 	s.clock = clock
@@ -628,8 +619,7 @@ func (o *OnlineScheduler) acquireStreamOn(reg *ModelRegistry, clock Clock) *Stre
 	s.degradedEpoch = 0
 	s.firstFit.Tracker = nil
 	s.eventDeadline = 0
-	clear(s.seenShifted)
-	clear(s.seenAug)
+	clear(s.seen)
 	if o.opts.Drift.enabled() {
 		if s.drift == nil {
 			s.drift = newDriftDetector(len(o.env.Templates), o.opts.Drift)
@@ -1041,61 +1031,62 @@ func (s *Stream) scheduleBatch(ctx context.Context, epoch *ModelEpoch, t time.Du
 	}
 	switch {
 	case allFresh:
-		return s.scheduleWith(epoch.Model, batch)
+		return s.scheduleWith(epoch.Model, batch, nil)
 	case s.eng.opts.Shift && epoch.Model.Goal.Shiftable():
 		m, err := s.shiftedModel(ctx, epoch, maxWait)
 		if err != nil {
 			return nil, err
 		}
-		return s.scheduleWith(m, batch)
+		return s.scheduleWith(m, batch, nil)
 	default:
 		return s.scheduleAugmented(ctx, epoch, t, batch)
 	}
 }
 
-// shiftedModel returns a model for the goal shifted by w, adapting the
-// epoch's model (§5). With Reuse on, the engine-wide ω-map dedups builds
-// across streams (exactly one stream adapts; the rest wait for the entry),
-// while the stream-local counters record whether *this* stream had used the
-// model before.
-func (s *Stream) shiftedModel(ctx context.Context, epoch *ModelEpoch, w time.Duration) (*Model, error) {
+// derived returns the model epoch derives for key, running build for it.
+// With Reuse on, the epoch's ω-map dedups builds across streams (exactly
+// one stream builds; the rest wait for the entry) and a re-acquisition
+// counts as a CacheHit; with Reuse off every call builds. first reports
+// whether this stream is using the model for the first time.
+func (s *Stream) derived(ctx context.Context, epoch *ModelEpoch, key derivedKey, build func() (*Model, error)) (m *Model, first bool, err error) {
 	if !s.eng.opts.Reuse {
-		m, err := epoch.Model.ShiftedModelContext(ctx, w)
-		if err != nil {
-			return nil, err
-		}
-		s.countAdaptation(m)
-		return m, nil
+		m, err = build()
+		return m, true, err
 	}
-	key := shiftKey{reg: s.reg.id, epoch: epoch.Epoch, wait: w}
-	m, err := getOrBuild(&s.eng.cache, shiftedMap, key, key.hash(), ctx, func() (*Model, error) {
-		return epoch.Model.shiftedFrom(ctx, w, s.eng.cache.nearestShifted(key))
+	if m, err = epoch.derived.getOrBuild(ctx, key, &s.eng.builds, build); err != nil {
+		return nil, false, err
+	}
+	seen := seenKey{epoch: epoch.Epoch, key: key}
+	if _, ok := s.seen[seen]; ok {
+		s.res.CacheHits++
+		return m, false, nil
+	}
+	s.seen[seen] = struct{}{}
+	return m, true, nil
+}
+
+// shiftedModel returns a model for the goal shifted by w, adapting the
+// epoch's model (§5) from the nearest smaller wait already in its ω-map.
+func (s *Stream) shiftedModel(ctx context.Context, epoch *ModelEpoch, w time.Duration) (*Model, error) {
+	m, first, err := s.derived(ctx, epoch, derivedKey{wait: w}, func() (*Model, error) {
+		return epoch.Model.shiftedFrom(ctx, w, epoch.derived.nearestShifted(w))
 	})
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := s.seenShifted[key]; ok {
-		s.res.CacheHits++
-	} else {
-		s.seenShifted[key] = struct{}{}
-		s.countAdaptation(m)
+	if first {
+		s.res.Adaptations++
+		s.res.AdaptReplayed += m.WarmSamples
+		s.res.AdaptSolved += m.ColdSamples
 	}
 	return m, nil
-}
-
-// countAdaptation records a shifted model this stream acquired for the
-// first time.
-func (s *Stream) countAdaptation(m *Model) {
-	s.res.Adaptations++
-	s.res.AdaptReplayed += m.WarmSamples
-	s.res.AdaptSolved += m.ColdSamples
 }
 
 // scheduleAugmented builds the "new template" specification of §6.3: each
 // distinct (template, wait) pair among waited queries becomes an extra
 // template whose latency is inflated by the wait, a model is trained for
-// the augmented specification (or fetched from the ω-map when Reuse is on),
-// and the batch is scheduled against it.
+// the augmented specification (or fetched from the epoch's ω-map when Reuse
+// is on), and the batch is scheduled against it.
 func (s *Stream) scheduleAugmented(ctx context.Context, epoch *ModelEpoch, t time.Duration, batch []int) (*schedule.Schedule, error) {
 	base := epoch.Model.env.Templates
 	augID := map[augKey]int{}
@@ -1139,39 +1130,14 @@ func (s *Stream) scheduleAugmented(ctx context.Context, epoch *ModelEpoch, t tim
 		}
 		return adv.TrainContext(ctx, goal)
 	}
-	var m *Model
-	var err error
-	if s.eng.opts.Reuse {
-		key := augModelKey{reg: s.reg.id, epoch: epoch.Epoch, key: strings.Join(keyParts, ",")}
-		m, err = getOrBuild(&s.eng.cache, augmentedMap, key, key.hash(), ctx, build)
-		if err != nil {
-			return nil, err
-		}
-		if _, ok := s.seenAug[key]; ok {
-			s.res.CacheHits++
-		} else {
-			s.seenAug[key] = struct{}{}
-			s.res.Retrainings++
-		}
-	} else {
-		m, err = build()
-		if err != nil {
-			return nil, err
-		}
-		s.res.Retrainings++
-	}
-
-	s.queries = s.queries[:0]
-	for i, tag := range batch {
-		s.queries = append(s.queries, workload.Query{TemplateID: queryTemplate[i], Tag: tag})
-	}
-	s.wl = workload.Workload{Templates: m.env.Templates, Queries: s.queries}
-	sched, backing, err := m.scheduleBatchInto(&s.wl, s.sched, s.backing, s.priceMult)
+	m, first, err := s.derived(ctx, epoch, derivedKey{aug: strings.Join(keyParts, ",")}, build)
 	if err != nil {
 		return nil, err
 	}
-	s.sched, s.backing = sched, backing
-	return sched, nil
+	if first {
+		s.res.Retrainings++
+	}
+	return s.scheduleWith(m, batch, queryTemplate)
 }
 
 // augmentGoal extends a goal to cover augmented templates. Workload-level
@@ -1206,13 +1172,17 @@ func augmentGoal(g sla.Goal, base []workload.Template, augID map[augKey]int) (sl
 	return pq, nil
 }
 
-// scheduleWith runs the model's batch scheduler over real query tags using
-// the original template of each query, reusing the stream's schedule
-// skeleton.
-func (s *Stream) scheduleWith(m *Model, batch []int) (*schedule.Schedule, error) {
+// scheduleWith runs the model's batch scheduler over real query tags,
+// reusing the stream's schedule skeleton. tmpl, when non-nil, holds each
+// batch query's (augmented) template; nil means each query's original one.
+func (s *Stream) scheduleWith(m *Model, batch, tmpl []int) (*schedule.Schedule, error) {
 	s.queries = s.queries[:0]
-	for _, tag := range batch {
-		s.queries = append(s.queries, workload.Query{TemplateID: int(s.tags[tag].template), Tag: tag})
+	for i, tag := range batch {
+		t := int(s.tags[tag].template)
+		if tmpl != nil {
+			t = tmpl[i]
+		}
+		s.queries = append(s.queries, workload.Query{TemplateID: t, Tag: tag})
 	}
 	s.wl = workload.Workload{Templates: m.env.Templates, Queries: s.queries}
 	sched, backing, err := m.scheduleBatchInto(&s.wl, s.sched, s.backing, s.priceMult)
@@ -1309,21 +1279,20 @@ func (s *Stream) rerouteFallback(ft int, t time.Duration) *cloud.SimVM {
 	return vm
 }
 
-// shiftKey identifies a shifted model in the engine's ω-map: derived models
-// are keyed by the registry (reg) and epoch of their base, so models
-// adapted from a superseded epoch — or from another registry's identically
-// numbered epoch — are never served in the wrong place.
-type shiftKey struct {
-	reg   uint32
-	epoch uint64
-	wait  time.Duration
+// derivedKey identifies a derived model in its epoch's ω-map: a shifted
+// model by its wait alone (aug empty), an augmented-template model by its
+// sorted ω-pattern. One epoch serves one goal, so it only ever asks for one
+// of the two kinds.
+type derivedKey struct {
+	wait time.Duration
+	aug  string // sorted "template@waitBucket" pairs; empty for a shift
 }
 
-// augModelKey identifies an augmented-template model in the ω-map.
-type augModelKey struct {
-	reg   uint32
+// seenKey is a stream's record of a derived model it has used: the epoch
+// number and key, never the model, so a live stream pins nothing.
+type seenKey struct {
 	epoch uint64
-	key   string // sorted "template@waitBucket" pairs
+	key   derivedKey
 }
 
 // mix64 is the SplitMix64 finalizer: a cheap, high-quality 64-bit mixer the
@@ -1337,25 +1306,16 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// hash folds the key into a stripe selector. Allocation-free — it runs on
-// every derived-model lookup.
-func (k shiftKey) hash() uint64 {
-	return mix64(uint64(k.reg)<<48 ^ k.epoch<<20 ^ uint64(k.wait))
-}
-
-// hash folds the augmented key — FNV-1a over the ω-pattern string, mixed
-// with the registry and epoch.
-func (k augModelKey) hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(k.key); i++ {
-		h ^= uint64(k.key[i])
-		h *= prime64
+// hash folds the key into a stripe selector: FNV-1a over the ω-pattern,
+// seeded with the wait. Allocation-free — it runs on every derived-model
+// lookup.
+func (k derivedKey) hash() uint64 {
+	h := uint64(k.wait)
+	for i := 0; i < len(k.aug); i++ {
+		h ^= uint64(k.aug[i])
+		h *= 1099511628211
 	}
-	return mix64(h ^ uint64(k.reg)<<48 ^ k.epoch<<20)
+	return mix64(h)
 }
 
 // modelEntry is one ω-map slot. The builder closes done when the model (or
@@ -1367,49 +1327,39 @@ type modelEntry struct {
 	err  error
 }
 
-// cacheShard is one mutex stripe of the ω-map: its own lock, its own maps.
-// Lookups, inserts, and eviction for a key touch only the key's shard, so
-// unrelated derived-model traffic never serializes.
+// cacheShard is one mutex stripe of the ω-map: its own lock, its own map
+// (made on the first insert). Lookups and inserts for a key touch only the
+// key's shard, so unrelated derived-model traffic never serializes.
 type cacheShard struct {
-	mu        sync.Mutex
-	shifted   map[shiftKey]*modelEntry
-	augmented map[augModelKey]*modelEntry
+	mu sync.Mutex
+	m  map[derivedKey]*modelEntry
 }
 
 // cacheStripes is the ω-map stripe count: enough stripes that even 10k
 // concurrent streams rarely collide on a lock, at a memory cost of a few
-// empty maps.
+// empty stripes per epoch.
 const cacheStripes = 64
 
-// modelCache is the engine-wide ω-map (§6.3.1) shared by every stream,
-// striped over power-of-two cacheShard stripes so derived-model lookups
-// from many streams do not serialize on one lock. builds counts real model
-// builds across all stripes (CacheStats aggregates nothing else — the
-// stripes are an implementation detail of the lock, not of the contents).
+// modelCache is an epoch's ω-map (§6.3.1): the models derived from that
+// epoch's model, shared by every stream serving it and striped over
+// power-of-two cacheShard stripes so lookups from many streams do not
+// serialize on one lock. It lives and dies with its ModelEpoch, so a swap
+// releases it with nothing to evict.
 type modelCache struct {
 	shards []cacheShard
 	mask   uint64
-	builds atomic.Int64
 }
 
-// init sizes the stripe array, rounding stripes up to a power of two. The
-// engine uses cacheStripes; stripes == 1 degenerates to a single-lock ω-map,
-// the baseline BenchmarkShardedCacheContention measures against.
-func (c *modelCache) init(stripes int) {
+// newModelCache returns an empty ω-map, rounding stripes up to a power of
+// two. Epochs use cacheStripes; stripes == 1 degenerates to a single-lock
+// ω-map, the baseline BenchmarkShardedCacheContention measures against.
+func newModelCache(stripes int) *modelCache {
 	n := 1
 	for n < stripes {
 		n <<= 1
 	}
-	c.shards = make([]cacheShard, n)
-	c.mask = uint64(n - 1)
-	for i := range c.shards {
-		c.shards[i].shifted = map[shiftKey]*modelEntry{}
-		c.shards[i].augmented = map[augModelKey]*modelEntry{}
-	}
+	return &modelCache{shards: make([]cacheShard, n), mask: uint64(n - 1)}
 }
-
-// shard returns the stripe owning a key hash.
-func (c *modelCache) shard(hash uint64) *cacheShard { return &c.shards[hash&c.mask] }
 
 // size reports the total number of cached derived models across stripes.
 func (c *modelCache) size() int {
@@ -1417,51 +1367,24 @@ func (c *modelCache) size() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += len(s.shifted) + len(s.augmented)
+		n += len(s.m)
 		s.mu.Unlock()
 	}
 	return n
 }
 
-// evictBefore drops every entry derived from reg's epochs older than epoch.
-// Called on each hot swap: superseded derived models can never be served
-// again (cache keys embed registry and epoch), and without eviction a
-// long-running engine would pin every old base model — and its retained
-// training data — for its whole lifetime. Eviction is per-stripe: each
-// stripe is locked, scanned, and released independently, so a hot swap
-// never stalls lookups on unrelated stripes (and other registries' entries
-// are untouched). Streams still mid-event on the old epoch hold their
-// entries directly, so eviction never invalidates an in-flight use.
-func (c *modelCache) evictBefore(reg uint32, epoch uint64) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for k := range s.shifted {
-			if k.reg == reg && k.epoch < epoch {
-				delete(s.shifted, k)
-			}
-		}
-		for k := range s.augmented {
-			if k.reg == reg && k.epoch < epoch {
-				delete(s.augmented, k)
-			}
-		}
-		s.mu.Unlock()
-	}
-}
-
-// nearestShifted returns the finished shifted model of key's registry and
-// epoch with the largest wait below key's, or nil: the looser goal whose
-// solved paths a new build replays (Model.shiftedFrom). It runs once per
-// build, never per lookup, and locks one stripe at a time.
-func (c *modelCache) nearestShifted(key shiftKey) *Model {
+// nearestShifted returns the finished shifted model with the largest wait
+// below wait, or nil: the looser goal whose solved paths a new build
+// replays (Model.shiftedFrom). It runs once per build, never per lookup,
+// and locks one stripe at a time.
+func (c *modelCache) nearestShifted(wait time.Duration) *Model {
 	var near *Model
 	best := time.Duration(0)
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for k, e := range s.shifted {
-			if k.reg != key.reg || k.epoch != key.epoch || k.wait >= key.wait || k.wait <= best {
+		for k, e := range s.m {
+			if k.aug != "" || k.wait >= wait || k.wait <= best {
 				continue
 			}
 			select {
@@ -1477,43 +1400,37 @@ func (c *modelCache) nearestShifted(key shiftKey) *Model {
 	return near
 }
 
-// shiftedMap and augmentedMap select a stripe's map for the generic
-// getOrBuild; declared as named functions so the call sites pass a static
-// function value — no closure allocation on the lookup path.
-func shiftedMap(s *cacheShard) map[shiftKey]*modelEntry      { return s.shifted }
-func augmentedMap(s *cacheShard) map[augModelKey]*modelEntry { return s.augmented }
-
 // getOrBuild returns the cached model for key, building it at most once at
-// a time across concurrent requesters. Only the key's stripe is locked —
-// and only around the map probe, never across a build — so concurrent
-// lookups of unrelated keys proceed in parallel. A failed build (including
-// a cancelled one) is evicted, and waiting requesters do not adopt the
-// failure — another tenant's cancelled context must not abort a healthy
-// stream — they retry, becoming the builder themselves or waiting on a
-// newer build. A builder always returns its own outcome, and a requester
-// whose own ctx expires returns its ctx error without waiting out a build.
-func getOrBuild[K comparable](c *modelCache, pick func(*cacheShard) map[K]*modelEntry, key K, hash uint64, ctx context.Context, build func() (*Model, error)) (*Model, error) {
-	s := c.shard(hash)
-	m := pick(s)
+// a time across concurrent requesters and counting each build in builds.
+// Only the key's stripe is locked — and only around the map probe, never
+// across a build — so concurrent lookups of unrelated keys proceed in
+// parallel. A failed build (including a cancelled one) is evicted, and
+// waiting requesters do not adopt the failure — another tenant's cancelled
+// context must not abort a healthy stream — they retry, becoming the
+// builder themselves or waiting on a newer build. A builder always returns
+// its own outcome, and a requester whose own ctx expires returns its ctx
+// error without waiting out a build.
+func (c *modelCache) getOrBuild(ctx context.Context, key derivedKey, builds *atomic.Int64, build func() (*Model, error)) (*Model, error) {
+	s := &c.shards[key.hash()&c.mask]
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		s.mu.Lock()
-		e, ok := m[key]
+		e, ok := s.m[key]
 		if !ok {
+			if s.m == nil {
+				s.m = map[derivedKey]*modelEntry{}
+			}
 			e = &modelEntry{done: make(chan struct{})}
-			m[key] = e
+			s.m[key] = e
 			s.mu.Unlock()
-			c.builds.Add(1)
+			builds.Add(1)
 			e.m, e.err = build()
 			if e.err != nil {
+				// Nothing else removes a slot, so it is still ours.
 				s.mu.Lock()
-				// Evict only our own entry: a pruned-and-replaced slot
-				// belongs to a newer build.
-				if cur, ok := m[key]; ok && cur == e {
-					delete(m, key)
-				}
+				delete(s.m, key)
 				s.mu.Unlock()
 			}
 			close(e.done)

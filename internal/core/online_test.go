@@ -119,8 +119,8 @@ func TestMultiStreamDeterminism(t *testing.T) {
 // GOMAXPROCS, requires bit-identical per-tenant results across them, and
 // returns those results' fingerprints. With a non-empty second registry,
 // every other tenant is bound to it. The 10s gaps put every stream on the
-// shifted-model path, so the striped ω-map and its registry-scoped keys are
-// both load-bearing.
+// shifted-model path, so the striped ω-map of each registry's epoch is
+// load-bearing.
 func tenantFingerprints(t *testing.T, second string) []string {
 	t.Helper()
 	base := onlineBase(t, 5, 2)
@@ -319,9 +319,9 @@ func TestHotSwapNoDroppedArrivals(t *testing.T) {
 	t.Logf("registry: %d triggers, %d swaps, final epoch %d", stats.Triggers, stats.Swaps, stats.Epoch)
 }
 
-// A hot swap must evict derived models of superseded epochs from the
-// shared ω-map: their keys can never be requested again, and keeping them
-// would pin every old base model for the engine's lifetime.
+// A hot swap must leave no derived model of a superseded epoch counted by
+// the engine: they can never be requested again, and keeping them would pin
+// every old base model for the engine's lifetime.
 func TestHotSwapEvictsSupersededDerivedModels(t *testing.T) {
 	base := onlineBase(t, 3, 1)
 	o := NewOnlineScheduler(base, DefaultOnlineOptions())
@@ -330,11 +330,11 @@ func TestHotSwapEvictsSupersededDerivedModels(t *testing.T) {
 	if _, err := s.shiftedModel(context.Background(), epoch, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if cached := o.cache.size(); cached != 1 {
+	if cached := o.ScaleStats().CacheEntries; cached != 1 {
 		t.Fatalf("want 1 cached shifted model before the swap, got %d", cached)
 	}
 	o.Registry().Swap(base, nil)
-	if cached := o.cache.size(); cached != 0 {
+	if cached := o.ScaleStats().CacheEntries; cached != 0 {
 		t.Fatalf("superseded derived models survived the hot swap: %d entries", cached)
 	}
 }

@@ -11,17 +11,16 @@ import (
 	"wisedb/internal/store"
 )
 
-// ModelEpoch is one immutable generation of a serving model: the model, a
+// ModelEpoch is one generation of a serving model: the model, a
 // monotonically increasing epoch number, and the normalized template-arrival
 // mix the model was trained to serve. Streams load the current epoch once
-// per arrival event; everything inside an epoch is read-only, so a loaded
-// epoch stays valid for the whole event even if a swap lands mid-arrival.
+// per arrival event; everything inside an epoch is read-only except its
+// ω-map cache of derived models, so a loaded epoch stays valid for the
+// whole event even if a swap lands mid-arrival.
 type ModelEpoch struct {
 	// Model is the serving model of this epoch.
 	Model *Model
-	// Epoch numbers generations from 0 (the base model). Derived-model
-	// caches key by it, so models shifted or augmented from a superseded
-	// base are never served after a swap.
+	// Epoch numbers generations from 0 (the base model).
 	Epoch uint64
 	// Mix is the normalized template distribution the model targets. The
 	// per-stream drift detectors compare live arrival histograms against
@@ -33,6 +32,12 @@ type ModelEpoch struct {
 	// recorded, sparing CheckpointTo a full re-encode on re-attach.
 	// Zero for freshly trained epochs (computed when checkpointed).
 	Hash uint64
+
+	// derived is this epoch's ω-map (§6.3.1): the models shifted or
+	// augmented from Model, built on demand by the streams serving it. It
+	// goes with the epoch, so a superseded base's derived models are never
+	// served, and nothing but a stream still holding the epoch keeps them.
+	derived *modelCache
 }
 
 // RetrainFunc builds a replacement model for the observed arrival mix. cur
@@ -50,15 +55,6 @@ type RetrainFunc func(ctx context.Context, cur *ModelEpoch, mix []float64) (*Mod
 type ModelRegistry struct {
 	cur     atomic.Pointer[ModelEpoch]
 	retrain RetrainFunc
-	// id is the engine-assigned registry index. The engine's shared ω-map
-	// embeds it in every derived-model key, so two registries' epoch
-	// numbers never collide in the striped cache. Zero for a standalone
-	// registry and for an engine's default registry.
-	id uint32
-	// onSwap, when non-nil, runs after each epoch installation (under the
-	// swap lock). The serving engine uses it to evict derived models of
-	// superseded epochs from its ω-map.
-	onSwap func(*ModelEpoch)
 
 	// inFlight gates the single retrain slot; wg lets tests and shutdown
 	// drain a background retrain (and any background checkpoint).
@@ -107,7 +103,7 @@ func NewModelRegistry(base *Model) *ModelRegistry {
 		panic("core: NewModelRegistry requires a base model")
 	}
 	r := &ModelRegistry{retrain: DriftRetrain, policy: DefaultRetryPolicy()}
-	r.cur.Store(&ModelEpoch{Model: base, Epoch: 0, Mix: base.TrainingMix()})
+	r.cur.Store(&ModelEpoch{Model: base, Epoch: 0, Mix: base.TrainingMix(), derived: newModelCache(cacheStripes)})
 	return r
 }
 
@@ -125,11 +121,10 @@ func (r *ModelRegistry) Swap(m *Model, mix []float64) uint64 {
 }
 
 // install is the single epoch-installation path: it assigns the next epoch
-// number, publishes the epoch, notifies onSwap (derived-model cache
-// eviction), and — when a checkpoint store is attached — commits the epoch
-// durably in the background, off every arrival path. lin carries the
-// install's provenance (reason, trigger EMD); epoch numbers, parent, mix,
-// and model hash are filled here.
+// number, publishes the epoch with an empty ω-map, and — when a checkpoint
+// store is attached — commits the epoch durably in the background, off
+// every arrival path. lin carries the install's provenance (reason, trigger
+// EMD); epoch numbers, parent, mix, and model hash are filled here.
 func (r *ModelRegistry) install(m *Model, mix []float64, lin store.Lineage) uint64 {
 	r.swapMu.Lock()
 	defer r.swapMu.Unlock()
@@ -137,12 +132,9 @@ func (r *ModelRegistry) install(m *Model, mix []float64, lin store.Lineage) uint
 		mix = m.TrainingMix()
 	}
 	prev := r.cur.Load()
-	next := &ModelEpoch{Model: m, Epoch: prev.Epoch + 1, Mix: mix}
+	next := &ModelEpoch{Model: m, Epoch: prev.Epoch + 1, Mix: mix, derived: newModelCache(cacheStripes)}
 	r.cur.Store(next)
 	r.swaps.Add(1)
-	if r.onSwap != nil {
-		r.onSwap(next)
-	}
 	if r.ckpt != nil {
 		lin.Epoch = next.Epoch
 		lin.Parent = prev.Epoch
@@ -280,18 +272,15 @@ func loadLatestEpoch(ms *store.ModelStore) (*ModelEpoch, error) {
 	if len(mix) != len(m.env.Templates) {
 		mix = m.TrainingMix()
 	}
-	return &ModelEpoch{Model: m, Epoch: lin.Epoch, Mix: mix, Hash: lin.ModelHash}, nil
+	return &ModelEpoch{Model: m, Epoch: lin.Epoch, Mix: mix, Hash: lin.ModelHash, derived: newModelCache(cacheStripes)}, nil
 }
 
 // installEpoch publishes a warm-started epoch wholesale — persisted epoch
-// number included — through the same notification path as a hot swap.
+// number included — under the swap lock, like a hot swap.
 func (r *ModelRegistry) installEpoch(e *ModelEpoch) {
 	r.swapMu.Lock()
 	defer r.swapMu.Unlock()
 	r.cur.Store(e)
-	if r.onSwap != nil {
-		r.onSwap(e)
-	}
 }
 
 // WarmStart replaces the registry's serving state with the store's newest

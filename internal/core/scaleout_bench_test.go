@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -17,12 +18,12 @@ func BenchmarkShardedCacheContention(b *testing.B) {
 	m := benchModel(b)
 	for _, stripes := range []int{1, 64} {
 		b.Run(fmt.Sprintf("stripes=%d", stripes), func(b *testing.B) {
-			var c modelCache
-			c.init(stripes)
-			keys := make([]shiftKey, 64)
+			c := newModelCache(stripes)
+			var builds atomic.Int64
+			keys := make([]derivedKey, 64)
 			for i := range keys {
-				keys[i] = shiftKey{epoch: 0, wait: time.Duration(i) * time.Second}
-				if _, err := getOrBuild(&c, shiftedMap, keys[i], keys[i].hash(), context.Background(),
+				keys[i] = derivedKey{wait: time.Duration(i) * time.Second}
+				if _, err := c.getOrBuild(context.Background(), keys[i], &builds,
 					func() (*Model, error) { return m, nil }); err != nil {
 					b.Fatal(err)
 				}
@@ -34,7 +35,7 @@ func BenchmarkShardedCacheContention(b *testing.B) {
 				for pb.Next() {
 					k := keys[i&63]
 					i++
-					if _, err := getOrBuild(&c, shiftedMap, k, k.hash(), context.Background(), nil); err != nil {
+					if _, err := c.getOrBuild(context.Background(), k, &builds, nil); err != nil {
 						b.Error(err)
 						return
 					}

@@ -41,7 +41,7 @@ func TestRunTenantsDeterministicAcrossShardCounts(t *testing.T) {
 }
 
 // Many concurrent streams hammering the same hot ω-map keys across repeated
-// hot swaps: per-stripe singleflight must dedup builds, eviction must not
+// hot swaps: per-stripe singleflight must dedup builds, a swap must not
 // disturb in-flight acquisitions, and every stream must complete every
 // arrival exactly once. Run under -race this is the striped-cache
 // correctness hammer.
@@ -114,7 +114,7 @@ func TestSwapReleasesSupersededEpochs(t *testing.T) {
 	if _, err := o.Run(tenantWorkloads(base.Env().Templates, 1, 15, 10*time.Second, 77)[0]); err != nil {
 		t.Fatal(err)
 	}
-	weakShifted := weak.Make(o.cache.nearestShifted(shiftKey{epoch: 0, wait: math.MaxInt64}))
+	weakShifted := weak.Make(reg.Current().derived.nearestShifted(math.MaxInt64))
 	if weakShifted.Value() == nil {
 		t.Fatal("the waited stream built no shifted model")
 	}
@@ -267,4 +267,68 @@ func TestRunTenantsAtScale(t *testing.T) {
 	if got := o.ActiveStreams(); got != 0 {
 		t.Fatalf("%d streams still active", got)
 	}
+}
+
+// A stream still mid-event on a superseded epoch may build a derived model
+// after the swap. That model belongs to the old epoch's ω-map: the engine
+// must neither count it among its entries nor keep it reachable once the
+// stream lets the old epoch go.
+func TestLateBuildOnSupersededEpochReleased(t *testing.T) {
+	for _, shift := range []bool{true, false} {
+		name := "augmented"
+		if shift {
+			name = "shifted"
+		}
+		t.Run(name, func(t *testing.T) {
+			opts := DefaultOnlineOptions()
+			opts.Shift = shift
+			o := NewOnlineScheduler(onlineBase(t, 3, 1), opts)
+			s := o.NewStream(&SimClock{})
+			late := lateDerivedBuild(t, s)
+			if n := o.ScaleStats().CacheEntries; n != 0 {
+				t.Fatalf("the engine counts %d derived models of a superseded epoch", n)
+			}
+			// Two collections, as in TestSwapReleasesSupersededEpochs.
+			runtime.GC()
+			runtime.GC()
+			if late.Value() != nil {
+				t.Error("a model built late from a superseded epoch is still reachable")
+			}
+			// The engine and the stream stay live across the collection.
+			runtime.KeepAlive(o)
+			runtime.KeepAlive(s)
+		})
+	}
+}
+
+// lateDerivedBuild swaps s's registry, then builds one derived model from
+// the epoch the swap replaced — the way a stream that loaded that epoch
+// before the swap does — and returns a weak pointer to it.
+func lateDerivedBuild(t *testing.T, s *Stream) weak.Pointer[Model] {
+	ctx := context.Background()
+	// Tag 0 arrives at 0 and has waited 30 s by the late build.
+	if err := s.Submit(ctx, workload.Query{TemplateID: 0, Tag: 0}); err != nil {
+		t.Fatal(err)
+	}
+	old := s.reg.Current()
+	s.reg.Swap(old.Model, nil)
+	var err error
+	if s.eng.opts.Shift {
+		_, err = s.shiftedModel(ctx, old, 30*time.Second)
+	} else {
+		_, err = s.scheduleAugmented(ctx, old, 30*time.Second, []int{0})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m *Model
+	for i := range old.derived.shards {
+		for _, e := range old.derived.shards[i].m {
+			m = e.m
+		}
+	}
+	if m == nil {
+		t.Fatal("the late build left no model in its epoch's ω-map")
+	}
+	return weak.Make(m)
 }

@@ -316,8 +316,8 @@ func TestWarmStartEmptyStore(t *testing.T) {
 }
 
 // ModelRegistry.WarmStart must install the stored epoch wholesale —
-// number, mix, and model — and evict derived models of the superseded
-// epoch from the engine's ω-map like any other install.
+// number, mix, and model — and leave the superseded epoch's derived models
+// behind with it, like any other install.
 func TestRegistryWarmStartInstallsStoredEpoch(t *testing.T) {
 	base := onlineBase(t, 4, 1)
 	ms, err := store.Open(t.TempDir())
@@ -343,7 +343,7 @@ func TestRegistryWarmStartInstallsStoredEpoch(t *testing.T) {
 	if ep.Epoch != 1 {
 		t.Fatalf("warm start installed epoch %d, want 1", ep.Epoch)
 	}
-	if cached := eng.cache.size(); cached != 0 {
+	if cached := eng.ScaleStats().CacheEntries; cached != 0 {
 		t.Fatalf("warm start left %d superseded derived models cached", cached)
 	}
 }

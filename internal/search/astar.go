@@ -671,7 +671,9 @@ func (s *Searcher) Solve(w *workload.Workload, opts Options) (*Result, error) {
 	sv.canonical = s.gridded && !sv.seeded
 	// f-costs are in cents; a quantum of a fraction of the cheapest
 	// start-up fee separates the packing plateaus the bounds create while
-	// keeping the bucket count moderate.
+	// keeping the bucket count moderate. Outside canonical searches it also
+	// picks the pop order of exact ties (see bucketFrontier), so changing it
+	// can change an Average or Percentile model.
 	quantum := s.minStartup / 8
 	if !(quantum > 1e-4) {
 		quantum = 1e-4

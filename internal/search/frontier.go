@@ -18,10 +18,15 @@ import (
 // (f, then remaining queries, as the global heap used): pops cost
 // O(log bucketSize), and a monotone cursor skips drained buckets.
 //
-// Quantization never changes the pop order: equal f-values land in the same
-// bucket (the index is a deterministic function of f), strictly smaller
-// f-values land in the same or an earlier bucket, and within a bucket the
-// exact comparator decides. The cursor moves backward when a push lands
+// Quantization never changes the order of distinct comparator keys: equal
+// f-values land in the same bucket (the index is a deterministic function
+// of f), strictly smaller f-values land in the same or an earlier bucket,
+// and within a bucket the exact comparator decides. Nodes whose keys tie —
+// equal (f, remaining) under the legacy comparator; canonical keys never
+// tie — pop in an order the heap's layout picks, and that layout depends
+// on which nodes share a bucket, so on the quantum: the non-canonical
+// (Average, Percentile) searches can return different optimal schedules
+// at a different quantum. The cursor moves backward when a push lands
 // below it — branch-and-bound re-openings under the non-monotonic goals can
 // legally decrease f — so the frontier does not rely on heuristic
 // consistency. Indices above maxBucketIndex clamp into the last bucket,
