@@ -1404,7 +1404,7 @@ func (c *modelCache) nearestShifted(wait time.Duration) *Model {
 // a time across concurrent requesters and counting each build in builds.
 // Only the key's stripe is locked — and only around the map probe, never
 // across a build — so concurrent lookups of unrelated keys proceed in
-// parallel. A failed build (including a cancelled one) is evicted, and
+// parallel. A failed build (including a cancelled one) is removed, and
 // waiting requesters do not adopt the failure — another tenant's cancelled
 // context must not abort a healthy stream — they retry, becoming the
 // builder themselves or waiting on a newer build. A builder always returns
