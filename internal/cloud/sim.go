@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -125,6 +126,12 @@ func (vm *SimVM) materialize(t time.Duration) {
 		// online steady state. Queues are short (the unstarted backlog).
 		copy(vm.queue, vm.queue[1:])
 		vm.queue = vm.queue[:len(vm.queue)-1]
+		if len(vm.runs) == cap(vm.runs) {
+			// Double: past 256 elements append grows by ≈ 1.25×, which
+			// allocates five times a long-lived VM's final run record
+			// instead of twice.
+			vm.runs = slices.Grow(vm.runs, len(vm.runs))
+		}
 		vm.runs = append(vm.runs, Run{Tag: q.tag, TemplateID: q.templateID, Start: start, End: start + q.latency})
 	}
 }

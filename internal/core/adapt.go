@@ -15,17 +15,23 @@ import (
 // costs under the new goal exactly what it cost under the old one keeps
 // that schedule without a search (the replay certificate, see
 // search.Searcher.Replay); every other sample is re-solved with the
-// adaptive-A* heuristic h'(v) = max(h(v), C* − g_old(v)) built from its
-// previous search (Lemma 5.1 proves h' admissible when the new goal is
-// stricter and the goal is monotonic). Both rest on the new goal being at
-// least as strict, so a looser Max or PerQuery goal is an error. Average
-// and Percentile models keep no reuse information — a search under those
-// goals could not use it — so adaptation re-solves exactly, once per
-// distinct start state, as Train does. The model must have been trained
-// with KeepTrainingData. The work runs on the same worker pool as Train
+// model's transposition cache. The certificate rests on the new goal being
+// at least as strict, so a looser Max or PerQuery goal is an error.
+// Average and Percentile adaptations re-solve exactly, once per distinct
+// start state, as Train does. The model must have been trained with
+// KeepTrainingData. The work runs on the same worker pool as Train
 // (TrainingConfig.Parallelism) and the result is identical for any worker
 // count — and, for monotonic goals, identical to adapting without the
-// certificate or the reuse, both of which only skip work.
+// certificate, which only skips work.
+//
+// Models keep no §5 closed sets, so a re-solve runs without the Lemma 5.1
+// heuristic h'(v) = max(h(v), C* − g_old(v)). It changes no model (the
+// canonical search returns the same schedule whatever heuristic strength
+// it runs with), and one set per sample held twenty times the memory of
+// the rest of a model to save at most 15 % of the states the re-solves
+// generate, at small tightenings (EXPERIMENTS, "Fig. 16: the certificate,
+// not Lemma 5.1"). search.Reuse remains the building block for a caller
+// that keeps one.
 //
 // The returned model itself retains training data, so a chain of
 // progressively stricter goals — as built by strategy recommendation — can
@@ -64,7 +70,7 @@ func (m *Model) adapt(ctx context.Context, goal sla.Goal, keep bool, near *Model
 }
 
 // atLeastAsStrict reports whether goal prices no schedule below old, which
-// the replay certificate and the Lemma 5.1 reuse both assume: for the
+// the replay certificate assumes: for the
 // monotonic families, the same family with no later deadline and no lower
 // penalty rate. Average and Percentile adaptations re-solve exactly.
 func atLeastAsStrict(goal, old sla.Goal) bool {

@@ -17,8 +17,8 @@ import (
 // that the stream-backlog arrivals ask for, every multiple of 30 s up to
 // 11 m 30 s, each built from the one before as the engine builds each from
 // its nearest smaller neighbour. A build replays the samples whose solved
-// path kept its cost under the longer wait and re-solves the rest with §5
-// reuse and a fresh transposition cache, then fits and compiles a tree.
+// path kept its cost under the longer wait and re-solves the rest with a
+// fresh transposition cache, then fits and compiles a tree.
 // replayed/build counts the former; states/build the states the searches
 // of the latter generated past dedupe (one cache lookup each, so
 // TrainingCacheHits + TrainingCacheMisses).

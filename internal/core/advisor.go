@@ -54,8 +54,9 @@ type TrainConfig struct {
 	Parallelism int
 	// Tree configures the decision-tree learner.
 	Tree dt.Config
-	// KeepTrainingData retains each sample's workload and search data on
-	// the model so that adaptive modeling (§5) can re-train cheaply.
+	// KeepTrainingData retains each sample's workload, solved path and
+	// draw variates on the model so that adaptive modeling (§5) and warm
+	// retrains can replay instead of searching.
 	KeepTrainingData bool
 }
 
@@ -177,20 +178,12 @@ type solvedPath struct {
 	actions []graph.Action
 }
 
-// trainSample retains one sample workload and its search byproducts for
-// adaptive re-training.
+// trainSample retains one sample workload, its solved path and the variates
+// of its draw: what adaptive re-training and warm retrains replay. No §5
+// closed set is kept (see Model.Adapt).
 type trainSample struct {
 	w *workload.Workload
 	solvedPath
-	// reuse is the §5 adaptive-A* information of the search that solved
-	// the sample: its closed set and the cost the g-values count up to.
-	// A sample whose path was replayed from a looser goal carries that
-	// goal's reuse forward unchanged (same cost, and g-values of a looser
-	// goal stay a Lemma 5.1 bound under every stricter one). Nil under a
-	// non-monotonic goal, whose searches never read one (see search.Reuse).
-	// Memory only: a sample restored from a checkpoint has none until it is
-	// re-solved.
-	reuse *search.Reuse
 	// variates holds the unit variates the sample's weighted draw
 	// consumed, one per query. A warm retrain with the same seed and
 	// sample size rebins them under the drifted mix

@@ -57,8 +57,7 @@ type answer struct {
 // answer its sources have: a stored path that Replay certifies (the walk
 // reaches the goal at exactly the stored cost, so it is the canonical
 // optimum), else a search, once per distinct start state (startOnce), with
-// the transposition cache and — when the sample is the prior's own
-// workload — the prior's §5 reuse. The pool commits cache records at
+// the transposition cache. The pool commits cache records at
 // generation barriers and streams each generation to the fold
 // (solveSamplesFold). Because a monotonic search returns the canonical
 // optimum whatever accelerates it, the model is the same whichever source
@@ -81,10 +80,7 @@ func build(ctx context.Context, env *schedule.Env, goal sla.Goal, cfg TrainConfi
 	if cache == nil && goal.Monotonic() {
 		cache = search.NewTranspositionCache()
 	}
-	// Only a monotonic search reads a §5 closed set (see search.Reuse), so
-	// only a kept monotonic model keeps one per sample.
 	keep := cfg.KeepTrainingData && !src.oneShot
-	keepClosed := keep && goal.Monotonic()
 	once := newStartOnce(prob)
 	answers := make([]answer, n)
 	ds := newTrainingSet(env, n, cfg.SampleSize)
@@ -102,21 +98,15 @@ func build(ctx context.Context, env *schedule.Env, goal sla.Goal, cfg TrainConfi
 			hits += a.res.CacheHits
 			misses += a.res.CacheMisses
 			// A replayed sample shares the stored path rather than holding
-			// a copy, and carries its prior's reuse forward: same cost, and
-			// the g-values of a looser goal stay a Lemma 5.1 bound under
-			// every stricter one.
-			path, reuse := a.replayed, (*search.Reuse)(nil)
+			// a copy.
+			path := a.replayed
 			if len(path.actions) > 0 {
 				warm++
-				reuse = a.prior.reuse
 			} else {
 				path = solvedPath{a.res.Cost, a.res.Actions}
 			}
-			if a.res.Closed != nil {
-				reuse = search.ReuseFrom(a.res)
-			}
 			if keep {
-				samples = append(samples, trainSample{w: a.w, solvedPath: path, reuse: reuse, variates: a.variates})
+				samples = append(samples, trainSample{w: a.w, solvedPath: path, variates: a.variates})
 			} else if shifted != nil {
 				shifted[i] = path
 			}
@@ -144,10 +134,7 @@ func build(ctx context.Context, env *schedule.Env, goal sla.Goal, cfg TrainConfi
 					return nil
 				}
 			}
-			opts := search.Options{KeepClosed: keepClosed, Cache: cache, Record: rec}
-			if a.prior != nil {
-				opts.Reuse = a.prior.reuse
-			}
+			opts := search.Options{Cache: cache, Record: rec}
 			res, err := once.solve(a.w, func() (*search.Result, error) { return searcher.Solve(a.w, opts) })
 			if err != nil {
 				return fmt.Errorf("core: training sample %d: %w", i, err)

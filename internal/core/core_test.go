@@ -165,8 +165,8 @@ func TestAdaptRequiresTrainingData(t *testing.T) {
 	}
 }
 
-// Adapt's replay certificate and §5 reuse both assume the new goal is at
-// least as strict as the model's. Under Max and PerQuery a later deadline or
+// Adapt's replay certificate assumes the new goal is at least as strict as
+// the model's. Under Max and PerQuery a later deadline or
 // a lower penalty rate must be refused, as Tighten(p < 0) is: unchecked,
 // every sample replayed its old path and the model cost more than a fresh
 // Train's. An equal goal still adapts (every sample replays), and Average,

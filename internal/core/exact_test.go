@@ -57,54 +57,17 @@ func servingWaits() []time.Duration {
 	return waits
 }
 
-// withoutReuse returns a shallow copy of the model whose samples carry no
-// §5 closed sets (their solved paths stay).
-func withoutReuse(m *Model) *Model {
-	c := &Model{
-		Goal: m.Goal, Tree: m.Tree, TrainingConfig: m.TrainingConfig,
-		env: m.env, prob: m.prob, trainingMix: m.trainingMix,
-		samples: slices.Clone(m.samples),
-	}
-	for i := range c.samples {
-		c.samples[i].reuse = nil
-	}
-	return c
-}
-
-// The one-line reproducer of the broken contract (ROADMAP item 1): stripping
-// the §5 reuse sets before ShiftedModel(7m30s) of the serving model used to
-// give 85 tree nodes instead of 87 from the same rows. Heuristic strength
-// must not steer the canonical path.
-func TestShiftedModelIgnoresReuseStrength(t *testing.T) {
-	skipUnlessServingScale(t)
-	base := servingBaseModel(t)
-	const wait = 7*time.Minute + 30*time.Second
-	with, err := base.ShiftedModel(wait)
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := withoutReuse(base).ShiftedModel(wait)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if with.Dump() != without.Dump() {
-		t.Fatalf("ShiftedModel(%v) depends on the §5 reuse sets: %d tree nodes with them, %d without",
-			wait, with.Tree.NumNodes(), without.Tree.NumNodes())
-	}
-}
-
 // All 23 shifted models of the serving model must be the same model —
 // every sample's cost and action path bit for bit, and so the tree —
-// however they were built: solved from scratch (the reference: no reuse,
-// no certificate), with §5 reuse only, with the certificate only, with
-// both from the base model alone, and in the ω-map in the order a stream's
-// arrivals ask for them, each from its nearest smaller neighbour. The
-// reference doubles as the replay-vs-Solve oracle: every sample a variant
-// certified is compared against a fresh solve of that sample.
+// however they were built: solved from scratch (the reference: no
+// certificate), with the certificate from the base model alone, and in the
+// ω-map in the order a stream's arrivals ask for them, each from its
+// nearest smaller neighbour. The reference doubles as the replay-vs-Solve
+// oracle: every sample a variant certified is compared against a fresh
+// solve of that sample.
 func TestShiftedModelsIdenticalHoweverBuilt(t *testing.T) {
 	skipUnlessServingScale(t)
 	base := servingBaseModel(t)
-	bare := withoutReuse(base)
 	ctx := context.Background()
 	waits := servingWaits()
 
@@ -146,7 +109,7 @@ func TestShiftedModelsIdenticalHoweverBuilt(t *testing.T) {
 	replayed := map[string]int{}
 	for _, w := range waits {
 		goal := base.Goal.Shift(w)
-		ref, err := bare.adapt(ctx, goal, false, nil, false)
+		ref, err := base.adapt(ctx, goal, false, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,13 +120,7 @@ func TestShiftedModelsIdenticalHoweverBuilt(t *testing.T) {
 		if variants["ω-map order"] == nil {
 			t.Fatalf("ω=%v: the stream never built it (have %d entries)", w, len(inMap))
 		}
-		if variants["reuse only"], err = base.adapt(ctx, goal, false, nil, false); err != nil {
-			t.Fatal(err)
-		}
-		if variants["certificate only"], err = bare.adapt(ctx, goal, false, nil, true); err != nil {
-			t.Fatal(err)
-		}
-		if variants["base only"], err = base.adapt(ctx, goal, false, nil, true); err != nil {
+		if variants["certificate only"], err = base.adapt(ctx, goal, false, nil, true); err != nil {
 			t.Fatal(err)
 		}
 		for name, m := range variants {
@@ -181,10 +138,10 @@ func TestShiftedModelsIdenticalHoweverBuilt(t *testing.T) {
 			}
 		}
 	}
-	if replayed["reuse only"] != 0 || replayed["certificate only"] == 0 || replayed["base only"] == 0 {
+	if replayed["certificate only"] == 0 {
 		t.Fatalf("replayed samples per variant: %v", replayed)
 	}
-	if replayed["ω-map order"] < replayed["base only"] {
+	if replayed["ω-map order"] < replayed["certificate only"] {
 		t.Fatalf("nearest neighbours certified fewer samples than the base alone: %v", replayed)
 	}
 	t.Logf("replayed samples of %d: %v", len(waits)*len(base.samples), replayed)
@@ -233,9 +190,8 @@ func warmMatchesColdAtServingScale(t *testing.T, goalName string) {
 }
 
 // A tightened model keeps what a kept model needs: each sample's path and
-// variates, and a reuse set that is a valid Lemma 5.1 bound. So it can be
-// tightened again, checkpointed and warm-retrained — and each of those
-// equals what the same steps give with nothing replayed.
+// variates. So it can be tightened again, checkpointed and warm-retrained —
+// and each of those equals what the same steps give with nothing replayed.
 func TestTightenedModelCarriesItsTrainingData(t *testing.T) {
 	env := schedule.NewEnv(workload.DefaultTemplates(4), cloud.DefaultVMTypes(2))
 	goal := sla.NewMaxLatency(15*time.Minute, env.Templates, sla.DefaultPenaltyRate)
@@ -255,9 +211,9 @@ func TestTightenedModelCarriesItsTrainingData(t *testing.T) {
 		t.Fatalf("Tighten replayed %d and solved %d of %d samples", tight.WarmSamples, tight.ColdSamples, cfg.NumSamples)
 	}
 	for i, s := range tight.samples {
-		if len(s.actions) == 0 || len(s.variates) != cfg.SampleSize || s.reuse == nil || s.reuse.OldCost != s.cost {
-			t.Fatalf("sample %d of the tightened model lost training data: %d actions, %d variates, reuse %v, cost %v",
-				i, len(s.actions), len(s.variates), s.reuse, s.cost)
+		if len(s.actions) == 0 || len(s.variates) != cfg.SampleSize {
+			t.Fatalf("sample %d of the tightened model lost training data: %d actions, %d variates",
+				i, len(s.actions), len(s.variates))
 		}
 	}
 	// Reference: the same chain with every sample re-solved.
@@ -281,7 +237,7 @@ func TestTightenedModelCarriesItsTrainingData(t *testing.T) {
 		t.Fatal(err)
 	}
 	if tighter.Dump() != plainer.Dump() || tighter.Dump() != fresh.Dump() {
-		t.Fatal("a second Tighten (forwarded reuse sets) differs from re-solving or from a fresh train")
+		t.Fatal("a second Tighten differs from re-solving or from a fresh train")
 	}
 	// Warm retrain from the tightened model, through a checkpoint.
 	data, err := EncodeModel(tight)
@@ -312,10 +268,10 @@ func TestTightenedModelCarriesItsTrainingData(t *testing.T) {
 }
 
 // A restart must not show in anything a restored registry computes. The
-// serving model decoded from its checkpoint — the §5 closed sets stayed
-// behind — shifts to the same models as the live one, replaying and solving
-// the same samples; and an epoch a drift retrain produced, restored the same
-// way, retrains on to the same model with the same replayed count. The
+// serving model decoded from its checkpoint shifts to the same models as
+// the live one, replaying and solving the same samples; and an epoch a
+// drift retrain produced, restored the same way, retrains on to the same
+// model with the same replayed count. The
 // counts are what catch a lost path cost: every replay checks its walk
 // against the stored cost, so a restored sample without one solves cold and
 // still lands on the same tree.
@@ -330,11 +286,6 @@ func TestRestartEquivalenceAtServingShape(t *testing.T) {
 		back, err := DecodeModel(data)
 		if err != nil {
 			t.Fatal(err)
-		}
-		for i := range back.samples {
-			if back.samples[i].reuse != nil {
-				t.Fatalf("restored sample %d carries a closed set", i)
-			}
 		}
 		return back
 	}
@@ -383,7 +334,7 @@ func TestRestartEquivalenceAtServingShape(t *testing.T) {
 // A checkpoint written by the float arithmetic the cost grid replaced (the
 // store's golden fixture as it was before the grid) holds costs that are
 // off the grid. They must be recognised and not trusted: replays of its
-// paths are rejected, its reuse sets and cache entries ignored, and
+// paths are rejected, its cache entries ignored, and
 // everything derived from the loaded model equals what a freshly trained
 // one gives.
 func TestPreGridCheckpointIsNotTrusted(t *testing.T) {

@@ -680,9 +680,14 @@ func (s *Stream) Reserve(n int) {
 	}
 }
 
-// ensureTag grows the tag table to cover tag, marking new slots unseen.
+// ensureTag grows the tag table to cover tag, marking new slots unseen. A
+// stream that did not Reserve grows it by doubling, as it does PerArrival
+// (see cloud.SimVM.materialize for why).
 func (s *Stream) ensureTag(tag int) {
 	for len(s.tags) <= tag {
+		if len(s.tags) == cap(s.tags) {
+			s.tags = slices.Grow(s.tags, len(s.tags))
+		}
 		s.tags = append(s.tags, tagState{template: -1})
 	}
 }
@@ -887,6 +892,9 @@ func (s *Stream) onArrival(ctx context.Context, t time.Duration, arrived []workl
 		return err
 	}
 	s.res.SchedulingTime += elapsed
+	if len(s.res.PerArrival) == cap(s.res.PerArrival) {
+		s.res.PerArrival = slices.Grow(s.res.PerArrival, len(s.res.PerArrival))
+	}
 	s.res.PerArrival = append(s.res.PerArrival, elapsed)
 	return s.place(t, sched)
 }

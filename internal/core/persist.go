@@ -35,9 +35,7 @@ import (
 //	secTrain     retained training data (optional): each sample workload,
 //	             its solved path and that path's cost, and the variates of
 //	             its draw — what Shift/Adapt/WarmTrain replay after a warm
-//	             start. The §5 closed sets stay in memory: they only skip
-//	             part of a later search, never change its result, and a
-//	             restored sample regains one the first time it is re-solved
+//	             start. A model keeps no §5 closed sets, in memory or here
 //	secCache     the transposition cache's solved suffix subproblems
 //	             (optional): a canonical signature-sorted snapshot, so a
 //	             warm-started registry retrains warm

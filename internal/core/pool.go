@@ -170,16 +170,16 @@ func solveSamplesFold(ctx context.Context, workers, n int, cache *search.Transpo
 }
 
 // startOnce solves each distinct start state once. A non-monotonic goal's
-// search reads nothing but its start vertex — Solve ignores the cache, the
-// §5 reuse set and the suffix records there — and the start vertex holds
+// search reads nothing but its start vertex — Solve ignores the cache and
+// the suffix records there — and the start vertex holds
 // only the workload's per-template counts, so sample workloads with the same
 // counts have the same result. The first worker to reach a start signature
 // searches it; every other sample with that signature waits for and shares
 // the immutable *search.Result. Which worker searches does not matter: the
 // result is a pure function of the start state. A nil *startOnce searches
 // every call: a monotonic search also reads the transposition cache earlier
-// generations filled and the sample's own §5 reuse set, and its hit/miss
-// counters and suffix records belong to the sample.
+// generations filled, and its hit/miss counters and suffix records belong
+// to the sample.
 type startOnce struct {
 	prob    *graph.Problem
 	mu      sync.Mutex

@@ -177,16 +177,15 @@ type node struct {
 //
 // A Searcher is safe for concurrent use: all precomputed tables are
 // read-only after New, and each Solve call draws its mutable scratch state
-// (signature buffer, intern table, state/node arenas, open frontier) from a
-// pool so that concurrent searches — the training worker pool runs one per
-// worker — never share buffers.
+// (signature buffer, intern table, state/node arenas, open frontier) from
+// the process-wide arena pool so that concurrent searches — the training
+// worker pool runs one per worker — never share buffers.
 type Searcher struct {
 	prob         *graph.Problem
 	minCost      []float64
 	minLat       []time.Duration
 	latOrderDesc []int
-	minStartup   float64   // cheapest VM start-up fee, used by every bound
-	arenas       sync.Pool // *arena
+	minStartup   float64 // cheapest VM start-up fee, used by every bound
 
 	// gridded marks a monotonic goal, whose searches price edges on the
 	// cost grid (grid.go). The tables below are what the hot path reads
@@ -253,7 +252,6 @@ func New(prob *graph.Problem) (*Searcher, error) {
 	if s.gridded {
 		s.initExact()
 	}
-	s.arenas.New = func() any { return newArena() }
 	s.initLatOrder()
 	return s, nil
 }
@@ -269,6 +267,12 @@ const (
 // duration of a Solve, so searches allocate signature bytes, states, nodes,
 // path keys, and frontier slots from reused memory instead of churning the
 // allocator per expanded edge.
+//
+// Nothing in an arena belongs to one Problem: every buffer is sized by the
+// search that uses it, and a released arena holds no state, node or key of
+// the search before. So one pool serves every Searcher in the process, and
+// a build — which makes a new Searcher — starts on the frontier buckets,
+// intern slots, node and state chunks and key slabs earlier builds grew.
 type arena struct {
 	sigBuf []byte
 	keyBuf []byte // candidate path key for tieLess
@@ -281,16 +285,22 @@ type arena struct {
 	// (node.stitch indexes it, 1-based).
 	stitches [][]graph.Action
 	bigs     []time.Duration
-	dom      *dominanceIndex // lazily built; Percentile searches only
-	chunks   [][]node
-	chunk    int // index of the chunk newNode bump-allocates from
-	used     int // nodes used within that chunk
+	// dom is built by the first Percentile search to use the arena and
+	// kept across searches of other goals; only a Percentile search resets
+	// and releases it.
+	dom    *dominanceIndex
+	chunks [][]node
+	chunk  int // index of the chunk newNode bump-allocates from
+	used   int // nodes used within that chunk
 	// keys are the pointer-free slabs node keys are carved from; they are
 	// rewound by reset and need no release.
 	keys    [][]byte
 	keySlab int // index of the slab keySpace carves from
 	keyOff  int // bytes used within that slab
 }
+
+// arenas is the process-wide pool of released arenas (see arena).
+var arenas = sync.Pool{New: func() any { return newArena() }}
 
 func newArena() *arena {
 	return &arena{table: NewInternTable()}
@@ -305,9 +315,6 @@ func (a *arena) reset() {
 	a.keySlab, a.keyOff = 0, 0
 	a.states.Reset()
 	a.table.Reset()
-	if a.dom != nil {
-		a.dom.reset()
-	}
 }
 
 // release drops every reference the finished search left in the arena —
@@ -328,9 +335,6 @@ func (a *arena) release() {
 	a.stitches = a.stitches[:0]
 	a.open.release()
 	a.states.Release()
-	if a.dom != nil {
-		a.dom.release()
-	}
 	a.chunk, a.used = 0, 0
 }
 
@@ -493,6 +497,8 @@ type solver struct {
 	s     *Searcher
 	ar    *arena
 	reuse *Reuse
+	// dom is the arena's dominance index in a Percentile search, else nil.
+	dom *dominanceIndex
 
 	cache     *TranspositionCache
 	hits      int
@@ -573,11 +579,11 @@ func (sv *solver) consider(st *graph.State, parent *node, label int, g float64, 
 			return
 		}
 	}
-	if ar.dom != nil {
-		if ar.dom.dominated(st, g) {
+	if sv.dom != nil {
+		if sv.dom.dominated(st, g) {
 			return
 		}
-		ar.dom.insert(st, g)
+		sv.dom.insert(st, g)
 	}
 	if sv.cache != nil {
 		if e, ok := sv.cache.lookupHash(ar.sigBuf, sigHash); ok {
@@ -633,20 +639,23 @@ func (s *Searcher) Solve(w *workload.Workload, opts Options) (*Result, error) {
 	if len(w.Templates) != len(s.prob.Env.Templates) {
 		return nil, fmt.Errorf("search: workload has %d templates, problem expects %d", len(w.Templates), len(s.prob.Env.Templates))
 	}
-	ar := s.arenas.Get().(*arena)
-	defer func() {
-		ar.release()
-		s.arenas.Put(ar)
-	}()
+	ar := arenas.Get().(*arena)
 	ar.reset()
+	sv := solver{s: s, ar: ar, incumbentCost: math.Inf(1)}
 	if _, isPct := s.prob.Goal.(sla.Percentile); isPct {
 		if ar.dom == nil {
 			ar.dom = newDominanceIndex()
 		}
-	} else {
-		ar.dom = nil
+		sv.dom = ar.dom
+		sv.dom.reset()
 	}
-	sv := solver{s: s, ar: ar, incumbentCost: math.Inf(1)}
+	defer func() {
+		ar.release()
+		if sv.dom != nil {
+			sv.dom.release()
+		}
+		arenas.Put(ar)
+	}()
 	if opts.Cache != nil && s.gridded {
 		// Sound for monotonic goals only; see TranspositionCache.
 		sv.cache = opts.Cache

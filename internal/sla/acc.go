@@ -43,9 +43,9 @@ func NewAccumulator(g Goal) Accumulator {
 		// The interface conversion reuses g's boxed value.
 		return decompAcc{one: g.(SingleQueryPenalty)}
 	case Average:
-		return meanAcc{goal: goal}
+		return meanAcc{goal: &goal}
 	case Percentile:
-		return pctAcc{goal: goal}
+		return pctAcc{goal: &goal}
 	}
 	panic(fmt.Sprintf("sla: no accumulator for goal %s (%T)", g.Name(), g))
 }
@@ -80,7 +80,7 @@ func (a decompAcc) AppendSignature(buf []byte) []byte { return buf }
 // meanAcc handles the Average goal: the penalty depends only on the count
 // and sum of latencies.
 type meanAcc struct {
-	goal Average
+	goal *Average // shared by every successor: Add boxes three words
 	n    int
 	sum  time.Duration
 }
@@ -123,7 +123,7 @@ func (a meanAcc) AppendSignature(buf []byte) []byte {
 // and — crucially — lets the A* search merge the huge families of states
 // that differ only in sub-deadline latencies.
 type pctAcc struct {
-	goal  Percentile
+	goal  *Percentile     // shared by every successor, as meanAcc's
 	below int             // latencies <= deadline
 	above []time.Duration // latencies > deadline, sorted ascending
 }
