@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -314,37 +315,42 @@ func (a *Advisor) TrainContext(ctx context.Context, goal sla.Goal) (*Model, erro
 	return build(ctx, a.env, goal, a.cfg, nil, normalizedMix(a.cfg.SampleWeights, len(a.env.Templates)), sources{draw: true})
 }
 
-// newTrainingSet returns the empty tree dataset of a training over n sample
-// workloads of m queries, sized once for all of it: an optimal schedule
-// places m queries and starts at most m VMs, so n × 2m rows is the one count
-// no training exceeds (the serving model's widest shift reaches it exactly)
-// and Ingest never regrows. The prior epoch's row count would be a tighter
-// guess and a wrong one every other retrain — see EXPERIMENTS.md.
-func newTrainingSet(env *schedule.Env, n, m int) *dt.Dataset {
-	ds := &dt.Dataset{FeatureNames: features.Names(len(env.Templates)), NumLabels: len(env.Templates) + len(env.VMTypes)}
-	ds.Reserve(n * 2 * m)
-	return ds
+// trainingSet is a build's tree dataset with the feature state and the one
+// row buffer every optimal path is extracted into: the dataset copies the
+// rows it has not seen, so the buffer is reused path after path.
+type trainingSet struct {
+	ds *dt.Dataset
+	fs *features.State
+	// buf holds a path's feature rows back to back; x and y are the batch
+	// handed to Ingest.
+	buf []float64
+	x   [][]float64
+	y   []int
 }
 
-// addPathToDataset converts each decision on an optimal path into a
-// (features, action-label) training instance, ingested as one batch per
-// path (dt.Ingest is defined as Add row by row, so batching changes
-// nothing about the dataset). The caller-owned feature state is reused
-// across paths. The path's rows are carved from one backing array, each
-// capped at its own length, so the dataset still owns rows no append can
-// run into one another.
-func addPathToDataset(ds *dt.Dataset, fs *features.State, path []search.Step) {
-	k := fs.NumTemplates()
-	width := features.VectorLen(k)
-	slab := make([]float64, len(path)*width)
-	x := make([][]float64, len(path))
-	y := make([]int, len(path))
-	for i, step := range path {
-		fs.Reset(step.State)
-		x[i] = fs.AppendTo(slab[i*width:i*width:(i+1)*width], step.State)
-		y[i] = step.Action.Label(k)
+func newTrainingSet(prob *graph.Problem) *trainingSet {
+	k := len(prob.Env.Templates)
+	return &trainingSet{
+		ds: &dt.Dataset{FeatureNames: features.Names(k), NumLabels: k + len(prob.Env.VMTypes)},
+		fs: features.NewState(prob),
 	}
-	ds.Ingest(x, y)
+}
+
+// addPath converts each decision on an optimal path into a (features,
+// action-label) training instance, ingested as one batch per path
+// (dt.Ingest is defined as Add row by row, so batching changes nothing
+// about the dataset).
+func (t *trainingSet) addPath(path []search.Step) {
+	k := t.fs.NumTemplates()
+	width := features.VectorLen(k)
+	t.buf = slices.Grow(t.buf[:0], len(path)*width)
+	t.x, t.y = t.x[:0], t.y[:0]
+	for i, step := range path {
+		t.fs.Reset(step.State)
+		t.x = append(t.x, t.fs.AppendTo(t.buf[i*width:i*width:(i+1)*width], step.State))
+		t.y = append(t.y, step.Action.Label(k))
+	}
+	t.ds.Ingest(t.x, t.y)
 }
 
 // ActionName renders an action label for model dumps.

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"wisedb/internal/dt"
-	"wisedb/internal/features"
 	"wisedb/internal/graph"
 	"wisedb/internal/schedule"
 	"wisedb/internal/search"
@@ -83,8 +82,7 @@ func build(ctx context.Context, env *schedule.Env, goal sla.Goal, cfg TrainConfi
 	keep := cfg.KeepTrainingData && !src.oneShot
 	once := newStartOnce(prob)
 	answers := make([]answer, n)
-	ds := newTrainingSet(env, n, cfg.SampleSize)
-	fs := features.NewState(prob)
+	ts := newTrainingSet(prob)
 	var samples []trainSample
 	var shifted []solvedPath
 	if src.oneShot && goal.Monotonic() {
@@ -94,7 +92,7 @@ func build(ctx context.Context, env *schedule.Env, goal sla.Goal, cfg TrainConfi
 	fold := func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			a := &answers[i]
-			addPathToDataset(ds, fs, a.res.Path)
+			ts.addPath(a.res.Path)
 			hits += a.res.CacheHits
 			misses += a.res.CacheMisses
 			// A replayed sample shares the stored path rather than holding
@@ -146,12 +144,12 @@ func build(ctx context.Context, env *schedule.Env, goal sla.Goal, cfg TrainConfi
 		return nil, err
 	}
 
-	tree := dt.Train(ds, cfg.Tree)
+	tree := dt.Train(ts.ds, cfg.Tree)
 	m := &Model{
 		Goal:              goal,
 		Tree:              tree,
 		TrainingTime:      time.Since(start),
-		TrainingRows:      ds.Len(),
+		TrainingRows:      ts.ds.Len(),
 		TrainingConfig:    cfg,
 		TrainingCacheHits: hits, TrainingCacheMisses: misses,
 		WarmSamples: warm,

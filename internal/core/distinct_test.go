@@ -7,7 +7,6 @@ import (
 
 	"wisedb/internal/cloud"
 	"wisedb/internal/dt"
-	"wisedb/internal/features"
 	"wisedb/internal/graph"
 	"wisedb/internal/schedule"
 	"wisedb/internal/search"
@@ -34,8 +33,7 @@ func solveEverySample(t *testing.T, env *schedule.Env, goal sla.Goal, ws []*work
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := newTrainingSet(env, len(ws), len(ws[0].Queries))
-	fs := features.NewState(prob)
+	ts := newTrainingSet(prob)
 	starts := map[string]bool{}
 	var b perSampleBuild
 	for _, w := range ws {
@@ -44,11 +42,11 @@ func solveEverySample(t *testing.T, env *schedule.Env, goal sla.Goal, ws []*work
 			t.Fatal(err)
 		}
 		b.results = append(b.results, res)
-		addPathToDataset(ds, fs, res.Path)
+		ts.addPath(res.Path)
 		starts[prob.Signature(prob.Start(w))] = true
 	}
-	b.rows = ds.Len()
-	b.dump = (&Model{env: env, Tree: dt.Train(ds, tree)}).Dump()
+	b.rows = ts.ds.Len()
+	b.dump = (&Model{env: env, Tree: dt.Train(ts.ds, tree)}).Dump()
 	b.distinct = len(starts)
 	return b
 }

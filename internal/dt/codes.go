@@ -10,18 +10,20 @@ import (
 // its values node by node instead.
 const maxDistinctBuckets = 512
 
-// valueCodes is the dense form of a dataset the tree builder reads: every
-// value of a coded feature replaced by a small integer naming it. The
-// features this package serves (template counts, 0/1 flags, waits and costs
-// quantized to template latencies) have a few dozen distinct values each,
-// so a node's split search needs only per-value label counts, which one
-// pass over 2-byte codes gathers without touching the float64 rows.
+// valueCodes is the dense form of a dataset's distinct rows the tree
+// builder reads: every value of a coded feature replaced by a small integer
+// naming it. The features this package serves (template counts, 0/1 flags,
+// waits and costs quantized to template latencies) have a few dozen
+// distinct values each, so a node's split search needs only per-value label
+// counts, which one pass over 2-byte codes gathers without touching the
+// float64 rows.
 //
-// Codes are assigned in first-seen order as rows arrive, so coding is
-// incremental: rows already coded never change when later rows bring new
-// values.
+// Codes are assigned in first-seen order as distinct rows arrive, so
+// coding is incremental: rows already coded never change when later rows
+// bring new values. A repeated row is coded once; a feature's distinct
+// values, and so whether it is wide, are those of all its rows.
 type valueCodes struct {
-	// rows is how many leading rows of the dataset are coded.
+	// rows is how many leading distinct rows of the dataset are coded.
 	rows int
 	cols []column
 	// cells is the row-major rows × len(cols) code matrix. A wide column's
@@ -32,9 +34,11 @@ type valueCodes struct {
 // column is one feature's code table.
 type column struct {
 	// sortedVals holds the distinct values seen, ascending; sortedCodes[r]
-	// is the code of sortedVals[r]. Both are nil once the column is wide.
+	// is the code of sortedVals[r], and vals[c] the value code c names.
+	// All three are nil once the column is wide.
 	sortedVals  []float64
 	sortedCodes []uint16
+	vals        []float64
 	// lastVal and lastCode memoize the previous row's lookup: consecutive
 	// rows come from consecutive steps of one schedule and mostly repeat
 	// the value.
@@ -70,18 +74,16 @@ func (c *column) code(v float64) (code uint16, ok bool) {
 		return 0, false
 	}
 	code = uint16(len(c.sortedVals))
+	c.vals = append(c.vals, v)
 	c.sortedVals = slices.Insert(c.sortedVals, pos, v)
 	c.sortedCodes = slices.Insert(c.sortedCodes, pos, code)
 	return code, true
 }
 
-// encode codes the rows appended since the last call.
+// encode codes the distinct rows added since the last call.
 func (d *Dataset) encode() {
-	c := &d.codes
-	if c.rows > len(d.X) {
-		*c = valueCodes{} // rows were removed: start over
-	}
-	if c.rows == len(d.X) {
+	c, first := &d.codes, d.distinct.first
+	if c.rows == len(first) {
 		return
 	}
 	if c.cols == nil {
@@ -91,10 +93,10 @@ func (d *Dataset) encode() {
 		}
 	}
 	stride := len(c.cols)
-	c.cells = slices.Grow(c.cells, len(d.X)*stride-len(c.cells))[:len(d.X)*stride]
-	for i := c.rows; i < len(d.X); i++ {
+	c.cells = slices.Grow(c.cells, len(first)*stride-len(c.cells))[:len(first)*stride]
+	for i := c.rows; i < len(first); i++ {
 		row := c.cells[i*stride : (i+1)*stride]
-		for f, v := range d.X[i] {
+		for f, v := range d.X[first[i]] {
 			col := &c.cols[f]
 			if col.wide {
 				continue
@@ -109,5 +111,5 @@ func (d *Dataset) encode() {
 			row[f] = col.lastCode
 		}
 	}
-	c.rows = len(d.X)
+	c.rows = len(first)
 }

@@ -18,83 +18,6 @@ import (
 	"strings"
 )
 
-// Dataset is a labeled training set: X[i] is a feature vector, Y[i] its
-// class label in [0, NumLabels). Rows are append-only and retained: a row
-// handed to the dataset must not be modified afterwards.
-type Dataset struct {
-	// FeatureNames names each column of X, for rendering and debugging.
-	FeatureNames []string
-	// X holds one row per training instance.
-	X [][]float64
-	// Y holds the class label of each row.
-	Y []int
-	// NumLabels is the size of the label domain.
-	NumLabels int
-
-	// codes is the coded form of a prefix of X (see valueCodes). Ingest
-	// keeps it current; Train codes whatever rows Add or direct appends
-	// left uncoded. It is a pure function of the rows in order, so how a
-	// dataset was filled never shows in the tree.
-	codes valueCodes
-}
-
-// Add appends a labeled instance.
-func (d *Dataset) Add(x []float64, y int) {
-	if len(d.X) > 0 && len(x) != len(d.X[0]) {
-		panic(fmt.Sprintf("dt: instance has %d features, dataset has %d", len(x), len(d.X[0])))
-	}
-	if y < 0 || y >= d.NumLabels {
-		panic(fmt.Sprintf("dt: label %d outside [0,%d)", y, d.NumLabels))
-	}
-	d.X = append(d.X, x)
-	d.Y = append(d.Y, y)
-}
-
-// Ingest appends a batch of labeled instances. It is the streaming entry
-// point for pipelined dataset construction — the trainer folds each solved
-// sample generation into the dataset while later generations are still
-// searching — and is defined as exactly Add row by row: same validation,
-// same final order, so a dataset built from streamed batches is identical
-// to one built by a single post-hoc loop. Ingest also codes the batch for
-// the tree builder, work Train would otherwise do after the last batch.
-func (d *Dataset) Ingest(X [][]float64, Y []int) {
-	if len(X) != len(Y) {
-		panic(fmt.Sprintf("dt: Ingest with %d rows and %d labels", len(X), len(Y)))
-	}
-	// Grow geometrically, not to the exact need: a training run ingests
-	// one small batch per optimal path, and exact growth would reallocate
-	// the whole dataset on every batch (quadratic in the row count).
-	if need := len(d.X) + len(X); cap(d.X) < need {
-		newCap := 2 * cap(d.X)
-		if newCap < need {
-			newCap = need
-		}
-		grown := make([][]float64, len(d.X), newCap)
-		copy(grown, d.X)
-		d.X = grown
-		grownY := make([]int, len(d.Y), newCap)
-		copy(grownY, d.Y)
-		d.Y = grownY
-	}
-	for i, x := range X {
-		d.Add(x, Y[i])
-	}
-	d.encode()
-}
-
-// Reserve makes room for rows more instances of len(FeatureNames) features,
-// rows and codes both, so a trainer that knows a bound on its row count
-// ingests every batch without the dataset regrowing. Nothing a reader of
-// the dataset sees changes.
-func (d *Dataset) Reserve(rows int) {
-	d.X = slices.Grow(d.X, rows)
-	d.Y = slices.Grow(d.Y, rows)
-	d.codes.cells = slices.Grow(d.codes.cells, rows*len(d.FeatureNames))
-}
-
-// Len returns the number of instances.
-func (d *Dataset) Len() int { return len(d.X) }
-
 // Node is a decision-tree node. Internal nodes test x[Feature] < Threshold
 // and descend Left on true, Right on false. Leaves predict Label.
 type Node struct {
@@ -136,10 +59,10 @@ func DefaultConfig() Config {
 	return Config{MinLeaf: 2, MaxDepth: 0, Prune: true, PruneConfidence: 0.25}
 }
 
-// Train fits a decision tree to the dataset. Training is deterministic:
-// ties between splits are broken by feature index, then threshold. Train
-// completes the dataset's value coding, so one dataset must not be trained
-// from two goroutines at once.
+// Train fits a decision tree to the dataset, walking each distinct row once
+// with its count. Training is deterministic: ties between splits are broken
+// by feature index, then threshold. Train completes the dataset's value
+// coding, so one dataset must not be trained from two goroutines at once.
 func Train(ds *Dataset, cfg Config) *Tree {
 	if ds.Len() == 0 {
 		panic("dt: Train on empty dataset")
@@ -150,11 +73,14 @@ func Train(ds *Dataset, cfg Config) *Tree {
 	if cfg.PruneConfidence <= 0 {
 		cfg.PruneConfidence = 0.25
 	}
-	rows := make([]int32, ds.Len())
+	rows := make([]int32, len(ds.distinct.first))
 	for i := range rows {
 		rows[i] = int32(i)
 	}
 	root := newBuilder(ds, cfg).build(rows, 0)
+	if root.n != ds.Len() {
+		panic("dt: rows appended to X or Y outside Add and Ingest")
+	}
 	if cfg.Prune {
 		z := normalUpperQuantile(cfg.PruneConfidence)
 		pruneNode(root, z)
@@ -241,20 +167,28 @@ func dumpNode(b *strings.Builder, n *Node, features []string, labelName func(int
 	dumpNode(b, n.Right, features, labelName, depth+1)
 }
 
-// builder grows one tree. A feature the dataset coded (see valueCodes) is
-// split-searched from a count table — rows per value, and per value and
-// label — that one pass over the node's rows fills for all coded features
-// at once; a wide feature is searched by sorting the node's (value, label)
-// pairs. Both searches visit exactly the boundaries between consecutive
-// distinct values present in the node, in ascending value order, with the
-// label counts of the rows on either side — the only things the chosen
-// split depends on — so which one runs, and the order of rows inside a
-// node, are unobservable.
+// builder grows one tree over the dataset's distinct rows: a node holds a
+// list of distinct rows, and every count it takes — rows reaching it, rows
+// per label, per value, on either side of a boundary — adds each distinct
+// row's multiplicity, so the counts are those of every row. A feature the
+// dataset coded (see valueCodes) is split-searched from a count table —
+// rows per value, and per value and label — that one pass over the node's
+// distinct rows fills for all coded features at once; a wide feature is
+// searched by sorting the node's (value, label, count) triples. Both
+// searches visit exactly the boundaries between consecutive distinct values
+// present in the node, in ascending value order, with the label counts of
+// the rows on either side — the only things the chosen split depends on —
+// so which one runs, the order of rows inside a node, and how many of them
+// repeat are unobservable.
 type builder struct {
-	ds   *Dataset
-	cfg  Config
-	cols []column
-	// cells is the dataset's row-major code matrix, stride len(cols).
+	cfg Config
+	// Distinct row i is x[first[i]], with label y[i] and count w[i].
+	x     [][]float64
+	first []int32
+	y     []int32
+	w     []int32
+	cols  []column
+	// cells is the distinct rows' row-major code matrix, stride len(cols).
 	cells []uint16
 	// table holds the count tables of all coded features back to back.
 	// Feature f's bin for a code is the width = 1+NumLabels counters at
@@ -274,23 +208,27 @@ type builder struct {
 	search splitSearch
 }
 
-// valueLabel is one row of a node projected onto a single feature.
+// valueLabel is one distinct row of a node projected onto a single feature,
+// with the row's label and count.
 type valueLabel struct {
-	v float64
-	y int32
+	v    float64
+	y, w int32
 }
 
 func newBuilder(ds *Dataset, cfg Config) *builder {
 	ds.encode()
 	b := &builder{
-		ds:     ds,
 		cfg:    cfg,
+		x:      ds.X,
+		first:  ds.distinct.first,
+		y:      ds.distinct.y,
+		w:      ds.distinct.n,
 		cols:   ds.codes.cols,
 		cells:  ds.codes.cells,
 		off:    make([]int, len(ds.codes.cols)),
 		width:  1 + ds.NumLabels,
 		counts: make([]int, ds.NumLabels),
-		moved:  make([]int32, 0, ds.Len()),
+		moved:  make([]int32, 0, len(ds.distinct.first)),
 		search: splitSearch{
 			minLeaf: cfg.MinLeaf,
 			left:    make([]int, ds.NumLabels),
@@ -309,31 +247,45 @@ func newBuilder(ds *Dataset, cfg Config) *builder {
 	return b
 }
 
-// build grows a subtree over rows, which it is free to reorder.
+// build grows a subtree over the distinct rows listed in rows, which it is
+// free to reorder.
 func (b *builder) build(rows []int32, depth int) *Node {
 	counts := b.counts
 	clear(counts)
 	for _, i := range rows {
-		counts[b.ds.Y[i]]++
+		counts[b.y[i]] += int(b.w[i])
+	}
+	n := 0
+	for _, c := range counts {
+		n += c
 	}
 	label, labelCount := majority(counts)
-	node := &Node{Label: label, n: len(rows), errs: len(rows) - labelCount}
-	if labelCount == len(rows) || len(rows) < 2*b.cfg.MinLeaf ||
+	node := &Node{Label: label, n: n, errs: n - labelCount}
+	if labelCount == n || n < 2*b.cfg.MinLeaf ||
 		(b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) {
 		node.Leaf = true
 		return node
 	}
-	feature, threshold, ok := b.bestSplit(rows, counts)
+	feature, threshold, ok := b.bestSplit(rows, counts, n)
 	if !ok {
 		node.Leaf = true
 		return node
 	}
 	// Stable partition of the one row list: rows stay in ascending index
-	// order, so every later pass walks the code matrix forwards.
+	// order, so every later pass walks the code matrix forwards. A coded
+	// feature's value is read through its code, which stays in the code
+	// matrix and the column's small table rather than the row storage.
 	moved := b.moved[:0]
 	nLeft := 0
+	col, stride := &b.cols[feature], len(b.cols)
 	for _, i := range rows {
-		if b.ds.X[i][feature] < threshold {
+		var v float64
+		if col.wide {
+			v = b.x[b.first[i]][feature]
+		} else {
+			v = col.vals[b.cells[int(i)*stride+feature]]
+		}
+		if v < threshold {
 			rows[nLeft] = i
 			nLeft++
 		} else {
@@ -352,20 +304,20 @@ func (b *builder) build(rows []int32, depth int) *Node {
 // among splits with positive information gain that respect MinLeaf. Ties
 // are broken toward the lower feature index (features scan in order and a
 // later candidate must beat the incumbent by more than 1e-12).
-func (b *builder) bestSplit(rows []int32, counts []int) (feature int, threshold float64, ok bool) {
+func (b *builder) bestSplit(rows []int32, counts []int, n int) (feature int, threshold float64, ok bool) {
 	table, off, width, coded, stride := b.table, b.off, b.width, b.coded, len(b.cols)
 	for _, i := range rows {
 		row := b.cells[int(i)*stride : (int(i)+1)*stride]
-		y := b.ds.Y[i]
+		y, w := b.y[i], b.w[i]
 		for _, f := range coded {
 			bin := table[off[f]+int(row[f])*width:]
-			bin[0]++
-			bin[1+y]++
+			bin[0] += w
+			bin[1+y] += w
 		}
 	}
 
 	s := &b.search
-	s.begin(counts, len(rows))
+	s.begin(counts, n)
 	for f := range b.cols {
 		s.beginFeature(counts)
 		if b.cols[f].wide {
@@ -412,15 +364,17 @@ func (b *builder) scanSorted(f int, rows []int32) {
 	s := &b.search
 	pairs := b.pairs[:0]
 	for _, i := range rows {
-		pairs = append(pairs, valueLabel{v: b.ds.X[i][f], y: int32(b.ds.Y[i])})
+		pairs = append(pairs, valueLabel{v: b.x[b.first[i]][f], y: b.y[i], w: b.w[i]})
 	}
 	b.pairs = pairs
 	slices.SortFunc(pairs, func(a, c valueLabel) int { return cmp.Compare(a.v, c.v) })
-	for j := 0; j < len(pairs)-1; j++ {
-		s.left[pairs[j].y]++
-		s.right[pairs[j].y]--
-		if v, next := pairs[j].v, pairs[j+1].v; v != next {
-			s.consider(f, v, next, j+1)
+	nLeft := 0
+	for j, p := range pairs[:len(pairs)-1] {
+		s.left[p.y] += int(p.w)
+		s.right[p.y] -= int(p.w)
+		nLeft += int(p.w)
+		if next := pairs[j+1].v; p.v != next {
+			s.consider(f, p.v, next, nLeft)
 		}
 	}
 }

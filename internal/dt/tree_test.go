@@ -323,31 +323,6 @@ func TestIngestEquivalentToAdd(t *testing.T) {
 	}
 }
 
-// Reserve shows in nothing but allocation: a reserved dataset trains the
-// tree an unreserved one does — short of the rows that arrive, or past them
-// — and one reserved for all of them never regrows, rows or codes.
-func TestReserveChangesOnlyAllocation(t *testing.T) {
-	x, y, labels := shapedDataset(rand.New(rand.NewSource(11)), 600, true)
-	names := make([]string, len(x[0]))
-	want := Train(datasetFrom(x, y, labels), DefaultConfig())
-	for _, reserve := range []int{0, len(x) / 3, len(x), len(x) + 100} {
-		ds := &Dataset{FeatureNames: names, NumLabels: labels}
-		ds.Reserve(reserve)
-		rows, cells := cap(ds.X), cap(ds.codes.cells)
-		for lo := 0; lo < len(x); lo += 16 {
-			hi := min(lo+16, len(x))
-			ds.Ingest(x[lo:hi], y[lo:hi])
-		}
-		if reserve >= len(x) && (cap(ds.X) != rows || cap(ds.codes.cells) != cells) {
-			t.Fatalf("reserved for %d rows, ingested %d: rows grew %d -> %d, codes %d -> %d",
-				reserve, len(x), rows, cap(ds.X), cells, cap(ds.codes.cells))
-		}
-		if err := sameTree(want.Root, Train(ds, DefaultConfig()).Root, "/"); err != nil {
-			t.Fatalf("reserve=%d: %v", reserve, err)
-		}
-	}
-}
-
 // Ingest must reject mismatched batches and invalid rows like Add does.
 func TestIngestValidation(t *testing.T) {
 	ds := &Dataset{NumLabels: 2}
@@ -440,27 +415,49 @@ func sameTree(a, b *Node, path string) error {
 
 // The histogram builder must grow exactly the tree the presorted-lists
 // builder grew — same splits to the threshold bit, same counts, same shape,
-// before and after pruning — however the dataset was filled.
+// before and after pruning — however the dataset was filled, and however
+// often its rows repeat: the builder walks each distinct row once with its
+// count, the reference walks every row.
 func TestTrainMatchesReference(t *testing.T) {
 	for _, n := range []int{40, 700, 2500} {
 		for seed := int64(1); seed <= 3; seed++ {
 			x, y, labels := shapedDataset(rand.New(rand.NewSource(seed*1000+int64(n))), n, true)
-			added := datasetFrom(x, y, labels)
-			ingested := &Dataset{NumLabels: labels}
-			for lo := 0; lo < n; lo += 37 {
-				hi := min(lo+37, n)
-				ingested.Ingest(x[lo:hi], y[lo:hi])
-			}
-			for _, minLeaf := range []int{1, 2, 5} {
-				for _, maxDepth := range []int{0, 3} {
-					for _, prune := range []bool{false, true} {
-						cfg := Config{MinLeaf: minLeaf, MaxDepth: maxDepth, Prune: prune}
-						want := referenceTrain(datasetFrom(x, y, labels), cfg)
-						for name, ds := range map[string]*Dataset{"Add": added, "Ingest": ingested} {
-							if err := sameTree(want.Root, Train(ds, cfg).Root, "/"); err != nil {
-								t.Fatalf("n=%d seed=%d %+v filled by %s: %v", n, seed, cfg, name, err)
-							}
-						}
+			checkMatchesReference(t, fmt.Sprintf("n=%d seed=%d", n, seed), x, y, labels)
+		}
+	}
+	// Repeated rows: each of n base rows 1–40 times, some of those copies
+	// under a second label, in shuffled order. At n = 600 the base rows
+	// carry more than maxDistinctBuckets values in the continuous column,
+	// so the wide-feature path sees repeats too.
+	for _, n := range []int{40, 600} {
+		for seed := int64(1); seed <= 2; seed++ {
+			rng := rand.New(rand.NewSource(seed*1000 + int64(n) + 7))
+			x, y, labels := shapedDataset(rng, n, true)
+			x, y = repeatRows(rng, x, y, labels)
+			checkMatchesReference(t, fmt.Sprintf("repeated n=%d seed=%d", n, seed), x, y, labels)
+		}
+	}
+}
+
+// checkMatchesReference fails unless Train grows referenceTrain's tree on
+// the rows, filled by Add and by 37-row Ingest batches, under every
+// combination of MinLeaf, MaxDepth and pruning the tests sweep.
+func checkMatchesReference(t *testing.T, what string, x [][]float64, y []int, labels int) {
+	t.Helper()
+	added := datasetFrom(x, y, labels)
+	ingested := &Dataset{NumLabels: labels}
+	for lo := 0; lo < len(x); lo += 37 {
+		hi := min(lo+37, len(x))
+		ingested.Ingest(x[lo:hi], y[lo:hi])
+	}
+	for _, minLeaf := range []int{1, 2, 5} {
+		for _, maxDepth := range []int{0, 3} {
+			for _, prune := range []bool{false, true} {
+				cfg := Config{MinLeaf: minLeaf, MaxDepth: maxDepth, Prune: prune}
+				want := referenceTrain(datasetFrom(x, y, labels), cfg)
+				for name, ds := range map[string]*Dataset{"Add": added, "Ingest": ingested} {
+					if err := sameTree(want.Root, Train(ds, cfg).Root, "/"); err != nil {
+						t.Fatalf("%s %+v filled by %s: %v", what, cfg, name, err)
 					}
 				}
 			}
@@ -468,11 +465,192 @@ func TestTrainMatchesReference(t *testing.T) {
 	}
 }
 
-// BenchmarkTreeFit times one tree fit at the size of a paper-scale training
-// set: rows from ~500 sample schedules, 21 features, 7 labels, filled by
-// Add so the value coding is inside the measurement.
+// repeatRows returns every row 1–40 times, each copy a fresh slice; for one
+// row in four, some of its copies carry the next label instead. The copies
+// come back in shuffled order.
+func repeatRows(rng *rand.Rand, x [][]float64, y []int, numLabels int) ([][]float64, []int) {
+	var rx [][]float64
+	var ry []int
+	for i, row := range x {
+		copies := 1 + rng.Intn(40)
+		second := 0
+		if rng.Intn(4) == 0 {
+			second = 1 + rng.Intn(copies)
+		}
+		for c := 0; c < copies; c++ {
+			label := y[i]
+			if c < second {
+				label = (label + 1) % numLabels
+			}
+			rx, ry = append(rx, slices.Clone(row)), append(ry, label)
+		}
+	}
+	rng.Shuffle(len(rx), func(i, j int) {
+		rx[i], rx[j] = rx[j], rx[i]
+		ry[i], ry[j] = ry[j], ry[i]
+	})
+	return rx, ry
+}
+
+// A node is a leaf when its rows, counted with repeats, number under
+// 2·MinLeaf, and a split needs MinLeaf rows on each side: a fit over two
+// distinct rows must split exactly when their counts allow it, as the
+// reference does over every row.
+func TestTrainLeafFollowsCounts(t *testing.T) {
+	for _, minLeaf := range []int{1, 2, 5} {
+		for _, tc := range []struct {
+			a, b  int // copies of row {0} (label 0) and row {1} (label 1)
+			split bool
+		}{
+			{minLeaf, minLeaf - 1, false},     // 2·MinLeaf − 1 rows
+			{minLeaf, minLeaf, true},          // 2·MinLeaf rows
+			{minLeaf - 1, minLeaf + 1, false}, // 2·MinLeaf rows, one side short
+			{2*minLeaf - 1, 0, false},         // one distinct row, 2·MinLeaf − 1 times
+			{2 * minLeaf, 0, false},           // one distinct row, 2·MinLeaf times
+		} {
+			var x [][]float64
+			var y []int
+			for i := 0; i < tc.a+tc.b; i++ {
+				v, label := 0.0, 0
+				if i >= tc.a {
+					v, label = 1, 1
+				}
+				x, y = append(x, []float64{v}), append(y, label)
+			}
+			if len(x) == 0 {
+				continue
+			}
+			cfg := Config{MinLeaf: minLeaf, Prune: false}
+			got := Train(datasetFrom(x, y, 2), cfg)
+			if got.Root.Leaf == tc.split {
+				t.Errorf("MinLeaf=%d, %d×{0} and %d×{1}: leaf=%v, want split=%v", minLeaf, tc.a, tc.b, got.Root.Leaf, tc.split)
+			}
+			if got.Root.n != len(x) {
+				t.Errorf("MinLeaf=%d, %d×{0} and %d×{1}: root counts %d rows, want %d", minLeaf, tc.a, tc.b, got.Root.n, len(x))
+			}
+			if err := sameTree(referenceTrain(datasetFrom(x, y, 2), cfg).Root, got.Root, "/"); err != nil {
+				t.Errorf("MinLeaf=%d, %d×{0} and %d×{1}: %v", minLeaf, tc.a, tc.b, err)
+			}
+		}
+	}
+}
+
+// A dataset copies each new row, so a caller may reuse one backing array
+// for every Add and Ingest: the rows and the tree are those of fresh
+// slices, and a repeat aliases the first copy.
+func TestDatasetCopiesReusedBuffer(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	x, y, labels := shapedDataset(rng, 300, true)
+	x, y = repeatRows(rng, x, y, labels)
+	want := datasetFrom(x, y, labels)
+
+	added := &Dataset{NumLabels: labels}
+	buf := make([]float64, len(x[0]))
+	for i := range x {
+		copy(buf, x[i])
+		added.Add(buf, y[i])
+	}
+	ingested := &Dataset{NumLabels: labels}
+	slab := make([]float64, 37*len(x[0]))
+	batch := make([][]float64, 37)
+	for lo := 0; lo < len(x); lo += 37 {
+		hi := min(lo+37, len(x))
+		for i := lo; i < hi; i++ {
+			batch[i-lo] = slab[(i-lo)*len(x[0]) : (i-lo+1)*len(x[0])]
+			copy(batch[i-lo], x[i])
+		}
+		ingested.Ingest(batch[:hi-lo], y[lo:hi])
+	}
+	for name, ds := range map[string]*Dataset{"Add": added, "Ingest": ingested} {
+		first := map[string]*float64{}
+		for i := range x {
+			if !slices.Equal(ds.X[i], x[i]) || ds.Y[i] != y[i] {
+				t.Fatalf("%s: row %d is %v/%d, want %v/%d", name, i, ds.X[i], ds.Y[i], x[i], y[i])
+			}
+			key := fmt.Sprint(x[i], y[i])
+			if p, ok := first[key]; !ok {
+				first[key] = &ds.X[i][0]
+			} else if p != &ds.X[i][0] {
+				t.Fatalf("%s: row %d repeats an earlier row but does not alias its copy", name, i)
+			}
+		}
+		for _, cfg := range []Config{DefaultConfig(), {MinLeaf: 1}} {
+			if err := sameTree(Train(want, cfg).Root, Train(ds, cfg).Root, "/"); err != nil {
+				t.Fatalf("%s %+v: %v", name, cfg, err)
+			}
+		}
+	}
+}
+
+// Rows whose hashes collide in the index stay apart: a repeat is a row
+// equal bit for bit, never one that merely hashes alike.
+func TestDatasetHashCollisionsStayDistinct(t *testing.T) {
+	seen := map[uint32]float64{}
+	var a, b []float64
+	for v := 0.0; a == nil; v++ {
+		row := []float64{1, v}
+		h := uint32(hashRow(row, 0))
+		if w, ok := seen[h]; ok {
+			a, b = []float64{1, w}, row
+		}
+		seen[h] = v
+	}
+	ds := &Dataset{NumLabels: 1}
+	for _, row := range [][]float64{a, b, a, b, b} {
+		ds.Add(row, 0)
+	}
+	for i, want := range [][]float64{a, b, a, b, b} {
+		if !slices.Equal(ds.X[i], want) {
+			t.Fatalf("row %d reads %v, want %v (colliding rows %v and %v merged)", i, ds.X[i], want, a, b)
+		}
+	}
+	if got := slices.Clone(ds.distinct.n); !slices.Equal(got, []int32{2, 3}) {
+		t.Fatalf("group counts %v, want [2 3]", got)
+	}
+}
+
+// Adding a row the dataset already holds allocates nothing: it counts the
+// row's group and appends the first copy's header to X. The pin measures
+// with room left in X and Y, so only the repeat path is timed, not their
+// amortised growth.
+func TestDatasetRepeatAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const runs = 100
+	x, y, labels := shapedDataset(rand.New(rand.NewSource(9)), 200, true)
+	ds := datasetFrom(x, y, labels)
+	row := slices.Clone(x[17])
+	for cap(ds.X)-len(ds.X) <= runs || cap(ds.Y)-len(ds.Y) <= runs {
+		ds.Add(row, y[17])
+	}
+	if allocs := testing.AllocsPerRun(runs, func() { ds.Add(row, y[17]) }); allocs != 0 {
+		t.Fatalf("Add of a present row allocated %v times per call", allocs)
+	}
+}
+
+// BenchmarkTreeFit times one tree fit of 21 features and 7 labels, filled
+// by Add so the grouping of repeats and the value coding are inside the
+// measurement, at the two ends of the training sets a model is built from:
+//   - near-unique: 29 000 rows, nearly all distinct, the shape of an
+//     Average or Percentile training set (29–40 % distinct);
+//   - repeats: 8 000 rows drawn from 320 distinct ones (4 % distinct), the
+//     shape of a monotonic goal's serving-scale training set.
 func BenchmarkTreeFit(b *testing.B) {
 	x, y, labels := shapedDataset(rand.New(rand.NewSource(1)), 29000, false)
+	b.Run("near-unique", func(b *testing.B) { benchmarkFit(b, x, y, labels) })
+
+	rng := rand.New(rand.NewSource(2))
+	px, py, labels := shapedDataset(rng, 320, false)
+	x, y = nil, nil
+	for len(x) < 8000 {
+		i := rng.Intn(len(px))
+		x, y = append(x, px[i]), append(y, py[i])
+	}
+	b.Run("repeats", func(b *testing.B) { benchmarkFit(b, x, y, labels) })
+}
+
+func benchmarkFit(b *testing.B, x [][]float64, y []int, labels int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tree := Train(datasetFrom(x, y, labels), DefaultConfig())
