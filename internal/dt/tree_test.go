@@ -517,9 +517,6 @@ func TestTrainLeafFollowsCounts(t *testing.T) {
 				}
 				x, y = append(x, []float64{v}), append(y, label)
 			}
-			if len(x) == 0 {
-				continue
-			}
 			cfg := Config{MinLeaf: minLeaf, Prune: false}
 			got := Train(datasetFrom(x, y, 2), cfg)
 			if got.Root.Leaf == tc.split {
@@ -604,8 +601,8 @@ func TestDatasetHashCollisionsStayDistinct(t *testing.T) {
 			t.Fatalf("row %d reads %v, want %v (colliding rows %v and %v merged)", i, ds.X[i], want, a, b)
 		}
 	}
-	if got := slices.Clone(ds.distinct.n); !slices.Equal(got, []int32{2, 3}) {
-		t.Fatalf("group counts %v, want [2 3]", got)
+	if !slices.Equal(ds.distinct.n, []int32{2, 3}) {
+		t.Fatalf("group counts %v, want [2 3]", ds.distinct.n)
 	}
 }
 
@@ -632,8 +629,8 @@ func TestDatasetRepeatAllocFree(t *testing.T) {
 // BenchmarkTreeFit times one tree fit of 21 features and 7 labels, filled
 // by Add so the grouping of repeats and the value coding are inside the
 // measurement, at the two ends of the training sets a model is built from:
-//   - near-unique: 29 000 rows, nearly all distinct, the shape of an
-//     Average or Percentile training set (29–40 % distinct);
+//   - near-unique: 29 000 rows, nearly all distinct, the end Average and
+//     Percentile training sets (29–40 % distinct) lean toward;
 //   - repeats: 8 000 rows drawn from 320 distinct ones (4 % distinct), the
 //     shape of a monotonic goal's serving-scale training set.
 func BenchmarkTreeFit(b *testing.B) {
