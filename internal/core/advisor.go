@@ -315,12 +315,20 @@ func (a *Advisor) TrainContext(ctx context.Context, goal sla.Goal) (*Model, erro
 	return build(ctx, a.env, goal, a.cfg, nil, normalizedMix(a.cfg.SampleWeights, len(a.env.Templates)), sources{draw: true})
 }
 
-// trainingSet is a build's tree dataset with the feature state and the one
-// row buffer every optimal path is extracted into: the dataset copies the
-// rows it has not seen, so the buffer is reused path after path.
+// trainingSet is a build's tree dataset with the scratch every optimal
+// path is extracted through: one graph state walked in place, the feature
+// state tracking it, and one row buffer. The dataset copies the rows it has
+// not seen, so all of it is reused path after path and a path costs no
+// allocation once the buffers have grown.
 type trainingSet struct {
-	ds *dt.Dataset
-	fs *features.State
+	ds   *dt.Dataset
+	prob *graph.Problem
+	fs   *features.State
+	// st is the walked vertex. Its accumulator is acc, advanced in place
+	// with the arithmetic graph.Apply's immutable accumulators use, so every
+	// penalty a row reads is the one the state Apply reaches would report.
+	st  graph.State
+	acc *sla.Tracker
 	// buf holds a path's feature rows back to back; x and y are the batch
 	// handed to Ingest.
 	buf []float64
@@ -331,24 +339,38 @@ type trainingSet struct {
 func newTrainingSet(prob *graph.Problem) *trainingSet {
 	k := len(prob.Env.Templates)
 	return &trainingSet{
-		ds: &dt.Dataset{FeatureNames: features.Names(k), NumLabels: k + len(prob.Env.VMTypes)},
-		fs: features.NewState(prob),
+		ds:   &dt.Dataset{FeatureNames: features.Names(k), NumLabels: k + len(prob.Env.VMTypes)},
+		prob: prob,
+		fs:   features.NewState(prob),
+		st:   graph.State{Unassigned: make([]int, k)},
+		acc:  sla.NewTracker(prob.Goal),
 	}
 }
 
-// addPath converts each decision on an optimal path into a (features,
-// action-label) training instance, ingested as one batch per path
-// (dt.Ingest is defined as Add row by row, so batching changes nothing
-// about the dataset).
-func (t *trainingSet) addPath(path []search.Step) {
+// addActions converts each decision on an optimal path — actions, taken
+// from w's start vertex — into a (features, action-label) training
+// instance, its features those of the vertex the decision was made at. The
+// rows are ingested as one batch per path (dt.Ingest is defined as Add row
+// by row, so batching changes nothing about the dataset).
+func (t *trainingSet) addActions(w *workload.Workload, actions []graph.Action) {
 	k := t.fs.NumTemplates()
 	width := features.VectorLen(k)
-	t.buf = slices.Grow(t.buf[:0], len(path)*width)
+	t.buf = slices.Grow(t.buf[:0], len(actions)*width)
 	t.x, t.y = t.x[:0], t.y[:0]
-	for i, step := range path {
-		t.fs.Reset(step.State)
-		t.x = append(t.x, t.fs.AppendTo(t.buf[i*width:i*width:(i+1)*width], step.State))
-		t.y = append(t.y, step.Action.Label(k))
+	st := &t.st
+	clear(st.Unassigned)
+	for _, q := range w.Queries {
+		st.Unassigned[q.TemplateID]++
+	}
+	st.OpenType, st.OpenQueue, st.Wait = graph.NoVM, st.OpenQueue[:0], 0
+	t.acc.Reset()
+	st.Acc = t.acc
+	t.fs.Reset(st)
+	for i, a := range actions {
+		t.x = append(t.x, t.fs.AppendTo(t.buf[i*width:i*width:(i+1)*width], st))
+		t.y = append(t.y, a.Label(k))
+		t.prob.ApplyInPlace(st, a)
+		t.fs.Apply(a)
 	}
 	t.ds.Ingest(t.x, t.y)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"time"
 
 	"wisedb/internal/dt"
@@ -72,6 +73,9 @@ func build(ctx context.Context, env *schedule.Env, goal sla.Goal, cfg TrainConfi
 	if err != nil {
 		return nil, fmt.Errorf("core: training: %w", err)
 	}
+	// The fold takes each sample's rows from its actions, so no answer
+	// needs the steps of its path.
+	searcher = searcher.WithoutPaths()
 	n := cfg.NumSamples
 	if !src.draw {
 		n = len(src.prior)
@@ -89,10 +93,11 @@ func build(ctx context.Context, env *schedule.Env, goal sla.Goal, cfg TrainConfi
 		shifted = make([]solvedPath, n)
 	}
 	hits, misses, warm := 0, 0, 0
+	samplers := newSamplerList(env.Templates, cfg.Parallelism)
 	fold := func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			a := &answers[i]
-			ts.addPath(a.res.Path)
+			ts.addActions(a.w, a.res.Actions)
 			hits += a.res.CacheHits
 			misses += a.res.CacheMisses
 			// A replayed sample shares the stored path rather than holding
@@ -115,7 +120,7 @@ func build(ctx context.Context, env *schedule.Env, goal sla.Goal, cfg TrainConfi
 	err = solveSamplesFold(ctx, cfg.Parallelism, n, cache,
 		func(i int, cache *search.TranspositionCache, rec *search.PendingSuffixes) error {
 			a := &answers[i]
-			a.w, a.variates, a.prior = src.sample(env, cfg, i)
+			a.w, a.variates, a.prior = src.sample(env, cfg, i, samplers)
 			var from solvedPath
 			if src.replay && a.prior != nil {
 				from = a.prior.solvedPath
@@ -171,8 +176,9 @@ func build(ctx context.Context, env *schedule.Env, goal sla.Goal, cfg TrainConfi
 }
 
 // sample returns sample i's workload and variates, and the prior sample
-// whose workload it is: prior[i] unless there is none or the draw moved.
-func (src *sources) sample(env *schedule.Env, cfg TrainConfig, i int) (*workload.Workload, []float64, *trainSample) {
+// whose workload it is: prior[i] unless there is none or the draw moved. A
+// drawn workload comes from a sampler of the list.
+func (src *sources) sample(env *schedule.Env, cfg TrainConfig, i int, samplers *samplerList) (*workload.Workload, []float64, *trainSample) {
 	var p *trainSample
 	if i < len(src.prior) {
 		p = &src.prior[i]
@@ -189,15 +195,55 @@ func (src *sources) sample(env *schedule.Env, cfg TrainConfig, i int) (*workload
 		variates = p.variates
 		w = workload.WeightedFromVariates(env.Templates, variates, cfg.SampleWeights)
 	case cfg.SampleWeights != nil:
-		sampler := workload.NewSampler(env.Templates, deriveSeed(cfg.Seed, i))
+		sampler := samplers.get(deriveSeed(cfg.Seed, i))
 		w, variates = sampler.WeightedVariates(cfg.SampleSize, cfg.SampleWeights)
+		samplers.put(sampler)
 	default:
-		w = workload.NewSampler(env.Templates, deriveSeed(cfg.Seed, i)).Uniform(cfg.SampleSize)
+		sampler := samplers.get(deriveSeed(cfg.Seed, i))
+		w = sampler.Uniform(cfg.SampleSize)
+		samplers.put(sampler)
 	}
 	if p != nil && !sameQueries(w, p.w) {
 		p = nil
 	}
 	return w, variates, p
+}
+
+// samplerList is a build's free list of workload samplers, reseeded for each
+// drawn sample: a fresh sampler allocates its 4.9 kB random source. The
+// list belongs to the build — a sync.Pool would outlive it — and holds at
+// most one sampler per worker.
+type samplerList struct {
+	templates []workload.Template
+	free      chan *workload.Sampler
+}
+
+// newSamplerList returns an empty list for a build on parallelism workers
+// (0 = GOMAXPROCS, as the worker pool counts them).
+func newSamplerList(templates []workload.Template, parallelism int) *samplerList {
+	if parallelism <= 0 {
+		parallelism = runtime.GOMAXPROCS(0)
+	}
+	return &samplerList{templates: templates, free: make(chan *workload.Sampler, parallelism)}
+}
+
+// get returns a sampler on seed's stream: a free one reseeded, or a new one.
+func (s *samplerList) get(seed int64) *workload.Sampler {
+	select {
+	case sp := <-s.free:
+		sp.Reseed(seed)
+		return sp
+	default:
+		return workload.NewSampler(s.templates, seed)
+	}
+}
+
+// put returns a sampler get handed out to the list.
+func (s *samplerList) put(sp *workload.Sampler) {
+	select {
+	case s.free <- sp:
+	default:
+	}
 }
 
 // sameQueries reports whether two sample workloads drew exactly the same

@@ -5,14 +5,20 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"wisedb/internal/cloud"
+	"wisedb/internal/features"
+	"wisedb/internal/graph"
 	"wisedb/internal/schedule"
+	"wisedb/internal/search"
+	"wisedb/internal/sla"
 	"wisedb/internal/workload"
 )
 
@@ -136,6 +142,88 @@ func TestBuildFingerprints(t *testing.T) {
 			if got[i] != want[i] {
 				t.Errorf("P=%d: fingerprint %d\n got %s\nwant %s", p, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// pathRows is what the fold took from a result's Path before it walked
+// actions: each step's vertex recounted and extracted, labeled with the
+// step's action.
+func pathRows(prob *graph.Problem, path []search.Step) ([][]float64, []int) {
+	fs := features.NewState(prob)
+	k := fs.NumTemplates()
+	var x [][]float64
+	var y []int
+	for _, step := range path {
+		fs.Reset(step.State)
+		x = append(x, fs.AppendTo(nil, step.State))
+		y = append(y, step.Action.Label(k))
+	}
+	return x, y
+}
+
+// The fold walks each answer's actions on one state instead of reading a
+// Path of heap states. Its rows must be, bit for bit, the rows the Path
+// gives — Replay's for a monotonic goal, Solve's otherwise — for every goal
+// family, including decisions taken after the schedule has accrued
+// penalty: each family is also run with a penalty rate low enough that
+// optimal schedules pay it.
+func TestActionWalkRowsMatchPath(t *testing.T) {
+	env := schedule.NewEnv(workload.DefaultTemplates(4), cloud.DefaultVMTypes(2))
+	const cheap = sla.DefaultPenaltyRate / 200
+	penalising := map[string]sla.Goal{
+		"max":        sla.NewMaxLatency(5*time.Minute, env.Templates, cheap),
+		"perquery":   sla.NewPerQuery(1, env.Templates, cheap/10),
+		"average":    sla.NewAverage(4*time.Minute, env.Templates, cheap),
+		"percentile": sla.NewPercentile(50, 4*time.Minute, env.Templates, cheap),
+	}
+	for name, loose := range testGoals(env) {
+		for v, goal := range []sla.Goal{loose, penalising[name]} {
+			variant := name + [2]string{"", " at a cheap penalty"}[v]
+			prob := graph.NewProblem(env, goal)
+			s, err := search.New(prob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := newTrainingSet(prob)
+			penalised := 0
+			for i := 0; i < 40; i++ {
+				what := fmt.Sprintf("%s, sample %d", variant, i)
+				w := workload.NewSampler(env.Templates, deriveSeed(3, i)).Uniform(4 + i%5)
+				res, err := s.Solve(w, search.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				path := res.Path
+				if goal.Monotonic() {
+					replayed, err := s.Replay(w, res.Actions, res.Cost, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					path = replayed.Path
+				}
+				wantX, wantY := pathRows(prob, path)
+				ts.addActions(w, res.Actions)
+				if !slices.Equal(ts.y, wantY) || len(ts.x) != len(wantX) {
+					t.Fatalf("%s: labels %v from the walk, %v from the path", what, ts.y, wantY)
+				}
+				for j, row := range wantX {
+					for f, v := range row {
+						if math.Float64bits(ts.x[j][f]) != math.Float64bits(v) {
+							t.Fatalf("%s, row %d: the walk reads %v, the path %v", what, j, ts.x[j], row)
+						}
+					}
+				}
+				for _, step := range path {
+					if step.State.Acc.Penalty() != 0 {
+						penalised++
+					}
+				}
+			}
+			if v == 1 && penalised == 0 {
+				t.Fatalf("%s: no decision follows accrued penalty", variant)
+			}
+			t.Logf("%s: %d decisions follow accrued penalty", variant, penalised)
 		}
 	}
 }

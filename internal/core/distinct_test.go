@@ -42,7 +42,7 @@ func solveEverySample(t *testing.T, env *schedule.Env, goal sla.Goal, ws []*work
 			t.Fatal(err)
 		}
 		b.results = append(b.results, res)
-		ts.addPath(res.Path)
+		ts.addActions(w, res.Actions)
 		starts[prob.Signature(prob.Start(w))] = true
 	}
 	b.rows = ts.ds.Len()

@@ -71,7 +71,13 @@ type ModelRegistry struct {
 
 	checkpoints, checkpointFailures atomic.Int64
 	lastCkptErr                     atomic.Pointer[error]
-	lastCkptBytes, ckptNanos        atomic.Int64
+	ckptNanos                       atomic.Int64
+	// lastCkptEpoch and lastCkptBytes are the newest committed epoch and
+	// its file's size, updated together under ckptMu: background
+	// checkpoints of successive epochs may finish out of order.
+	ckptMu        sync.Mutex
+	lastCkptEpoch uint64
+	lastCkptBytes int64
 
 	// Retry discipline (see robust.go): policy, breaker position, backoff
 	// window, and the deterministic jitter cursor, all guarded by robustMu.
@@ -174,9 +180,21 @@ func (r *ModelRegistry) checkpoint(ms *store.ModelStore, e *ModelEpoch, lin stor
 		return err
 	}
 	r.checkpoints.Add(1)
-	r.lastCkptBytes.Store(int64(len(data)))
+	r.ckptMu.Lock()
+	if e.Epoch >= r.lastCkptEpoch {
+		r.lastCkptEpoch, r.lastCkptBytes = e.Epoch, int64(len(data))
+	}
+	r.ckptMu.Unlock()
 	r.ckptNanos.Add(int64(time.Since(start)))
 	return nil
+}
+
+// lastCheckpointBytes returns the size of the newest committed epoch's
+// checkpoint file, 0 before the first.
+func (r *ModelRegistry) lastCheckpointBytes() int64 {
+	r.ckptMu.Lock()
+	defer r.ckptMu.Unlock()
+	return r.lastCkptBytes
 }
 
 // commitWithRetry attempts a durable commit up to the policy's attempt
@@ -445,7 +463,7 @@ type RegistryStats struct {
 	// LastCheckpointErr is the most recent checkpoint failure, nil if
 	// none.
 	LastCheckpointErr error `json:"-"`
-	// LastCheckpointBytes is the size of the most recently committed
+	// LastCheckpointBytes is the size of the newest committed epoch's
 	// checkpoint file; CheckpointNanos sums, over the committed
 	// checkpoints, the time each took to encode and commit (retries
 	// included) — off every arrival path, but what an epoch costs to keep.
@@ -477,7 +495,7 @@ func (r *ModelRegistry) Stats() RegistryStats {
 		InFlight:            r.inFlight.Load(),
 		Checkpoints:         r.checkpoints.Load(),
 		CheckpointFailures:  r.checkpointFailures.Load(),
-		LastCheckpointBytes: r.lastCkptBytes.Load(),
+		LastCheckpointBytes: r.lastCheckpointBytes(),
 		CheckpointNanos:     r.ckptNanos.Load(),
 		LastRetrainMS:       r.lastRetrainMS.Load(),
 		TotalRetrainMS:      r.retrainMSTotal.Load(),

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -93,5 +94,42 @@ func BenchmarkWarmRetrain(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// driftRetrainByteBound caps what one steady drift retrain at paper scale
+// may allocate: the least of five DriftRetrain calls of retrainScenarios[0]
+// stays under it. A build allocates per distinct training row and per
+// sample, not per path step or per row: 1.43 MB at two workers on
+// linux/amd64, where walking each answer's path through heap States and
+// listing every row in the dataset took 3.66 MB.
+const driftRetrainByteBound = 2300 << 10
+
+// TestDriftRetrainAllocBound pins driftRetrainByteBound. It skips under the
+// race detector, whose instrumentation allocates.
+func TestDriftRetrainAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bound is meaningless under the race detector")
+	}
+	sc := retrainScenarios[0]
+	cur := benchRetrainEpoch(t, sc.prior)
+	// Two workers on every machine: each worker refills pooled search
+	// arenas of its own, so a retrain's bytes grow with the worker count.
+	cur.Model.TrainingConfig.Parallelism = 2
+	ctx := context.Background()
+	// The least of a few runs: a background GC cycle can only add.
+	least := ^uint64(0)
+	var before, after runtime.MemStats
+	for i := 0; i < 5; i++ {
+		runtime.ReadMemStats(&before)
+		if _, err := DriftRetrain(ctx, cur, sc.to); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("least of 5 steady drift retrains: %d bytes", least)
+	if least > driftRetrainByteBound {
+		t.Fatalf("a steady drift retrain allocated %d bytes, want at most %d", least, driftRetrainByteBound)
 	}
 }

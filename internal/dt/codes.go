@@ -82,21 +82,21 @@ func (c *column) code(v float64) (code uint16, ok bool) {
 
 // encode codes the distinct rows added since the last call.
 func (d *Dataset) encode() {
-	c, first := &d.codes, d.distinct.first
-	if c.rows == len(first) {
+	c, rows := &d.codes, d.distinct.rows
+	if c.rows == len(rows) {
 		return
 	}
 	if c.cols == nil {
-		c.cols = make([]column, len(d.X[0]))
+		c.cols = make([]column, len(rows[0]))
 		for f := range c.cols {
 			c.cols[f].lastVal = math.NaN() // equal to no value
 		}
 	}
 	stride := len(c.cols)
-	c.cells = slices.Grow(c.cells, len(first)*stride-len(c.cells))[:len(first)*stride]
-	for i := c.rows; i < len(first); i++ {
+	c.cells = slices.Grow(c.cells, len(rows)*stride-len(c.cells))[:len(rows)*stride]
+	for i := c.rows; i < len(rows); i++ {
 		row := c.cells[i*stride : (i+1)*stride]
-		for f, v := range d.X[first[i]] {
+		for f, v := range rows[i] {
 			col := &c.cols[f]
 			if col.wide {
 				continue
@@ -111,5 +111,5 @@ func (d *Dataset) encode() {
 			row[f] = col.lastCode
 		}
 	}
-	c.rows = len(first)
+	c.rows = len(rows)
 }

@@ -6,9 +6,10 @@ import (
 )
 
 // randomDataset draws a labeled dataset with clustered structure so trained
-// trees have non-trivial depth.
-func randomDataset(rng *rand.Rand, numFeatures, numLabels, n int) *Dataset {
+// trees have non-trivial depth, and returns it with the rows it holds.
+func randomDataset(rng *rand.Rand, numFeatures, numLabels, n int) (*Dataset, [][]float64) {
 	ds := &Dataset{NumLabels: numLabels}
+	var rows [][]float64
 	centers := make([][]float64, numLabels)
 	for l := range centers {
 		centers[l] = make([]float64, numFeatures)
@@ -23,8 +24,9 @@ func randomDataset(rng *rand.Rand, numFeatures, numLabels, n int) *Dataset {
 			x[f] = centers[y][f] + rng.NormFloat64()*2
 		}
 		ds.Add(x, y)
+		rows = append(rows, x)
 	}
-	return ds
+	return ds, rows
 }
 
 // CompiledTree.Predict must agree with Tree.Predict on every input: the
@@ -37,7 +39,7 @@ func TestCompiledTreeEquivalence(t *testing.T) {
 		numFeatures := 1 + rng.Intn(6)
 		numLabels := 2 + rng.Intn(5)
 		n := 4 + rng.Intn(200)
-		ds := randomDataset(rng, numFeatures, numLabels, n)
+		ds, rows := randomDataset(rng, numFeatures, numLabels, n)
 		cfg := Config{
 			MinLeaf:  1 + rng.Intn(4),
 			MaxDepth: rng.Intn(8), // 0 = unlimited
@@ -53,7 +55,7 @@ func TestCompiledTreeEquivalence(t *testing.T) {
 				t.Fatalf("trial %d: compiled predicts %d, tree predicts %d for %v", trial, got, want, x)
 			}
 		}
-		for _, x := range ds.X {
+		for _, x := range rows {
 			check(x)
 		}
 		x := make([]float64, numFeatures)
@@ -83,7 +85,7 @@ func TestCompiledTreeSingleLeaf(t *testing.T) {
 // Predict on the compiled form must not allocate.
 func TestCompiledTreePredictAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	ds := randomDataset(rng, 4, 3, 300)
+	ds, _ := randomDataset(rng, 4, 3, 300)
 	compiled := Train(ds, DefaultConfig()).Compile()
 	x := []float64{1, 2, 3, 4}
 	if allocs := testing.AllocsPerRun(100, func() { compiled.Predict(x) }); allocs > 0 {

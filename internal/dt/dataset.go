@@ -7,31 +7,28 @@ import (
 	"slices"
 )
 
-// Dataset is a labeled training multiset: X[i] is a feature vector, Y[i]
-// its class label in [0, NumLabels). Rows enter only through Add and
-// Ingest; X and Y list every row added, in order, and are read-only.
+// Dataset is a labeled training multiset of feature vectors, each with a
+// class label in [0, NumLabels). Rows enter only through Add and Ingest.
 //
 // A row whose features and label equal, bit for bit, a row already present
-// is stored once: its X entry aliases the first copy, and the tree builder
-// sees each distinct row once with its count. The training sets this
+// is stored once: the dataset keeps each distinct row once with its count,
+// and the tree builder sees it once with that count. The training sets this
 // package serves are mostly repeats — consecutive decisions of similar
 // schedules reach the same feature vector — so a fit walks a few hundred
-// distinct rows rather than thousands. A split depends only on the node's
-// row multiset, so the tree is the one every row would have grown. A new
-// row is copied into storage the dataset owns, so a caller may reuse the
-// slice it passed.
+// distinct rows rather than thousands, and a repeat costs a count. A split
+// depends only on the node's row multiset, so the tree is the one every row
+// would have grown. A new row is copied into storage the dataset owns, so a
+// caller may reuse the slice it passed.
 type Dataset struct {
-	// FeatureNames names each column of X, for rendering and debugging.
+	// FeatureNames names each feature, for rendering and debugging.
 	FeatureNames []string
-	// X holds one row per training instance.
-	X [][]float64
-	// Y holds the class label of each row.
-	Y []int
 	// NumLabels is the size of the label domain.
 	NumLabels int
 
 	// distinct holds each distinct (row, label) once, in first-seen order.
 	distinct rowGroups
+	// n is the number of rows added, repeats included.
+	n int
 	// codes is the coded form of a prefix of the distinct rows (see
 	// valueCodes). Ingest keeps it current; Train codes whatever Add left.
 	// It is a pure function of the distinct rows in order, so how a dataset
@@ -39,25 +36,25 @@ type Dataset struct {
 	codes valueCodes
 }
 
-// Add appends a labeled instance, copying x if no equal row is present.
+// Add adds a labeled instance, copying x if no equal row is present.
 func (d *Dataset) Add(x []float64, y int) {
-	if len(d.X) > 0 && len(x) != len(d.X[0]) {
-		panic(fmt.Sprintf("dt: instance has %d features, dataset has %d", len(x), len(d.X[0])))
+	if rows := d.distinct.rows; len(rows) > 0 && len(x) != len(rows[0]) {
+		panic(fmt.Sprintf("dt: instance has %d features, dataset has %d", len(x), len(rows[0])))
 	}
 	if y < 0 || y >= d.NumLabels {
 		panic(fmt.Sprintf("dt: label %d outside [0,%d)", y, d.NumLabels))
 	}
-	d.X = appendDoubling(d.X, d.distinct.add(d.X, x, y))
-	d.Y = appendDoubling(d.Y, y)
+	d.distinct.add(x, y)
+	d.n++
 }
 
-// Ingest appends a batch of labeled instances. It is the streaming entry
+// Ingest adds a batch of labeled instances. It is the streaming entry
 // point for pipelined dataset construction — the trainer folds each solved
 // sample generation into the dataset while later generations are still
 // searching — and is defined as exactly Add row by row: same validation,
-// same copies, same final order, so a dataset built from streamed batches
-// is identical to one built by a single post-hoc loop. Ingest also codes
-// the batch's new distinct rows for the tree builder, work Train would
+// same copies, same order, so a dataset built from streamed batches is
+// identical to one built by a single post-hoc loop. Ingest also codes the
+// batch's new distinct rows for the tree builder, work Train would
 // otherwise do after the last batch. The caller may reuse X's rows once
 // Ingest returns.
 func (d *Dataset) Ingest(X [][]float64, Y []int) {
@@ -71,16 +68,16 @@ func (d *Dataset) Ingest(X [][]float64, Y []int) {
 }
 
 // Len returns the number of instances, repeats included.
-func (d *Dataset) Len() int { return len(d.X) }
+func (d *Dataset) Len() int { return d.n }
 
 // rowGroups numbers the distinct (row, label) pairs of a dataset, groups,
 // in first-seen order, and counts how many times each was added.
 type rowGroups struct {
-	// first[g] is the index in X and Y of group g's first row, the copy
-	// every later equal row aliases; y[g] is its label and n[g] its count.
-	first []int32
-	y     []int32
-	n     []int32
+	// rows[g] is group g's copy of its row, y[g] its label and n[g] its
+	// count.
+	rows [][]float64
+	y    []int32
+	n    []int32
 	// slots is an open-addressing index over the groups, linear probing.
 	// Its length is a power of two at least twice the group count.
 	slots []groupSlot
@@ -96,10 +93,9 @@ type groupSlot struct {
 	group int32
 }
 
-// add counts one (x, y) into the groups of a dataset whose rows so far
-// are X, and returns the group's copy of x.
-func (g *rowGroups) add(X [][]float64, x []float64, y int) []float64 {
-	if 2*(len(g.first)+1) > len(g.slots) {
+// add counts one (x, y) into its group, opening the group if it is new.
+func (g *rowGroups) add(x []float64, y int) {
+	if 2*(len(g.rows)+1) > len(g.slots) {
 		g.regrow()
 	}
 	h := uint32(hashRow(x, y))
@@ -107,33 +103,32 @@ func (g *rowGroups) add(X [][]float64, x []float64, y int) []float64 {
 	for i := h & mask; ; i = (i + 1) & mask {
 		s := g.slots[i]
 		if s.group == 0 {
-			g.slots[i] = groupSlot{hash: h, group: int32(len(g.first) + 1)}
-			return g.insert(len(X), x, y)
+			g.slots[i] = groupSlot{hash: h, group: int32(len(g.rows) + 1)}
+			g.insert(x, y)
+			return
 		}
-		if k := s.group - 1; s.hash == h && int(g.y[k]) == y && sameBits(X[g.first[k]], x) {
+		if k := s.group - 1; s.hash == h && int(g.y[k]) == y && sameBits(g.rows[k], x) {
 			g.n[k]++
-			return X[g.first[k]]
+			return
 		}
 	}
 }
 
-// insert opens a group for (x, y), the dataset's row at index at, and
-// returns the copy of x it keeps.
-func (g *rowGroups) insert(at int, x []float64, y int) []float64 {
+// insert opens a group for (x, y) with a copy of x.
+func (g *rowGroups) insert(x []float64, y int) {
 	w := len(x)
 	if len(g.free) < w {
 		// Chunks grow with the group count up to 256 rows, so a small set
 		// wastes little and a large one allocates rarely; a chunk is never
-		// reallocated, since earlier rows alias it.
-		g.free = make([]float64, min(max(len(g.first), 16), 256)*w)
+		// reallocated, since earlier groups' rows alias it.
+		g.free = make([]float64, min(max(len(g.rows), 16), 256)*w)
 	}
 	row := g.free[:w:w]
 	copy(row, x)
 	g.free = g.free[w:]
-	g.first = appendDoubling(g.first, int32(at))
+	g.rows = appendDoubling(g.rows, row)
 	g.y = appendDoubling(g.y, int32(y))
 	g.n = appendDoubling(g.n, 1)
-	return row
 }
 
 // regrow doubles the index and re-files every group.

@@ -14,7 +14,7 @@ func TestTreeExportRoundTrip(t *testing.T) {
 	name := func(l int) string { return fmt.Sprintf("L%d", l) }
 	for trial := 0; trial < 20; trial++ {
 		numFeatures := 2 + rng.Intn(4)
-		ds := randomDataset(rng, numFeatures, 2+rng.Intn(5), 60+rng.Intn(200))
+		ds, _ := randomDataset(rng, numFeatures, 2+rng.Intn(5), 60+rng.Intn(200))
 		ds.FeatureNames = make([]string, numFeatures)
 		for i := range ds.FeatureNames {
 			ds.FeatureNames[i] = fmt.Sprintf("f%d", i)

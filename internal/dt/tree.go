@@ -73,14 +73,11 @@ func Train(ds *Dataset, cfg Config) *Tree {
 	if cfg.PruneConfidence <= 0 {
 		cfg.PruneConfidence = 0.25
 	}
-	rows := make([]int32, len(ds.distinct.first))
+	rows := make([]int32, len(ds.distinct.rows))
 	for i := range rows {
 		rows[i] = int32(i)
 	}
 	root := newBuilder(ds, cfg).build(rows, 0)
-	if root.n != ds.Len() {
-		panic("dt: rows appended to X or Y outside Add and Ingest")
-	}
 	if cfg.Prune {
 		z := normalUpperQuantile(cfg.PruneConfidence)
 		pruneNode(root, z)
@@ -182,12 +179,11 @@ func dumpNode(b *strings.Builder, n *Node, features []string, labelName func(int
 // repeat are unobservable.
 type builder struct {
 	cfg Config
-	// Distinct row i is x[first[i]], with label y[i] and count w[i].
-	x     [][]float64
-	first []int32
-	y     []int32
-	w     []int32
-	cols  []column
+	// Distinct row i is x[i], with label y[i] and count w[i].
+	x    [][]float64
+	y    []int32
+	w    []int32
+	cols []column
 	// cells is the distinct rows' row-major code matrix, stride len(cols).
 	cells []uint16
 	// table holds the count tables of all coded features back to back.
@@ -219,8 +215,7 @@ func newBuilder(ds *Dataset, cfg Config) *builder {
 	ds.encode()
 	b := &builder{
 		cfg:    cfg,
-		x:      ds.X,
-		first:  ds.distinct.first,
+		x:      ds.distinct.rows,
 		y:      ds.distinct.y,
 		w:      ds.distinct.n,
 		cols:   ds.codes.cols,
@@ -228,7 +223,7 @@ func newBuilder(ds *Dataset, cfg Config) *builder {
 		off:    make([]int, len(ds.codes.cols)),
 		width:  1 + ds.NumLabels,
 		counts: make([]int, ds.NumLabels),
-		moved:  make([]int32, 0, len(ds.distinct.first)),
+		moved:  make([]int32, 0, len(ds.distinct.rows)),
 		search: splitSearch{
 			minLeaf: cfg.MinLeaf,
 			left:    make([]int, ds.NumLabels),
@@ -281,7 +276,7 @@ func (b *builder) build(rows []int32, depth int) *Node {
 	for _, i := range rows {
 		var v float64
 		if col.wide {
-			v = b.x[b.first[i]][feature]
+			v = b.x[i][feature]
 		} else {
 			v = col.vals[b.cells[int(i)*stride+feature]]
 		}
@@ -364,7 +359,7 @@ func (b *builder) scanSorted(f int, rows []int32) {
 	s := &b.search
 	pairs := b.pairs[:0]
 	for _, i := range rows {
-		pairs = append(pairs, valueLabel{v: b.x[b.first[i]][f], y: b.y[i], w: b.w[i]})
+		pairs = append(pairs, valueLabel{v: b.x[i][f], y: b.y[i], w: b.w[i]})
 	}
 	b.pairs = pairs
 	slices.SortFunc(pairs, func(a, c valueLabel) int { return cmp.Compare(a.v, c.v) })

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -58,7 +59,8 @@ type Result struct {
 	// Path pairs each decision with the vertex it was made at. The states
 	// are materialized by replaying Actions from the start vertex, so
 	// their accumulators are exact even where the search shared a static
-	// accumulator internally (see graph.ApplyArena).
+	// accumulator internally (see graph.ApplyArena). Nil from a searcher
+	// made by WithoutPaths.
 	Path []Step
 	// Expanded counts vertex expansions (search effort).
 	Expanded int
@@ -200,6 +202,9 @@ type Searcher struct {
 	exec    []float64
 	startup []float64
 	exact   exactTables // gridded searchers only
+
+	// noPath marks a searcher made by WithoutPaths.
+	noPath bool
 }
 
 // New returns a Searcher for the problem. It returns an error if some
@@ -256,6 +261,18 @@ func New(prob *graph.Problem) (*Searcher, error) {
 	return s, nil
 }
 
+// WithoutPaths returns a searcher for the same problem whose Solve and
+// Replay results carry no Path, only Actions. The walk that checks a
+// result's cost and records its suffixes then runs on the search arena's
+// states instead of materializing one heap State per step. A model build,
+// which extracts its training rows from the actions, is what it is for;
+// a caller that reads Path must use the searcher New returned.
+func (s *Searcher) WithoutPaths() *Searcher {
+	c := *s
+	c.noPath = true
+	return &c
+}
+
 // nodeChunkSize and keySlabSize are the bump-allocation granularities of a
 // search arena's node blocks and path-key slabs.
 const (
@@ -281,6 +298,9 @@ type arena struct {
 	open   bucketFrontier
 	states graph.Arena    // bump-allocated successor states
 	actBuf []graph.Action // per-expansion action scratch
+	// costs and ends are buildPath's per-step scratch on a path-free walk.
+	costs []float64
+	ends  []int
 	// stitches holds the cached suffixes behind pseudo-goal nodes
 	// (node.stitch indexes it, 1-based).
 	stitches [][]graph.Action
@@ -782,7 +802,11 @@ func (s *Searcher) Solve(w *workload.Workload, opts Options) (*Result, error) {
 		CacheHits:   sv.hits,
 		CacheMisses: sv.misses,
 	}
-	if err := s.buildPath(res, w, opts.Record, 1e-6); err != nil {
+	var walk *arena
+	if s.noPath {
+		walk = ar
+	}
+	if err := s.buildPath(walk, res, w, opts.Record, 1e-6); err != nil {
 		return nil, err
 	}
 	if opts.KeepClosed {
@@ -804,12 +828,15 @@ func (s *Searcher) Solve(w *workload.Workload, opts Options) (*Result, error) {
 // buildPath replays the result's actions from the start vertex with
 // graph.Apply, materializing the Path steps with exact accumulators (the
 // search's internal states may share a static accumulator and be stitched
-// from cached suffixes). When rec is set, the goal is monotonic, and
+// from cached suffixes). Given an arena, it walks with graph.ApplyArena on
+// the arena's states instead and leaves Path nil: the edge costs and
+// signatures it reads are the same (see graph.ApplyArena), and none of the
+// states outlives the call. When rec is set, the goal is monotonic, and
 // optimality was proven, it also records every path state's solved suffix
 // for later Commit into a transposition cache. The replayed edge costs
 // double-check the path: a sum further than tolerance from the result's
 // cost reports an error instead of a silently wrong schedule.
-func (s *Searcher) buildPath(res *Result, w *workload.Workload, rec *PendingSuffixes, tolerance float64) error {
+func (s *Searcher) buildPath(ar *arena, res *Result, w *workload.Workload, rec *PendingSuffixes, tolerance float64) error {
 	record := rec != nil && s.gridded && res.Optimal
 	var recActions []graph.Action
 	if record {
@@ -817,22 +844,32 @@ func (s *Searcher) buildPath(res *Result, w *workload.Workload, rec *PendingSuff
 		// Actions slice.
 		recActions = append(make([]graph.Action, 0, len(res.Actions)), res.Actions...)
 	}
-	res.Path = make([]Step, 0, len(res.Actions))
+	if ar == nil {
+		res.Path = make([]Step, 0, len(res.Actions))
+	}
 	st := s.prob.Start(w)
 	g := 0.0
+	// edgeCosts[i] is step i's cost, and state i's signature ends at
+	// sigEnd[i] in sigs, which holds the path states' signatures back to
+	// back in one buffer the records alias until Commit copies them.
 	var edgeCosts []float64
-	// sigs holds the path states' signatures back to back in one buffer
-	// the records alias until Commit copies them; state i's ends at
-	// sigEnd[i].
 	var sigs []byte
 	var sigEnd []int
 	if record {
-		edgeCosts = make([]float64, len(res.Actions))
+		if ar != nil {
+			ar.costs = slices.Grow(ar.costs[:0], len(res.Actions))[:len(res.Actions)]
+			ar.ends = slices.Grow(ar.ends[:0], len(res.Actions))[:len(res.Actions)]
+			edgeCosts, sigEnd = ar.costs, ar.ends
+		} else {
+			edgeCosts = make([]float64, len(res.Actions))
+			sigEnd = make([]int, len(res.Actions))
+		}
 		sigs = make([]byte, 0, len(res.Actions)*(len(st.Unassigned)+8))
-		sigEnd = make([]int, len(res.Actions))
 	}
 	for i, a := range res.Actions {
-		res.Path = append(res.Path, Step{State: st, Action: a})
+		if ar == nil {
+			res.Path = append(res.Path, Step{State: st, Action: a})
+		}
 		if record {
 			sigs = s.prob.AppendSignature(sigs, st)
 			sigEnd[i] = len(sigs)
@@ -848,7 +885,11 @@ func (s *Searcher) buildPath(res *Result, w *workload.Workload, rec *PendingSuff
 			edgeCosts[i] = cost
 		}
 		g += cost
-		st = s.prob.Apply(st, a)
+		if ar == nil {
+			st = s.prob.Apply(st, a)
+		} else {
+			st = s.prob.ApplyArena(&ar.states, st, a)
+		}
 	}
 	if !st.IsGoal() {
 		return errors.New("search: replayed path does not reach a goal vertex")
@@ -877,8 +918,9 @@ func (s *Searcher) buildPath(res *Result, w *workload.Workload, rec *PendingSuff
 // Replay returns the Result a search of w would produce, without
 // searching, from an action sequence some earlier search of w produced: the
 // actions are replayed from the start vertex exactly as buildPath replays a
-// fresh search's incumbent, materializing the same Path steps and — via
-// rec — the same transposition-cache suffix records (cache entries only
+// fresh search's incumbent, materializing the same Path steps (none from a
+// searcher made by WithoutPaths) and — via rec — the same
+// transposition-cache suffix records (cache entries only
 // ever come from returned optimal paths, so a replay regenerates precisely
 // what the search would have recorded). cost is the earlier search's cost;
 // the replay succeeds only if the path, priced by this searcher, costs
@@ -908,7 +950,15 @@ func (s *Searcher) Replay(w *workload.Workload, actions []graph.Action, cost flo
 		Actions: append([]graph.Action(nil), actions...),
 		Optimal: true,
 	}
-	if err := s.buildPath(res, w, rec, 0); err != nil {
+	var walk *arena
+	if s.noPath {
+		walk = arenas.Get().(*arena)
+		defer func() {
+			walk.states.Release()
+			arenas.Put(walk)
+		}()
+	}
+	if err := s.buildPath(walk, res, w, rec, 0); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -1,8 +1,10 @@
 package search
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -343,4 +345,81 @@ func TestSearchScalesToTrainingSize(t *testing.T) {
 		t.Fatalf("want optimal complete schedule, got optimal=%v queries=%d", res.Optimal, res.Schedule().NumQueries())
 	}
 	t.Logf("m=18 search expanded %d states, cost %.2f¢, %d VMs", res.Expanded, res.Cost, len(res.Schedule().VMs))
+}
+
+// A searcher made by WithoutPaths answers exactly as New's does — cost,
+// actions, effort, suffix records, and which replays it refuses — and only
+// leaves Path nil, for every goal family, with and without a cache.
+func TestWithoutPathsKeepsResultsAndRecords(t *testing.T) {
+	env := testEnv(4, 2)
+	for name, goal := range goalSet(env) {
+		t.Run(name, func(t *testing.T) {
+			prob := graph.NewProblem(env, goal)
+			s, err := New(prob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bare := s.WithoutPaths()
+			caches := [2]*TranspositionCache{NewTranspositionCache(), NewTranspositionCache()}
+			sampler := workload.NewSampler(env.Templates, 31)
+			for i := 0; i < 12; i++ {
+				w := sampler.Uniform(3 + i%6)
+				var recs [2]PendingSuffixes
+				var res [2]*Result
+				for j, sr := range []*Searcher{s, bare} {
+					opts := Options{Record: &recs[j]}
+					if i%2 == 1 {
+						opts.Cache = caches[j]
+					}
+					if res[j], err = sr.Solve(w, opts); err != nil {
+						t.Fatal(err)
+					}
+				}
+				checkSameAnswer(t, fmt.Sprintf("solve %d", i), res, recs)
+				for j := range caches {
+					caches[j].Commit(&recs[j])
+				}
+				if !goal.Monotonic() {
+					continue
+				}
+				for j, sr := range []*Searcher{s, bare} {
+					if res[j], err = sr.Replay(w, res[0].Actions, res[0].Cost, &recs[j]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				checkSameAnswer(t, fmt.Sprintf("replay %d", i), res, recs)
+				for j := range caches {
+					caches[j].Commit(&recs[j])
+				}
+				for j, sr := range []*Searcher{s, bare} {
+					if _, err := sr.Replay(w, res[0].Actions, res[0].Cost+gridUnit, &recs[j]); err == nil {
+						t.Fatalf("replay %d at a cost off by one grid unit accepted (searcher %d)", i, j)
+					}
+					if recs[j].Len() != 0 {
+						t.Fatalf("a refused replay %d left %d records (searcher %d)", i, recs[j].Len(), j)
+					}
+				}
+			}
+			if !reflect.DeepEqual(caches[0].Export(0), caches[1].Export(0)) {
+				t.Fatal("caches filled by the two searchers differ")
+			}
+		})
+	}
+}
+
+// checkSameAnswer fails unless res[1], from a searcher without paths, is
+// res[0] but for its Path, and recorded what res[0] recorded.
+func checkSameAnswer(t *testing.T, what string, res [2]*Result, recs [2]PendingSuffixes) {
+	t.Helper()
+	want, got := *res[0], *res[1]
+	if len(want.Path) != len(want.Actions) || got.Path != nil {
+		t.Fatalf("%s: Path has %d steps for %d actions, and %d without paths", what, len(want.Path), len(want.Actions), len(got.Path))
+	}
+	want.Path = nil
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("%s: without paths %+v, with paths %+v", what, got, want)
+	}
+	if !reflect.DeepEqual(recs[0].recs, recs[1].recs) {
+		t.Fatalf("%s: records differ without paths", what)
+	}
 }

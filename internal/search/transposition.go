@@ -40,8 +40,9 @@ import (
 // resolves to the lexicographically least action suffix — so the cache
 // contents after any set of Commits are independent of commit order.
 // Worker pools additionally buffer writes in PendingSuffixes and Commit
-// them at deterministic barriers (see core.Train), so every search observes
-// a cache state that does not depend on goroutine scheduling.
+// them at deterministic barriers (see core.solveSamplesFold), so every
+// search observes a cache state that does not depend on goroutine
+// scheduling.
 //
 // Storage is the package's own InternTable (signature → dense id) beside a
 // slice of entries indexed by that id. Nothing is locked: writers (Commit,

@@ -28,6 +28,12 @@ func NewSampler(templates []Template, seed int64) *Sampler {
 	}
 }
 
+// Reseed restarts the sampler on seed's stream: what it draws next is what
+// NewSampler(templates, seed) would draw first. It reuses the random
+// source, so a loop drawing one workload per seed allocates no source per
+// seed.
+func (s *Sampler) Reseed(seed int64) { s.rng.Seed(seed) }
+
 // Uniform draws a workload of m queries with template IDs sampled uniformly
 // at random (uniform direct sampling, §4.2).
 func (s *Sampler) Uniform(m int) *Workload {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -73,6 +74,33 @@ func TestSamplerDeterministic(t *testing.T) {
 	for i := range a.Queries {
 		if a.Queries[i] != b.Queries[i] {
 			t.Fatal("same seed must give same workload")
+		}
+	}
+}
+
+// A reseeded sampler draws what a fresh sampler of that seed draws, also
+// after it has drawn under other seeds: uniform workloads, and weighted
+// workloads with their variates.
+func TestSamplerReseedMatchesNewSampler(t *testing.T) {
+	ts := DefaultTemplates(5)
+	weights := []float64{0.3, 0.25, 0.2, 0.15, 0.1}
+	reused := NewSampler(ts, 99)
+	reused.Uniform(17) // used before its first reseed
+	seeds := []int64{0, 1, -1, 7, 42, 1 << 31, -(1 << 40), 1<<63 - 1, -1 << 63}
+	for i := 0; i < 20; i++ {
+		seeds = append(seeds, rand.New(rand.NewSource(int64(i))).Int63())
+	}
+	for _, seed := range seeds {
+		reused.Reseed(seed)
+		got, want := reused.Uniform(30), NewSampler(ts, seed).Uniform(30)
+		if !slices.Equal(got.Queries, want.Queries) {
+			t.Fatalf("seed %d: reseeded Uniform %v, fresh %v", seed, got.Queries, want.Queries)
+		}
+		reused.Reseed(seed)
+		gw, gv := reused.WeightedVariates(30, weights)
+		ww, wv := NewSampler(ts, seed).WeightedVariates(30, weights)
+		if !slices.Equal(gw.Queries, ww.Queries) || !slices.Equal(gv, wv) {
+			t.Fatalf("seed %d: reseeded WeightedVariates differ from a fresh sampler's", seed)
 		}
 	}
 }
