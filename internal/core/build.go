@@ -63,8 +63,9 @@ type answer struct {
 // optimum whatever accelerates it, the model is the same whichever source
 // answered a sample, at any Parallelism.
 //
-// cache is a warm retrain's clone of the prior epoch's cache; nil gives a
-// monotonic goal a cache of its own, since suffix optima are goal-specific.
+// cache is a warm retrain's cache, derived from the prior epoch's (a layer
+// over its frozen tables); nil gives a monotonic goal a cache of its own,
+// since suffix optima are goal-specific.
 // mix is the arrival mix the model reports it was trained for.
 func build(ctx context.Context, env *schedule.Env, goal sla.Goal, cfg TrainConfig, cache *search.TranspositionCache, mix []float64, src sources) (*Model, error) {
 	start := time.Now()
@@ -88,6 +89,9 @@ func build(ctx context.Context, env *schedule.Env, goal sla.Goal, cfg TrainConfi
 	answers := make([]answer, n)
 	ts := newTrainingSet(prob)
 	var samples []trainSample
+	if keep {
+		samples = make([]trainSample, 0, n)
+	}
 	var shifted []solvedPath
 	if src.oneShot && goal.Monotonic() {
 		shifted = make([]solvedPath, n)

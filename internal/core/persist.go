@@ -83,7 +83,8 @@ const (
 // EncodeModel serializes a model into the versioned container format. The
 // encoding is canonical and timestamp-free: encoding the same model twice
 // — or a model and its loaded round trip — yields identical bytes (the
-// golden-file test in internal/store pins this).
+// golden-file test in internal/store pins this). The returned slice is the
+// caller's own.
 func EncodeModel(m *Model) ([]byte, error) {
 	data, _, err := encodeModel(m)
 	return data, err
@@ -91,14 +92,22 @@ func EncodeModel(m *Model) ([]byte, error) {
 
 // encodeModel is EncodeModel also returning the content hash, which the
 // registry records in checkpoint lineage.
+func encodeModel(m *Model) ([]byte, uint64, error) { return encodeModelInto(m, nil) }
+
+// encodeModelInto is encodeModel with a buffer to recycle: with a non-nil
+// buf the container is laid out in *buf when it is large enough
+// (store.Builder.Reuse), and *buf is set to the container it returns, for
+// the caller to reuse once it is done with it; with nil the container is
+// the caller's own.
 //
-// The container is built in one allocation of exactly its final size: every
+// The container is built in one buffer of exactly its final size: every
 // section's encoder runs once against a counting store.Sizer, the builder
 // lays the container out from those sizes, and the same encoders then write
 // straight into their spans of it. Nothing is staged in a growing buffer
-// and no payload is copied; the cache keys are read through views of the
-// model's own immutable storage.
-func encodeModel(m *Model) ([]byte, uint64, error) {
+// and no payload is copied; the cache section is written from a sorted
+// view over the cache's own tables (search.TranspositionCache.Sorted), so
+// no signature or suffix is copied either.
+func encodeModelInto(m *Model, buf *[]byte) ([]byte, uint64, error) {
 	if m == nil || m.env == nil {
 		return nil, 0, errors.New("core: EncodeModel requires a model bound to an environment")
 	}
@@ -109,9 +118,9 @@ func encodeModel(m *Model) ([]byte, uint64, error) {
 		return nil, 0, err
 	}
 	nodes := m.Tree.Export()
-	var cache []search.CacheEntry
+	var cache search.SortedEntries
 	if m.searchCache != nil {
-		cache = m.searchCache.Export(maxPersistedCacheEntries)
+		cache = m.searchCache.Sorted(maxPersistedCacheEntries)
 	}
 	var hash, auxHash uint64
 	type section struct {
@@ -128,11 +137,14 @@ func encodeModel(m *Model) ([]byte, uint64, error) {
 	if len(m.samples) > 0 {
 		sections = append(sections, section{secTrain, func(e *store.Enc) { encodeTrainData(e, m.samples) }})
 	}
-	if len(cache) > 0 {
+	if cache.Len() > 0 {
 		sections = append(sections, section{secCache, func(e *store.Enc) { encodeCacheData(e, cache) }})
 	}
 
 	var b store.Builder
+	if buf != nil {
+		b.Reuse(*buf)
+	}
 	for _, sec := range sections {
 		size := store.Sizer()
 		sec.write(size)
@@ -153,7 +165,11 @@ func encodeModel(m *Model) ([]byte, uint64, error) {
 	}
 	hash, auxHash = h.Sum64(), ah.Sum64()
 	sections[0].write(b.Section(0))
-	return b.Bytes(), hash, nil
+	data := b.Bytes()
+	if buf != nil {
+		*buf = data
+	}
+	return data, hash, nil
 }
 
 // DecodeModel reconstructs a model from its encoded form: the goal,
@@ -942,16 +958,17 @@ func decodeTrainData(p []byte, env *schedule.Env, version uint16) ([]trainSample
 
 // ---- transposition-cache section ----
 
-// encodeCacheData serializes an Export snapshot. Entries are already in
+// encodeCacheData serializes a sorted view of the cache. Entries are in
 // canonical signature order, so the payload is a pure function of the cache
 // contents — encoding the same cache twice yields identical bytes, which the
 // canonical-encoding property of EncodeModel depends on.
-func encodeCacheData(e *store.Enc, entries []search.CacheEntry) {
-	e.Int(len(entries))
-	for _, ce := range entries {
-		e.String(ce.Sig)
-		e.F64(ce.Cost)
-		encodeActions(e, ce.Actions)
+func encodeCacheData(e *store.Enc, entries search.SortedEntries) {
+	e.Int(entries.Len())
+	for i := range entries.Len() {
+		sig, cost, actions := entries.At(i)
+		e.StringBytes(sig)
+		e.F64(cost)
+		encodeActions(e, actions)
 	}
 }
 

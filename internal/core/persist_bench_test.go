@@ -92,15 +92,15 @@ func TestCheckpointSizeBudget(t *testing.T) {
 	}
 }
 
-// Encoding a checkpoint must allocate the checkpoint and one thing more: the
+// Encoding a checkpoint must allocate the checkpoint and little more: the
 // container is sized first and written in place, so a staging buffer or a
-// second copy of a payload would show here. The one thing more is
-// TranspositionCache.Export's sorted snapshot — a 48-byte entry and its share
-// of one copy of the signature bytes per cached suffix, 59 B an entry here —
-// which was lost in a 6 MB file and is a quarter of a 0.5 MB one. It is
-// bounded by what it is, at 64 B an entry, rather than by a wider multiple of
-// the file; 16 KiB covers size-class rounding, the tree's flat export and the
-// builder's tables (5 KB measured).
+// second copy of a payload would show here, and the cache section is
+// written from TranspositionCache.Sorted's view — one 4-byte reference per
+// cached suffix, over the cache's own signature bytes — so an exported
+// entry slice with copied signatures (59 B an entry, 169 KB beside a
+// 0.54 MB file) would show too. The bound allows 8 B an entry for
+// size-class rounding, and 16 KiB covers the tree's flat export and the
+// builder's tables (6 KB measured beside 11 KB of references).
 func TestEncodeModelAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation bound is meaningless under the race detector")
@@ -121,8 +121,49 @@ func TestEncodeModelAllocBound(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
-	if bound := uint64(len(data) + 64*m.searchCache.Len() + 16<<10); least > bound {
+	if bound := uint64(len(data) + 8*m.searchCache.Len() + 16<<10); least > bound {
 		t.Fatalf("encodeModel allocated %d bytes for a %d-byte checkpoint with %d cache entries, want at most %d",
 			least, len(data), m.searchCache.Len(), bound)
+	}
+}
+
+// A registry checkpoint lays its container out in a pooled buffer and
+// returns it once the commit is done, so with the pool warm a checkpoint
+// allocates what its encode and the store's commit need besides the
+// container — the sorted view of the cache, the builder's tables, the
+// manifest rewrite — and not the model's size again. The least of five
+// checkpoints must allocate less than the model: a container allocated
+// per checkpoint is the model's size on its own.
+func TestCheckpointAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bound is meaningless under the race detector")
+	}
+	r := NewModelRegistry(checkpointedModel(t))
+	ms, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := r.Current()
+	checkpoint := func(epoch uint64) {
+		lin := store.Lineage{Epoch: epoch, Parent: max(epoch, 1) - 1, Reason: "test", Mix: cur.Mix}
+		if err := r.checkpoint(ms, cur, lin); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpoint(0) // warms the pool
+	size := uint64(r.lastCheckpointBytes())
+	// The least of a few runs: a background GC cycle can only add, and
+	// two of them empty the pool.
+	least := ^uint64(0)
+	var before, after runtime.MemStats
+	for epoch := uint64(1); epoch <= 5; epoch++ {
+		runtime.ReadMemStats(&before)
+		checkpoint(epoch)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("least of 5 registry checkpoints of a %d-byte model: %d bytes", size, least)
+	if least >= size {
+		t.Fatalf("a registry checkpoint allocated %d bytes, want less than the %d-byte model", least, size)
 	}
 }

@@ -390,8 +390,10 @@ func TestDecodeNormalisesStrayActionFields(t *testing.T) {
 	}
 	want := []graph.Action{{Kind: graph.Startup, VMType: 1}, {Kind: graph.Place, Template: 1}}
 
+	cache := search.NewTranspositionCache()
+	cache.Import([]search.CacheEntry{{Sig: "sig", Cost: 1, Actions: stray}})
 	var ce store.Enc
-	encodeCacheData(&ce, []search.CacheEntry{{Sig: "sig", Cost: 1, Actions: stray}})
+	encodeCacheData(&ce, cache.Sorted(0))
 	entries, err := decodeCacheData(ce.Bytes(), env)
 	if err != nil {
 		t.Fatal(err)

@@ -165,13 +165,24 @@ func (r *ModelRegistry) commitCheckpoint(ms *store.ModelStore, e *ModelEpoch, li
 	}
 }
 
+// checkpointBufs pools the buffers registry checkpoints lay their
+// containers out in. A checkpoint's container is dead once its commit
+// returns — store.ModelStore.Commit keeps nothing of the data it writes —
+// so a steady stream of retrains reuses one buffer instead of allocating a
+// serving model's size per checkpoint. Like every sync.Pool, it keeps a
+// buffer through one collection and drops it at the second, so it holds
+// no memory an idle registry would not.
+var checkpointBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // checkpoint encodes one epoch and commits it durably under lin (its model
 // hash filled in here), retrying transient store faults per the retry
 // policy. A committed checkpoint is counted with what it cost: the file's
 // size and the time its encode and commit took.
 func (r *ModelRegistry) checkpoint(ms *store.ModelStore, e *ModelEpoch, lin store.Lineage) error {
 	start := time.Now()
-	data, hash, err := encodeModel(e.Model)
+	buf := checkpointBufs.Get().(*[]byte)
+	defer checkpointBufs.Put(buf)
+	data, hash, err := encodeModelInto(e.Model, buf)
 	if err != nil {
 		return err
 	}

@@ -58,10 +58,11 @@ func (a *Advisor) WarmTrainContext(ctx context.Context, goal sla.Goal, prior *Mo
 	}
 	var cache *search.TranspositionCache
 	if prior.searchCache != nil {
-		// Clone, do not share: the warm train commits its own suffix
+		// Derive, do not share: the warm train commits its own suffix
 		// records as it runs, and the prior epoch may still be serving
-		// (and being checkpointed) concurrently.
-		cache = prior.searchCache.Clone()
+		// (and being checkpointed) concurrently. The derived cache writes
+		// only its own layer and reads the prior's tables.
+		cache = prior.searchCache.Derive()
 	}
 	return build(ctx, a.env, goal, a.cfg, cache, normalizedMix(a.cfg.SampleWeights, len(a.env.Templates)), sources{
 		prior: prior.samples, draw: true, replay: true,

@@ -286,8 +286,9 @@ func TestCheckpointEncodesWhileNextRetrainRuns(t *testing.T) {
 }
 
 // A published model's cache has readers only, and they overlap: a background
-// checkpoint Exports it while a warm retrain Clones it and /stats reads its
-// counters. The cache takes no lock, so -race on exactly this is the guard.
+// checkpoint Exports it while a warm retrain Derives from it and /stats reads
+// its counters. The cache takes no lock, so -race on exactly this is the
+// guard.
 func TestTrainedCacheConcurrentReaders(t *testing.T) {
 	env := schedule.NewEnv(workload.DefaultTemplates(4), cloud.DefaultVMTypes(2))
 	goal := sla.NewMaxLatency(15*60e9, env.Templates, sla.DefaultPenaltyRate)
@@ -306,8 +307,8 @@ func TestTrainedCacheConcurrentReaders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				if got := cache.Clone().Export(0); !reflect.DeepEqual(got, want) {
-					t.Error("Clone taken beside other readers diverges from its source")
+				if got := cache.Derive().Export(0); !reflect.DeepEqual(got, want) {
+					t.Error("Derive taken beside other readers diverges from its source")
 					return
 				}
 				if got := cache.Export(maxPersistedCacheEntries); !reflect.DeepEqual(got, want[:len(got)]) {

@@ -126,3 +126,21 @@ func TestOptimalCostProvesAverageAtFigureScale(t *testing.T) {
 		t.Fatalf("proven optimum %.4f, want 11.6158", cost)
 	}
 }
+
+// The quick chaos table is reproducible: two runs at one seed render the
+// same table. Its drift scenarios swap epochs under streams that share a
+// registry, so those streams must run one after another.
+func TestChaosQuickReproducible(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	var out [2]strings.Builder
+	for i := range out {
+		if _, err := QuickConfig(&out[i]).Chaos(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if out[0].String() != out[1].String() {
+		t.Fatalf("two quick chaos runs at one seed differ:\n%s\n%s", out[0].String(), out[1].String())
+	}
+}

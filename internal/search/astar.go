@@ -264,9 +264,14 @@ func New(prob *graph.Problem) (*Searcher, error) {
 // WithoutPaths returns a searcher for the same problem whose Solve and
 // Replay results carry no Path, only Actions. The walk that checks a
 // result's cost and records its suffixes then runs on the search arena's
-// states instead of materializing one heap State per step. A model build,
-// which extracts its training rows from the actions, is what it is for;
-// a caller that reads Path must use the searcher New returned.
+// states instead of materializing one heap State per step. Nor is an
+// action path copied: Solve's suffix records share the Actions it
+// returns, and Replay returns the caller's own slice as Actions and
+// records suffixes of it, so neither slice may be mutated afterwards. A
+// model build, which extracts its training rows from the actions and
+// never writes them, is what it is for; a caller that reads Path or
+// mutates Actions must use the searcher New returned, whose results hold
+// private copies.
 func (s *Searcher) WithoutPaths() *Searcher {
 	c := *s
 	c.noPath = true
@@ -802,11 +807,17 @@ func (s *Searcher) Solve(w *workload.Workload, opts Options) (*Result, error) {
 		CacheHits:   sv.hits,
 		CacheMisses: sv.misses,
 	}
+	// A path-free result is read only by the build that asked for it, so
+	// the records share its actions; any other caller gets Actions it may
+	// mutate, and the records a private copy.
 	var walk *arena
+	recActions := actions
 	if s.noPath {
 		walk = ar
+	} else if opts.Record != nil && s.gridded && optimal {
+		recActions = slices.Clone(actions)
 	}
-	if err := s.buildPath(walk, res, w, opts.Record, 1e-6); err != nil {
+	if err := s.buildPath(walk, res, w, opts.Record, recActions, 1e-6); err != nil {
 		return nil, err
 	}
 	if opts.KeepClosed {
@@ -833,25 +844,22 @@ func (s *Searcher) Solve(w *workload.Workload, opts Options) (*Result, error) {
 // signatures it reads are the same (see graph.ApplyArena), and none of the
 // states outlives the call. When rec is set, the goal is monotonic, and
 // optimality was proven, it also records every path state's solved suffix
-// for later Commit into a transposition cache. The replayed edge costs
-// double-check the path: a sum further than tolerance from the result's
-// cost reports an error instead of a silently wrong schedule.
-func (s *Searcher) buildPath(ar *arena, res *Result, w *workload.Workload, rec *PendingSuffixes, tolerance float64) error {
+// for later Commit into a transposition cache: the signatures go into
+// rec's own buffer, and the suffixes alias recActions, which must never
+// change, since Commit keeps them in the cache. The replayed edge costs double-check the path:
+// a sum further than tolerance from the result's cost reports an error
+// instead of a silently wrong schedule, and records nothing.
+func (s *Searcher) buildPath(ar *arena, res *Result, w *workload.Workload, rec *PendingSuffixes, recActions []graph.Action, tolerance float64) error {
 	record := rec != nil && s.gridded && res.Optimal
-	var recActions []graph.Action
-	if record {
-		// Records alias one private copy, never the caller-visible
-		// Actions slice.
-		recActions = append(make([]graph.Action, 0, len(res.Actions)), res.Actions...)
-	}
 	if ar == nil {
 		res.Path = make([]Step, 0, len(res.Actions))
 	}
 	st := s.prob.Start(w)
 	g := 0.0
 	// edgeCosts[i] is step i's cost, and state i's signature ends at
-	// sigEnd[i] in sigs, which holds the path states' signatures back to
-	// back in one buffer the records alias until Commit copies them.
+	// sigEnd[i] in sigs: rec's buffer, extended past the records it already
+	// holds, with the path states' signatures back to back. The records
+	// alias it until Commit copies them.
 	var edgeCosts []float64
 	var sigs []byte
 	var sigEnd []int
@@ -864,7 +872,7 @@ func (s *Searcher) buildPath(ar *arena, res *Result, w *workload.Workload, rec *
 			edgeCosts = make([]float64, len(res.Actions))
 			sigEnd = make([]int, len(res.Actions))
 		}
-		sigs = make([]byte, 0, len(res.Actions)*(len(st.Unassigned)+8))
+		sigs = slices.Grow(rec.sigs, len(res.Actions)*(len(st.Unassigned)+8))
 	}
 	for i, a := range res.Actions {
 		if ar == nil {
@@ -905,12 +913,13 @@ func (s *Searcher) buildPath(ar *arena, res *Result, w *workload.Workload, rec *
 		suffix := 0.0
 		for i := len(res.Actions) - 1; i >= 0; i-- {
 			suffix += edgeCosts[i]
-			lo := 0
+			lo := len(rec.sigs)
 			if i > 0 {
 				lo = sigEnd[i-1]
 			}
 			rec.add(sigs[lo:sigEnd[i]:sigEnd[i]], suffix, recActions[i:])
 		}
+		rec.sigs = sigs
 	}
 	return nil
 }
@@ -919,7 +928,8 @@ func (s *Searcher) buildPath(ar *arena, res *Result, w *workload.Workload, rec *
 // searching, from an action sequence some earlier search of w produced: the
 // actions are replayed from the start vertex exactly as buildPath replays a
 // fresh search's incumbent, materializing the same Path steps (none from a
-// searcher made by WithoutPaths) and — via rec — the same
+// searcher made by WithoutPaths, whose result and records share actions
+// instead of copying it) and — via rec — the same
 // transposition-cache suffix records (cache entries only
 // ever come from returned optimal paths, so a replay regenerates precisely
 // what the search would have recorded). cost is the earlier search's cost;
@@ -945,11 +955,8 @@ func (s *Searcher) Replay(w *workload.Workload, actions []graph.Action, cost flo
 	if !s.gridded {
 		return nil, errors.New("search: Replay requires a monotonic goal (non-monotonic searches are not canonical)")
 	}
-	res := &Result{
-		Cost:    cost,
-		Actions: append([]graph.Action(nil), actions...),
-		Optimal: true,
-	}
+	res := &Result{Cost: cost, Actions: actions, Optimal: true}
+	recActions := actions
 	var walk *arena
 	if s.noPath {
 		walk = arenas.Get().(*arena)
@@ -957,8 +964,13 @@ func (s *Searcher) Replay(w *workload.Workload, actions []graph.Action, cost flo
 			walk.states.Release()
 			arenas.Put(walk)
 		}()
+	} else {
+		res.Actions = slices.Clone(actions)
+		if rec != nil {
+			recActions = slices.Clone(actions)
+		}
 	}
-	if err := s.buildPath(walk, res, w, rec, 0); err != nil {
+	if err := s.buildPath(walk, res, w, rec, recActions, 0); err != nil {
 		return nil, err
 	}
 	return res, nil

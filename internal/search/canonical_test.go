@@ -138,13 +138,13 @@ func TestCacheExportImportRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(imported.Export(0), exp) {
 		t.Fatal("Export -> Import -> Export is not the identity")
 	}
-	// Clone shares contents but not counters or future commits.
-	clone := cache.Clone()
-	if !reflect.DeepEqual(clone.Export(0), exp) {
-		t.Fatal("Clone diverges from its source")
+	// Derive shares contents but not counters or future commits.
+	derived := cache.Derive()
+	if !reflect.DeepEqual(derived.Export(0), exp) {
+		t.Fatal("Derive diverges from its source")
 	}
-	if got := clone.Stats(); got.Hits != 0 || got.Misses != 0 {
-		t.Fatalf("Clone inherited counters: %+v", got)
+	if got := derived.Stats(); got.Hits != 0 || got.Misses != 0 {
+		t.Fatalf("Derive inherited counters: %+v", got)
 	}
 	// Truncated exports are prefixes of the full sorted export.
 	if got := cache.Export(3); len(got) != 3 || !reflect.DeepEqual(got, exp[:3]) {

@@ -102,15 +102,30 @@ type SectionInfo struct {
 // table. A section is declared either with its finished payload
 // (AddSection) or with its exact size (Reserve), to be encoded in place
 // through Section: a producer that sizes every section first builds the
-// whole container in one allocation and never copies a payload.
+// whole container in one allocation and never copies a payload — or in
+// none, when it hands the builder a buffer to reuse (Reuse).
 type Builder struct {
 	ids      []uint32
 	sizes    []int
 	payloads [][]byte // AddSection payloads; nil for a reserved section
-	// out is the container, allocated once every section is declared;
+	// out is the container, laid out once every section is declared;
 	// encs[i] writes reserved section i's span of it.
 	out  []byte
 	encs []Enc
+	// reuse is set by Reuse; buf is the buffer it handed over.
+	reuse bool
+	buf   []byte
+}
+
+// Reuse lays the container out in buf's backing array when its capacity
+// holds the container, so a producer that encodes again and again can
+// recycle one buffer; Bytes then aliases buf. A buf too small is left
+// alone, and the builder allocates a container with an eighth of its size
+// to spare, so a container that grows a little between encodes still fits
+// the next time. Every byte of the container is written, so buf's old
+// contents never show through. Call it before the first Section or Bytes.
+func (b *Builder) Reuse(buf []byte) {
+	b.reuse, b.buf = true, buf
 }
 
 // AddSection appends a section. IDs may repeat in principle; readers see
@@ -147,7 +162,14 @@ func (b *Builder) layout() {
 	for _, n := range b.sizes {
 		total += n
 	}
-	b.out = make([]byte, total)
+	switch {
+	case !b.reuse:
+		b.out = make([]byte, total)
+	case cap(b.buf) >= total:
+		b.out = b.buf[:total]
+	default:
+		b.out = make([]byte, total, total+total/8)
+	}
 	b.encs = make([]Enc, len(b.ids))
 	off := headerLen + sectionEntryLen*len(b.ids)
 	for i, n := range b.sizes {
@@ -370,6 +392,17 @@ func (e *Enc) F64s(vs []float64) {
 
 // String appends a length-prefixed string.
 func (e *Enc) String(v string) {
+	e.U32(uint32(len(v)))
+	if e.sizing {
+		e.n += len(v)
+		return
+	}
+	e.buf = append(e.buf, v...)
+}
+
+// StringBytes appends v exactly as String appends string(v), without
+// converting it.
+func (e *Enc) StringBytes(v []byte) {
 	e.U32(uint32(len(v)))
 	if e.sizing {
 		e.n += len(v)

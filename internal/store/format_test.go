@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -234,5 +235,36 @@ func TestReservedSectionSizeMismatchPanics(t *testing.T) {
 			write(b.Section(0))
 			b.Bytes()
 		}()
+	}
+}
+
+// A builder handed a buffer to reuse lays the same container out in it —
+// whatever the buffer held before — when it is large enough, and otherwise
+// allocates one with room to grow; StringBytes writes what String writes.
+func TestBuilderReuse(t *testing.T) {
+	build := func(b *Builder) []byte {
+		size := Sizer()
+		size.StringBytes([]byte("signature"))
+		b.Reserve(7, size.Len())
+		b.Section(0).StringBytes([]byte("signature"))
+		return b.Bytes()
+	}
+	var e Enc
+	e.String("signature")
+	var fresh Builder
+	fresh.AddSection(7, e.Bytes())
+	want := fresh.Bytes()
+
+	big := bytes.Repeat([]byte{0xff}, len(want)+10)
+	var b Builder
+	b.Reuse(big[:0])
+	if got := build(&b); !bytes.Equal(got, want) || &got[0] != &big[0] {
+		t.Fatalf("reused a large enough buffer: %x (aliases it: %v), want %x", got, &got[0] == &big[0], want)
+	}
+	small := make([]byte, 0, len(want)-1)
+	var c Builder
+	c.Reuse(small)
+	if got := build(&c); !bytes.Equal(got, want) || cap(got) <= len(got) {
+		t.Fatalf("outgrew the buffer: %x with capacity %d, want %x with room to spare", got, cap(got), want)
 	}
 }

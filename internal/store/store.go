@@ -276,7 +276,9 @@ func (s *ModelStore) writeManifestLocked() error {
 // the manifest, then prunes epochs beyond the retention bound (SetKeep). The payload file lands
 // before the manifest acknowledges it, so a crash anywhere inside Commit
 // leaves the store on its previous committed state. Committing an epoch the
-// store already holds is an error.
+// store already holds is an error. Commit keeps no reference to data once
+// it returns (nor may a payload writer, see SetPayloadWriter), so the
+// caller may reuse the buffer at once: registry checkpoints recycle theirs.
 func (s *ModelStore) Commit(data []byte, lin Lineage) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -442,7 +444,9 @@ func (s *ModelStore) loadLocked(e Lineage) ([]byte, error) {
 
 // SetPayloadWriter installs a replacement for the default atomic payload
 // write — the fault-injection seam of the crash-safety tests (short writes,
-// mid-write kills). A nil writer restores the default.
+// mid-write kills). A nil writer restores the default. Like the default, a
+// writer must keep nothing of data after it returns: Commit's caller may
+// reuse the buffer as soon as Commit does.
 func (s *ModelStore) SetPayloadWriter(write func(path string, data []byte) error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -314,3 +314,42 @@ func TestQuarantinedListing(t *testing.T) {
 		t.Fatalf("recovery must fall back to epoch 0, got %d (%v)", epoch, ok)
 	}
 }
+
+// Commit and the payload writers keep nothing of data once they return, so
+// a caller may recycle the buffer at once (registry checkpoints lay their
+// containers out in a pooled one). Scribbling over the buffer right after
+// each Commit must leave every epoch loading what was committed — through
+// the default writer and through an installed one, and after a reopen.
+func TestCommitKeepsNoReferenceToData(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, 64)
+	commit := func(epoch uint64) {
+		buf = append(buf[:0], payload(epoch)...)
+		if err := s.Commit(buf, Lineage{Epoch: epoch, Parent: max(epoch, 1) - 1, Reason: "manual"}); err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = 'z'
+		}
+	}
+	commit(0)
+	commit(1)
+	s.SetPayloadWriter(func(path string, data []byte) error { return WriteFileAtomic(path, data) })
+	commit(2)
+	commit(3)
+	reopened, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []*ModelStore{s, reopened} {
+		for e := uint64(0); e < 4; e++ {
+			if _, data, err := st.Load(e); err != nil || string(data) != string(payload(e)) {
+				t.Fatalf("epoch %d loads %q, %v; committed %q", e, data, err, payload(e))
+			}
+		}
+	}
+}
