@@ -121,6 +121,31 @@ func TestSimSequentialExecution(t *testing.T) {
 	}
 }
 
+// Finish lists every run of every VM once, ordered by completion time and,
+// among runs that end together on different VMs, by tag.
+func TestSimFinishOrdersByEndThenTag(t *testing.T) {
+	sim := NewSim()
+	vt := DefaultVMTypes(1)[0]
+	// Three VMs rented together whose queues end at the same instants, with
+	// tags that interleave against the VM order.
+	for v, tags := range [][]int{{7, 2}, {4, 9}, {0, 5}} {
+		vm := sim.Rent(vt, 0)
+		for i, tag := range tags {
+			vm.Enqueue(tag, v, 0, time.Duration(i+1)*time.Minute)
+		}
+	}
+	runs := sim.Finish()
+	want := []int{0, 4, 7, 2, 5, 9}
+	if len(runs) != len(want) {
+		t.Fatalf("want %d runs, got %d", len(want), len(runs))
+	}
+	for i, r := range runs {
+		if r.Tag != want[i] {
+			t.Fatalf("run %d: tag %d, want order %v, got %v", i, r.Tag, want, runs)
+		}
+	}
+}
+
 func TestSimRevokeUnstarted(t *testing.T) {
 	sim := NewSim()
 	vt := DefaultVMTypes(1)[0]

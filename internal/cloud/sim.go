@@ -1,9 +1,9 @@
 package cloud
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 )
 
@@ -188,16 +188,20 @@ func (vm *SimVM) RevokeUnstartedInto(t time.Duration, buf []int) []int {
 // Finish drains all remaining queued work and returns every run across all
 // VMs, ordered by completion time.
 func (s *Sim) Finish() []Run {
-	var all []Run
+	n := 0
 	for _, vm := range s.vms {
 		vm.materialize(1<<62 - 1)
+		n += len(vm.runs)
+	}
+	all := make([]Run, 0, n)
+	for _, vm := range s.vms {
 		all = append(all, vm.runs...)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].End != all[j].End {
-			return all[i].End < all[j].End
+	slices.SortFunc(all, func(a, b Run) int {
+		if c := cmp.Compare(a.End, b.End); c != 0 {
+			return c
 		}
-		return all[i].Tag < all[j].Tag
+		return cmp.Compare(a.Tag, b.Tag)
 	})
 	return all
 }

@@ -190,14 +190,19 @@ func (src *sources) sample(env *schedule.Env, cfg TrainConfig, i int, samplers *
 	if !src.draw {
 		return p.w, p.variates, p
 	}
+	if cfg.SampleWeights != nil && src.rebin && p != nil && len(p.variates) == cfg.SampleSize {
+		// The prior's variates are this draw's: rebin them under the new
+		// mix instead of reconstructing (and expensively reseeding) a
+		// sampler. A draw that kept every query is the prior's workload,
+		// shared as it is; only a draw that moved builds a new one.
+		if workload.WeightedMatches(p.w, p.variates, cfg.SampleWeights) {
+			return p.w, p.variates, p
+		}
+		return workload.WeightedFromVariates(env.Templates, p.variates, cfg.SampleWeights), p.variates, nil
+	}
 	var w *workload.Workload
 	var variates []float64
 	switch {
-	case cfg.SampleWeights != nil && src.rebin && p != nil && len(p.variates) == cfg.SampleSize:
-		// The prior's variates are this draw's: rebin them under the new
-		// mix instead of reconstructing (and expensively reseeding) a sampler.
-		variates = p.variates
-		w = workload.WeightedFromVariates(env.Templates, variates, cfg.SampleWeights)
 	case cfg.SampleWeights != nil:
 		sampler := samplers.get(deriveSeed(cfg.Seed, i))
 		w, variates = sampler.WeightedVariates(cfg.SampleSize, cfg.SampleWeights)

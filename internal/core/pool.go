@@ -92,6 +92,12 @@ func forEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 // suffixes. The constant is deliberately independent of the worker count.
 const searchCacheGeneration = 32
 
+// pendingBuffers holds the per-generation suffix-record buffers of finished
+// builds, so a build starts on the record slices and signature buffers
+// earlier builds grew instead of regrowing them from empty. A buffer is
+// returned empty and unbound; none holds a record or a cache.
+var pendingBuffers = sync.Pool{New: func() any { return new([searchCacheGeneration]search.PendingSuffixes) }}
+
 // solveSamplesFold runs run(i) for every sample index on the worker pool,
 // inserting deterministic commit barriers when a transposition cache is in
 // play, and pipelines a fold stage: after each generation's commit barrier,
@@ -146,7 +152,15 @@ func solveSamplesFold(ctx context.Context, workers, n int, cache *search.Transpo
 	if gen > n {
 		gen = n
 	}
-	pending := make([]search.PendingSuffixes, gen)
+	// The buffers are bound to the cache, so a worker drops a record the
+	// cache holds already (search.PendingSuffixes.Into): most of what a
+	// replay of the prior epoch's path records. The cache is written only
+	// at the barrier below, while no worker runs.
+	bufs := pendingBuffers.Get().(*[searchCacheGeneration]search.PendingSuffixes)
+	pending := bufs[:gen]
+	for j := range pending {
+		pending[j].Into(cache)
+	}
 	for base := 0; base < n; base += gen {
 		g := gen
 		if base+g > n {
@@ -166,6 +180,12 @@ func solveSamplesFold(ctx context.Context, workers, n int, cache *search.Transpo
 		}
 		ranges <- [2]int{base, base + g}
 	}
+	// Every buffer is committed and empty; a failed build drops its buffers
+	// instead, with whatever they still hold.
+	for j := range pending {
+		pending[j].Into(nil)
+	}
+	pendingBuffers.Put(bufs)
 	return finish(nil)
 }
 

@@ -100,13 +100,16 @@ func BenchmarkWarmRetrain(b *testing.B) {
 // driftRetrainByteBound caps what one steady drift retrain at paper scale
 // may allocate: the least of five DriftRetrain calls of retrainScenarios[0]
 // stays under it. A build allocates per distinct training row and per
-// sample, not per path step or per row, and a warm retrain copies nothing
-// it only reads: 0.74 MB at two workers on linux/amd64, where cloning the
-// prior epoch's cache and copying each replayed path twice took 1.43 MB
-// (and walking each answer's path through heap States and listing every
-// row in the dataset 3.66 MB before that). The bound is 1.6 times the
-// least measured.
-const driftRetrainByteBound = 1160 << 10
+// moved sample, not per path step or per row, and a warm retrain copies
+// nothing it only reads: 0.44 MB at two workers on linux/amd64, where
+// building a workload for every unchanged draw, starting each walk from a
+// heap state, re-recording the suffixes the cache holds and regrowing the
+// record buffers in every build took 0.74 MB (cloning the prior epoch's
+// cache and copying each replayed path twice 1.43 MB before that, and
+// walking each answer's path through heap States and listing every row in
+// the dataset 3.66 MB before that). The bound is 1.6 times the least
+// measured.
+const driftRetrainByteBound = 691 << 10
 
 // TestDriftRetrainAllocBound pins driftRetrainByteBound. It skips under the
 // race detector, whose instrumentation allocates.

@@ -20,17 +20,21 @@ import (
 //     suffix subproblems keyed by workload-independent signatures (for
 //     monotonic goals: unassigned counts, open-VM type, queued wait), so
 //     its entries stay exact under the new arrival mix — only the sample
-//     *starts* change, never the suffix optima. The warm train clones the
-//     snapshot (the epoch stays immutable) and seeds its worker pool with
-//     it.
+//     *starts* change, never the suffix optima. The warm train derives a
+//     cache from it — a small layer of its own over the prior's frozen
+//     tables, so the epoch stays immutable — and seeds its worker pool
+//     with it.
 //  2. Sample-level path replay. Sample i's workload is drawn from the same
 //     deterministic sub-seed at every epoch; a per-query inverse-CDF draw
 //     changes only where the mix shift moved a bin boundary across the
-//     query's variate. Samples whose draw is unchanged skip the search
-//     entirely: the prior epoch's stored optimal path is replayed in
-//     O(path) (search.Replay), regenerating the identical training steps
-//     and cache records the search would have produced. Every other
-//     sample solves cold (with the cache of layer 1).
+//     query's variate. Samples whose draw is unchanged keep the prior's
+//     workload and skip the search entirely: the prior epoch's stored
+//     optimal path is replayed in O(path) (search.Replay), regenerating
+//     the identical training steps. Of the cache records the search would
+//     have produced, the replay keeps only those the cache does not hold
+//     verbatim already — most of it came from this very path — since
+//     committing one it holds would change nothing. Every other sample
+//     solves cold (with the cache of layer 1).
 //
 // Soundness rests on the canonical-search invariant (search's solver):
 // monotonic, unseeded searches return the lexicographically least optimal

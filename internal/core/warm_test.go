@@ -98,7 +98,8 @@ func TestWarmRetrainMatchesCold(t *testing.T) {
 
 // Between two nearby weighted mixes — the shape of successive drift
 // retrains — most per-query inverse-CDF draws are unchanged, so the warm
-// path must actually replay samples, not just stay correct.
+// path must actually replay samples, not just stay correct. A replayed
+// sample keeps the prior's workload object; a moved one builds its own.
 func TestWarmRetrainReplaysUnchangedSamples(t *testing.T) {
 	env := schedule.NewEnv(workload.DefaultTemplates(4), cloud.DefaultVMTypes(2))
 	goal := sla.NewMaxLatency(15*60e9, env.Templates, sla.DefaultPenaltyRate)
@@ -116,6 +117,18 @@ func TestWarmRetrainReplaysUnchangedSamples(t *testing.T) {
 	}
 	if warm.WarmSamples == 0 {
 		t.Fatal("no samples replayed warm between adjacent mixes")
+	}
+	shared := 0
+	for i, s := range warm.samples {
+		p := prior.samples[i]
+		if s.w == p.w {
+			shared++
+		} else if sameQueries(s.w, p.w) {
+			t.Fatalf("sample %d drew the prior's queries into a workload of its own", i)
+		}
+	}
+	if shared != warm.WarmSamples {
+		t.Fatalf("%d samples share the prior's workload, %d replayed", shared, warm.WarmSamples)
 	}
 	cold, err := MustNewAdvisor(env, next).Train(goal)
 	if err != nil {

@@ -1,5 +1,10 @@
 package graph
 
+import (
+	"wisedb/internal/sla"
+	"wisedb/internal/workload"
+)
+
 // Arena bump-allocates States and their backing int slices for a search
 // that generates many short-lived branching states. All allocations live
 // until Reset; a search resets the arena between runs and Release()s it
@@ -76,6 +81,25 @@ func (a *Arena) ints(n int) []int {
 	s := a.slabs[a.slab][a.off : a.off+n : a.off+n]
 	a.off += n
 	return s
+}
+
+// StartArena is Start drawn from the arena: the start vertex for w, with
+// acc, an empty accumulator of the goal, as its accumulator. Accumulators
+// are immutable (Add returns a new one), so one empty accumulator may start
+// every walk of a goal; Start makes a fresh one per call.
+func (p *Problem) StartArena(ar *Arena, w *workload.Workload, acc sla.Accumulator) *State {
+	unassigned := ar.ints(len(w.Templates))
+	clear(unassigned)
+	for _, q := range w.Queries {
+		unassigned[q.TemplateID]++
+	}
+	st := ar.newState()
+	st.Unassigned = unassigned
+	st.OpenType = NoVM
+	st.OpenQueue = nil
+	st.Wait = 0
+	st.Acc = acc
+	return st
 }
 
 // ApplyArena is Apply for branching searches: the successor State and its

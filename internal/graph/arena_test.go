@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -77,6 +78,54 @@ func TestApplyArenaMatchesApply(t *testing.T) {
 						t.Fatalf("trial %d step %d: accumulator penalty %v vs %v", trial, step, a.Acc.Penalty(), b.Acc.Penalty())
 					}
 				}
+			}
+		})
+	}
+}
+
+// StartArena builds Start's vertex on a reused arena — whatever the
+// arena's states and int slabs held before — and one empty accumulator
+// serves every start: each trial's walk starts from the accumulator the
+// walks before it advanced from, and prices and signs every step as a walk
+// from Start does.
+func TestStartArenaMatchesStart(t *testing.T) {
+	env := schedule.NewEnv(workload.DefaultTemplates(4), cloud.DefaultVMTypes(2))
+	for name, goal := range arenaGoals(env) {
+		t.Run(name, func(t *testing.T) {
+			prob := NewProblem(env, goal)
+			empty := sla.NewAccumulator(goal)
+			var ar Arena
+			rng := rand.New(rand.NewSource(3))
+			sampler := workload.NewSampler(env.Templates, 23)
+			for trial := 0; trial < 20; trial++ {
+				w := sampler.Uniform(1 + trial%7)
+				ref := prob.Start(w)
+				a := prob.StartArena(&ar, w, empty)
+				if !slices.Equal(a.Unassigned, ref.Unassigned) || a.OpenType != NoVM || len(a.OpenQueue) != 0 || a.Wait != 0 || a.Acc.Penalty() != 0 {
+					t.Fatalf("trial %d: arena start %+v, Start %+v", trial, a, ref)
+				}
+				for !ref.IsGoal() {
+					if got, want := prob.Signature(a), prob.Signature(ref); got != want {
+						t.Fatalf("trial %d: signature %q vs %q", trial, got, want)
+					}
+					acts := prob.Actions(ref)
+					act := acts[rng.Intn(len(acts))]
+					if act.Kind == Place {
+						ca, _ := prob.PlacementCost(a, act.Template)
+						cb, _ := prob.PlacementCost(ref, act.Template)
+						if ca != cb {
+							t.Fatalf("trial %d: placement cost %v vs %v", trial, ca, cb)
+						}
+					}
+					// The arena keeps what this walk wrote: the next trial's
+					// start is carved over it.
+					a = prob.ApplyArena(&ar, a, act)
+					ref = prob.Apply(ref, act)
+					if !sla.PenaltyHistoryFree(goal) && a.Acc.Penalty() != ref.Acc.Penalty() {
+						t.Fatalf("trial %d: accumulator penalty %v vs %v", trial, a.Acc.Penalty(), ref.Acc.Penalty())
+					}
+				}
+				ar.Reset()
 			}
 		})
 	}

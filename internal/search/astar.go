@@ -128,7 +128,8 @@ type Options struct {
 	Cache *TranspositionCache
 	// Record, when non-nil and the goal is monotonic, receives one
 	// solved-suffix record per state on the returned optimal path (only
-	// when optimality was proven). Publish them with
+	// when optimality was proven), less those already held by the cache a
+	// bound Record is committed to (PendingSuffixes.Into). Publish them with
 	// TranspositionCache.Commit; worker pools commit at deterministic
 	// barriers.
 	Record *PendingSuffixes
@@ -205,6 +206,9 @@ type Searcher struct {
 
 	// noPath marks a searcher made by WithoutPaths.
 	noPath bool
+	// emptyAcc is the goal's empty accumulator, shared by the arena start
+	// vertex of every search and path-free walk (graph.StartArena).
+	emptyAcc sla.Accumulator
 }
 
 // New returns a Searcher for the problem. It returns an error if some
@@ -224,6 +228,7 @@ func New(prob *graph.Problem) (*Searcher, error) {
 		lat:        make([]time.Duration, k*nv),
 		exec:       make([]float64, k*nv),
 		startup:    make([]float64, nv),
+		emptyAcc:   sla.NewAccumulator(prob.Goal),
 	}
 	// price puts a cost on the grid for monotonic goals and leaves it
 	// alone otherwise.
@@ -715,7 +720,7 @@ func (s *Searcher) Solve(w *workload.Workload, opts Options) (*Result, error) {
 	ar.open.init(0, quantum, sv.canonical)
 
 	numTemplates := len(s.prob.Env.Templates)
-	start := s.prob.Start(w)
+	start := s.prob.StartArena(&ar.states, w, s.emptyAcc)
 	sv.consider(start, nil, 0, 0, int32(start.RemainingQueries()))
 
 	expanded := 0
@@ -839,22 +844,27 @@ func (s *Searcher) Solve(w *workload.Workload, opts Options) (*Result, error) {
 // buildPath replays the result's actions from the start vertex with
 // graph.Apply, materializing the Path steps with exact accumulators (the
 // search's internal states may share a static accumulator and be stitched
-// from cached suffixes). Given an arena, it walks with graph.ApplyArena on
-// the arena's states instead and leaves Path nil: the edge costs and
-// signatures it reads are the same (see graph.ApplyArena), and none of the
-// states outlives the call. When rec is set, the goal is monotonic, and
-// optimality was proven, it also records every path state's solved suffix
-// for later Commit into a transposition cache: the signatures go into
-// rec's own buffer, and the suffixes alias recActions, which must never
-// change, since Commit keeps them in the cache. The replayed edge costs double-check the path:
-// a sum further than tolerance from the result's cost reports an error
-// instead of a silently wrong schedule, and records nothing.
+// from cached suffixes). Given an arena, it walks on the arena's states
+// instead, from graph.StartArena with graph.ApplyArena, and leaves Path nil:
+// the edge costs and signatures it reads are the same (see
+// graph.ApplyArena), and none of the states outlives the call. When rec is
+// set, the goal is monotonic, and optimality was proven, it also records
+// every path state's solved suffix for later Commit into a transposition
+// cache, less those a bound rec's cache holds already
+// (PendingSuffixes.Into): the signatures go into rec's own buffer, and the
+// suffixes alias recActions, which must never change, since Commit keeps
+// them in the cache. The replayed edge costs double-check the path: a sum
+// further than tolerance from the result's cost reports an error instead of
+// a silently wrong schedule, and records nothing.
 func (s *Searcher) buildPath(ar *arena, res *Result, w *workload.Workload, rec *PendingSuffixes, recActions []graph.Action, tolerance float64) error {
 	record := rec != nil && s.gridded && res.Optimal
+	var st *graph.State
 	if ar == nil {
 		res.Path = make([]Step, 0, len(res.Actions))
+		st = s.prob.Start(w)
+	} else {
+		st = s.prob.StartArena(&ar.states, w, s.emptyAcc)
 	}
-	st := s.prob.Start(w)
 	g := 0.0
 	// edgeCosts[i] is step i's cost, and state i's signature ends at
 	// sigEnd[i] in sigs: rec's buffer, extended past the records it already
@@ -930,9 +940,11 @@ func (s *Searcher) buildPath(ar *arena, res *Result, w *workload.Workload, rec *
 // fresh search's incumbent, materializing the same Path steps (none from a
 // searcher made by WithoutPaths, whose result and records share actions
 // instead of copying it) and — via rec — the same
-// transposition-cache suffix records (cache entries only
-// ever come from returned optimal paths, so a replay regenerates precisely
-// what the search would have recorded). cost is the earlier search's cost;
+// transposition-cache suffix records (cache entries only ever come from
+// returned optimal paths, so a replay regenerates precisely what the search
+// would have recorded), less those rec's cache already holds verbatim when
+// rec is bound to it (PendingSuffixes.Into): committing those would change
+// nothing, so the cache ends up the same. cost is the earlier search's cost;
 // the replay succeeds only if the path, priced by this searcher, costs
 // exactly that. Anything else — another environment, a stale checkpoint, a
 // path the new goal charges more — is an error, never a silently wrong

@@ -182,6 +182,60 @@ func TestSolveAllocationsBounded(t *testing.T) {
 	}
 }
 
+// A path-free search and walk start on the search arena (graph.StartArena)
+// with the searcher's shared empty accumulator, and every later state of a
+// history-free walk lives there too. So a WithoutPaths Solve allocates its
+// Result and the Actions it decodes, and a Replay its Result — whatever the
+// path length and however many states the search expanded. The replay
+// records into a buffer bound to a cache that holds the path already, so
+// the check that skips those records is pinned with it.
+func TestPathFreeAllocationsConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector empties sync.Pool at random; CI's allocation-pin step runs this without it")
+	}
+	const solveAllocs, replayAllocs = 2, 1
+	env := testEnv(5, 2)
+	for _, name := range []string{"max", "perquery"} {
+		s, err := New(graph.NewProblem(env, goalSet(env)[name]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s = s.WithoutPaths()
+		cache := NewTranspositionCache()
+		var rec PendingSuffixes
+		rec.Into(cache)
+		for _, m := range []int{2, 4, 8, 12} {
+			w := workload.NewSampler(env.Templates, 3).Uniform(m)
+			res, err := s.Solve(w, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Replay(w, res.Actions, res.Cost, &rec); err != nil {
+				t.Fatal(err)
+			}
+			cache.Commit(&rec)
+			solve := testing.AllocsPerRun(100, func() {
+				if _, err := s.Solve(w, Options{}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			replay := testing.AllocsPerRun(100, func() {
+				if _, err := s.Replay(w, res.Actions, res.Cost, &rec); err != nil {
+					t.Fatal(err)
+				}
+				if rec.Len() != 0 {
+					t.Fatalf("%s m=%d: a replay of a held path buffered %d records", name, m, rec.Len())
+				}
+				cache.Commit(&rec)
+			})
+			t.Logf("%s m=%d: %d-step path, %d expansions: Solve %.0f, Replay %.0f allocations", name, m, len(res.Actions), res.Expanded, solve, replay)
+			if solve > solveAllocs || replay > replayAllocs {
+				t.Errorf("%s m=%d: Solve %.0f and Replay %.0f allocations, want at most %d and %d", name, m, solve, replay, solveAllocs, replayAllocs)
+			}
+		}
+	}
+}
+
 func BenchmarkSolveTrainingSample(b *testing.B) {
 	env := testEnv(10, 1)
 	goal := sla.NewMaxLatency(15*time.Minute, env.Templates, sla.DefaultPenaltyRate)

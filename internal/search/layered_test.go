@@ -224,3 +224,159 @@ func TestPathfulResultsOwnTheirActions(t *testing.T) {
 		t.Fatal("a path-free Replay recorded other suffixes than a path-ful one")
 	}
 }
+
+// A buffer bound to its cache (Into) buffers nothing for a state whose
+// suffix the cache holds verbatim, and the cache it commits into ends up as
+// one that committed every record: the same Sorted view after each
+// generation, and the same hits and misses on a following Solve. Replays of
+// the paths the cache was filled from record nothing; solves that stitch
+// the cache's suffixes record less. Flat and layered caches alike.
+func TestBoundRecordsSkipHeldSuffixes(t *testing.T) {
+	env := testEnv(5, 2)
+	s, err := New(graph.NewProblem(env, goalSet(env)["max"]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s = s.WithoutPaths()
+	sampler := workload.NewSampler(env.Templates, 11)
+	ws := make([]*workload.Workload, 24)
+	for i := range ws {
+		ws[i] = sampler.Uniform(4 + i%6)
+	}
+	const held = 12
+	// fill solves the first held workloads into a fresh flat cache.
+	fill := func() (*TranspositionCache, []*Result) {
+		c := NewTranspositionCache()
+		var rec PendingSuffixes
+		res := make([]*Result, held)
+		for i, w := range ws[:held] {
+			if res[i], err = s.Solve(w, Options{Cache: c, Record: &rec}); err != nil {
+				t.Fatal(err)
+			}
+			c.Commit(&rec)
+		}
+		return c, res
+	}
+	for _, layered := range []bool{false, true} {
+		bound, paths := fill()
+		every, _ := fill()
+		if layered {
+			// Two layers over one frozen base.
+			bound, every = bound.Derive(), bound.Derive()
+		}
+		var rb, re PendingSuffixes
+		rb.Into(bound)
+		for i, p := range paths {
+			if _, err := s.Replay(ws[i], p.Actions, p.Cost, &rb); err != nil {
+				t.Fatal(err)
+			}
+			if rb.Len() != 0 {
+				t.Fatalf("layered=%v: a replay of held path %d buffered %d records", layered, i, rb.Len())
+			}
+			if _, err := s.Replay(ws[i], p.Actions, p.Cost, &re); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if re.Len() == 0 {
+			t.Fatal("the unbound buffer recorded nothing: the replays test nothing")
+		}
+		bound.Commit(&rb)
+		every.Commit(&re)
+		// Generations of four solves, the bound ones side by side as a
+		// worker pool runs them: each reads the cache while it records.
+		skipped := 0
+		var gen [4]PendingSuffixes
+		for j := range gen {
+			gen[j].Into(bound)
+		}
+		for lo := held; lo < len(ws); lo += len(gen) {
+			var got [len(gen)]*Result
+			var wg sync.WaitGroup
+			for j := range gen {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[j], _ = s.Solve(ws[lo+j], Options{Cache: bound, Record: &gen[j]})
+				}()
+			}
+			wg.Wait()
+			for j, w := range ws[lo : lo+len(gen)] {
+				b, err := s.Solve(w, Options{Cache: every, Record: &re})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a := got[j]; a == nil || a.Cost != b.Cost || !slices.Equal(a.Actions, b.Actions) || a.CacheHits != b.CacheHits || a.CacheMisses != b.CacheMisses {
+					t.Fatalf("layered=%v: a solve against the bound buffer's cache differs from one against the cache that took every record", layered)
+				}
+			}
+			skipped += re.Len()
+			for j := range gen {
+				skipped -= gen[j].Len()
+				bound.Commit(&gen[j])
+			}
+			every.Commit(&re)
+			if !reflect.DeepEqual(bound.Export(0), every.Export(0)) {
+				t.Fatalf("layered=%v: after generation %d the caches' Sorted views differ", layered, lo/len(gen))
+			}
+		}
+		if skipped == 0 {
+			t.Fatalf("layered=%v: no solve skipped a record: the stitched tails test nothing", layered)
+		}
+		probe := sampler.Uniform(12)
+		a, err := s.Solve(probe, Options{Cache: bound})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := s.Solve(probe, Options{Cache: every})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.CacheHits != b.CacheHits || a.CacheMisses != b.CacheMisses {
+			t.Fatalf("layered=%v: a following solve read %d/%d hits/misses, %d/%d from the cache that took every record", layered, a.CacheHits, a.CacheMisses, b.CacheHits, b.CacheMisses)
+		}
+		if bound.Len() != every.Len() {
+			t.Fatalf("layered=%v: Len %d, %d", layered, bound.Len(), every.Len())
+		}
+	}
+
+	// Random records tie with and beat held entries often, at equal cost
+	// under other actions and under equal actions at another cost: the
+	// bound buffer drops only the verbatim ones.
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const keys = 80
+		first, next := randomRecords(rng, 200, keys*3/4), randomRecords(rng, 400, keys)
+		frozen, flatBound, flatEvery := NewTranspositionCache(), NewTranspositionCache(), NewTranspositionCache()
+		for _, c := range []*TranspositionCache{frozen, flatBound, flatEvery} {
+			commitRecords(c, first)
+		}
+		dropped := 0
+		for _, c := range [][2]*TranspositionCache{{flatBound, flatEvery}, {frozen.Derive(), frozen.Derive()}} {
+			bound, every := c[0], c[1]
+			for lo := 0; lo < len(next); lo += 20 {
+				var p PendingSuffixes
+				p.Into(bound)
+				for _, r := range next[lo : lo+20] {
+					p.add(r.sig, r.cost, r.actions)
+				}
+				dropped += 20 - p.Len()
+				bound.Commit(&p)
+				commitRecords(every, next[lo:lo+20])
+				requireSameCache(t, fmt.Sprintf("seed %d records %d", seed, lo), bound, every, keys)
+			}
+		}
+		if dropped == 0 {
+			t.Fatalf("seed %d: no random record was dropped", seed)
+		}
+	}
+
+	// A buffer bound to one cache is not committed into another.
+	var rec PendingSuffixes
+	rec.Into(NewTranspositionCache())
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Commit took a buffer bound to another cache")
+		}
+	}()
+	NewTranspositionCache().Commit(&rec)
+}

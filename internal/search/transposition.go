@@ -153,11 +153,10 @@ func better(cost float64, actions []graph.Action, e suffixEntry) bool {
 }
 
 // merge folds one solved suffix into the cache with the canonical merge
-// (better). The layer's entry is replaced in place; a base entry is
-// shadowed by a layer entry only when the suffix beats it. The signature
-// bytes are copied only when new to the layer.
-func (c *TranspositionCache) merge(sig []byte, cost float64, actions []graph.Action) {
-	h := hashSig(sig)
+// (better), given h == hashSig(sig). The layer's entry is replaced in place;
+// a base entry is shadowed by a layer entry only when the suffix beats it.
+// The signature bytes are copied only when new to the layer.
+func (c *TranspositionCache) merge(sig []byte, h uint32, cost float64, actions []graph.Action) {
 	if id, ok := c.top.table.lookupHash(sig, h); ok {
 		if e := &c.top.entries[id]; better(cost, actions, *e) {
 			*e = suffixEntry{cost: cost, actions: actions}
@@ -223,10 +222,26 @@ type PendingSuffixes struct {
 	// sigs holds the signatures of the records a search recorded, back to
 	// back; those records alias it until Commit, which reuses it.
 	sigs []byte
+	// into is the cache the buffer is bound to (Into), or nil.
+	into *TranspositionCache
 }
+
+// Into binds the buffer to the cache it will be committed to; nil unbinds
+// it. A bound buffer does not keep a record the cache already holds
+// verbatim, at the same cost with the same actions: committing it would
+// change nothing, since the canonical merge keeps an entry against an equal
+// suffix, and until the Commit the cache's entry can only be replaced by a
+// better one, which the record would not beat either. So the cache after
+// Commit is the same — its entries, its layer and when it flattens — with or
+// without the record. The check reads the cache as records are added, so
+// the cache must not be written while a bound buffer records; worker pools
+// write it only at their barriers. Commit refuses a buffer bound to another
+// cache.
+func (p *PendingSuffixes) Into(c *TranspositionCache) { p.into = c }
 
 type suffixRecord struct {
 	sig     []byte
+	h       uint32 // hashSig(sig)
 	cost    float64
 	actions []graph.Action
 }
@@ -234,10 +249,22 @@ type suffixRecord struct {
 // Len returns the number of buffered records.
 func (p *PendingSuffixes) Len() int { return len(p.recs) }
 
-// add buffers one solved suffix. Both slices are retained until Commit and
-// must not change under it.
+// add buffers one solved suffix, unless the cache the buffer is bound to
+// holds it already. Both slices are retained until Commit and must not
+// change under it.
 func (p *PendingSuffixes) add(sig []byte, cost float64, actions []graph.Action) {
-	p.recs = append(p.recs, suffixRecord{sig: sig, cost: cost, actions: actions})
+	h := hashSig(sig)
+	if p.into != nil && p.into.holds(sig, h, cost, actions) {
+		return
+	}
+	p.recs = append(p.recs, suffixRecord{sig: sig, h: h, cost: cost, actions: actions})
+}
+
+// holds reports whether the cache's entry for sig, given h == hashSig(sig),
+// is exactly the suffix (cost, actions).
+func (c *TranspositionCache) holds(sig []byte, h uint32, cost float64, actions []graph.Action) bool {
+	e, ok := c.lookupHash(sig, h)
+	return ok && e.cost == cost && slices.Equal(e.actions, actions)
 }
 
 // Commit publishes the buffered records into the cache with the canonical
@@ -248,8 +275,11 @@ func (p *PendingSuffixes) add(sig []byte, cost float64, actions []graph.Action) 
 // signature it keeps, so the buffer's signature bytes are free for the
 // next search's records once Commit returns.
 func (c *TranspositionCache) Commit(p *PendingSuffixes) {
+	if p.into != nil && p.into != c {
+		panic("search: Commit of suffix records bound to another cache")
+	}
 	for _, r := range p.recs {
-		c.merge(r.sig, r.cost, r.actions)
+		c.merge(r.sig, r.h, r.cost, r.actions)
 	}
 	// Clear before truncating: a pooled buffer must not keep the last
 	// generation's suffixes reachable.
@@ -356,7 +386,8 @@ func (c *TranspositionCache) Export(max int) []CacheEntry {
 func (c *TranspositionCache) Import(entries []CacheEntry) {
 	for _, r := range entries {
 		if onGrid(r.Cost) {
-			c.merge([]byte(r.Sig), r.Cost, r.Actions)
+			sig := []byte(r.Sig)
+			c.merge(sig, hashSig(sig), r.Cost, r.Actions)
 		}
 	}
 }

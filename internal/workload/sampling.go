@@ -74,6 +74,35 @@ func (s *Sampler) WeightedVariates(m int, weights []float64) (*Workload, []float
 // sampler produces the identical query Weighted would have drawn at
 // position i under the same weights.
 func WeightedFromVariates(templates []Template, variates, weights []float64) *Workload {
+	total := weightTotal(templates, weights)
+	queries := make([]Query, len(variates))
+	for i, u := range variates {
+		queries[i] = Query{TemplateID: weightedBin(u, total, weights), Tag: i}
+	}
+	return &Workload{Templates: templates, Queries: queries}
+}
+
+// WeightedMatches reports whether WeightedFromVariates(w.Templates,
+// variates, weights) would draw exactly w's queries — the same template, tag
+// and arrival at every position — without building that workload. A warm
+// retrain asks it of every prior sample and keeps the prior's workload when
+// no query changed its template.
+func WeightedMatches(w *Workload, variates, weights []float64) bool {
+	total := weightTotal(w.Templates, weights)
+	if len(w.Queries) != len(variates) {
+		return false
+	}
+	for i, u := range variates {
+		if w.Queries[i] != (Query{TemplateID: weightedBin(u, total, weights), Tag: i}) {
+			return false
+		}
+	}
+	return true
+}
+
+// weightTotal validates weights against the template set and returns their
+// sum.
+func weightTotal(templates []Template, weights []float64) float64 {
 	if len(weights) != len(templates) {
 		panic(fmt.Sprintf("workload: Weighted got %d weights for %d templates", len(weights), len(templates)))
 	}
@@ -87,20 +116,20 @@ func WeightedFromVariates(templates []Template, variates, weights []float64) *Wo
 	if total <= 0 {
 		panic("workload: Weighted requires a positive weight sum")
 	}
-	queries := make([]Query, len(variates))
-	for i, u := range variates {
-		r := u * total
-		id := len(weights) - 1
-		for j, w := range weights {
-			if r < w {
-				id = j
-				break
-			}
-			r -= w
+	return total
+}
+
+// weightedBin is the inverse-CDF walk of one unit variate u over weights
+// summing to total: the template the variate draws.
+func weightedBin(u, total float64, weights []float64) int {
+	r := u * total
+	for j, w := range weights {
+		if r < w {
+			return j
 		}
-		queries[i] = Query{TemplateID: id, Tag: i}
+		r -= w
 	}
-	return &Workload{Templates: templates, Queries: queries}
+	return len(weights) - 1
 }
 
 // SkewWeights returns a template weight vector that interpolates between the

@@ -116,6 +116,53 @@ func TestWeightedSampling(t *testing.T) {
 	}
 }
 
+// WeightedMatches answers exactly whether rebinning the variates would
+// rebuild the workload: over small mix drifts of many seeds (most draws
+// keep every query, some move one), and for a workload that differs only
+// in a tag or an arrival.
+func TestWeightedMatchesRebin(t *testing.T) {
+	ts := DefaultTemplates(5)
+	prior := []float64{0.3, 0.25, 0.2, 0.15, 0.1}
+	kept, moved := 0, 0
+	for seed := int64(0); seed < 200; seed++ {
+		w, variates := NewSampler(ts, seed).WeightedVariates(12, prior)
+		if !WeightedMatches(w, variates, prior) {
+			t.Fatalf("seed %d: a workload does not match its own draw", seed)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		to := slices.Clone(prior)
+		for i := range to {
+			to[i] += 0.04 * (rng.Float64() - 0.5)
+		}
+		want := slices.Equal(WeightedFromVariates(ts, variates, to).Queries, w.Queries)
+		if got := WeightedMatches(w, variates, to); got != want {
+			t.Fatalf("seed %d: WeightedMatches %v, rebinning keeps the queries %v", seed, got, want)
+		}
+		if want {
+			kept++
+		} else {
+			moved++
+		}
+	}
+	if kept == 0 || moved == 0 {
+		t.Fatalf("%d draws kept and %d moved: the drift exercises only one answer", kept, moved)
+	}
+	w, variates := NewSampler(ts, 3).WeightedVariates(12, prior)
+	for _, edit := range []func(q *Query){
+		func(q *Query) { q.Tag++ },
+		func(q *Query) { q.Arrival = time.Second },
+	} {
+		c := &Workload{Templates: ts, Queries: slices.Clone(w.Queries)}
+		edit(&c.Queries[5])
+		if WeightedMatches(c, variates, prior) {
+			t.Fatalf("an edited query %+v matches the draw", c.Queries[5])
+		}
+	}
+	if WeightedMatches(w, variates[:11], prior) {
+		t.Fatal("a workload matches a shorter draw")
+	}
+}
+
 func TestSkewWeights(t *testing.T) {
 	uniform := SkewWeights(4, 0, 0)
 	for _, w := range uniform {
