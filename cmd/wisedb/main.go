@@ -250,7 +250,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("online: %d queries, %d VMs, cost %.2f¢ (penalty %.2f¢)\n",
-			len(res.Perf), res.VMsRented, res.Cost, res.Penalty)
+			len(res.Outcomes), res.VMsRented, res.Cost, res.Penalty)
 		fmt.Printf("advisor overhead %s total (%d retrainings, %d adaptations: %d samples replayed, %d solved; %d cache hits)\n",
 			res.SchedulingTime.Round(time.Millisecond), res.Retrainings, res.Adaptations, res.AdaptReplayed, res.AdaptSolved, res.CacheHits)
 

@@ -50,8 +50,8 @@ func TestFacadeQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Perf) != 50 {
-		t.Fatalf("online run completed %d of 50 queries", len(res.Perf))
+	if err := res.Check(50); err != nil {
+		t.Fatal(err)
 	}
 }
 

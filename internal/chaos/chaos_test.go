@@ -45,16 +45,6 @@ func shiftedWorkload(templates []workload.Template, uniform, skewed int, gap tim
 	return w.WithArrivals(workload.FixedDelayArrivals(uniform+skewed, gap))
 }
 
-// fingerprint flattens everything schedule-determined about a stream result.
-func fingerprint(res *core.OnlineResult) string {
-	return fmt.Sprintf("cost=%.6f pen=%.6f vms=%d perf=%d retrain=%d adapt=%d hits=%d drift=%v sup=%d fail=%d deg=%d shed=%d readmit=%d epoch=%d outcomes=%v",
-		res.Cost, res.Penalty, res.VMsRented, len(res.Perf),
-		res.Retrainings, res.Adaptations, res.CacheHits,
-		res.DriftTriggerArrivals, res.DriftSuppressed, res.DriftFailures,
-		res.DegradedArrivals, res.ShedArrivals, res.FaultReadmissions,
-		res.FinalEpoch, res.Outcomes)
-}
-
 // The ISSUE's acceptance scenario: a chaos run that kills VMs mid-stream,
 // fails the first K retrains (tripping the breaker), and injects a transient
 // checkpoint write fault — and still completes every non-shed arrival
@@ -115,18 +105,8 @@ func TestChaosAcceptance(t *testing.T) {
 		if res.ShedArrivals != 0 {
 			t.Fatalf("nothing should shed with admission control off, got %d", res.ShedArrivals)
 		}
-		const n = uniform + skewed
-		seen := make([]bool, n)
-		for _, out := range res.Outcomes {
-			if seen[out.Tag] {
-				t.Fatalf("tag %d completed twice", out.Tag)
-			}
-			seen[out.Tag] = true
-		}
-		for tag, ok := range seen {
-			if !ok {
-				t.Fatalf("tag %d never completed (lost to a VM failure?)", tag)
-			}
+		if err := res.Check(uniform + skewed); err != nil {
+			t.Fatal(err)
 		}
 		if res.FaultReadmissions == 0 {
 			t.Fatal("the chaos plan never killed a VM holding work; the scenario is not exercising re-admission")
@@ -153,7 +133,7 @@ func TestChaosAcceptance(t *testing.T) {
 		if latest, ok := ms.LatestEpoch(); !ok || latest < 1 {
 			t.Fatalf("the swapped epoch must be committed to the store, got %d (%v)", latest, ok)
 		}
-		return fingerprint(res), stats
+		return res.Fingerprint(), stats
 	}
 
 	fp1, _ := runOnce(t)

@@ -277,8 +277,8 @@ func TestOnlineSchedulesEveryQuery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Perf) != 12 {
-				t.Fatalf("want 12 completed queries, got %d", len(res.Perf))
+			if err := res.Check(12); err != nil {
+				t.Fatal(err)
 			}
 			if res.Cost <= 0 {
 				t.Fatalf("cost must be positive, got %f", res.Cost)

@@ -96,8 +96,6 @@ type OnlineResult struct {
 	Cost float64
 	// Penalty is the SLA penalty component of Cost.
 	Penalty float64
-	// Perf holds each query's true latency.
-	Perf []sla.QueryPerf
 	// VMsRented counts VMs provisioned over the stream.
 	VMsRented int
 	// SchedulingTime is the total advisor time across arrivals (model
@@ -142,9 +140,9 @@ type OnlineResult struct {
 	// served by the degraded path instead of waiting the deadline out.
 	DeadlineMisses int
 	// Outcomes records every completed query — tag, arrival, and
-	// execution bounds — ordered by completion. Perf is its latency
-	// projection; Outcomes is what throughput and recovery analyses
-	// consume (per-tag exactly-once accounting across hot swaps).
+	// execution bounds — ordered by completion: the one record of what
+	// the stream ran, which Check audits and the throughput and recovery
+	// analyses consume.
 	Outcomes []Outcome
 	// FinalEpoch is the registry epoch serving when the stream finished
 	// (0 = the base model was never swapped).
@@ -158,6 +156,52 @@ type Outcome struct {
 	// Arrival is when the query was submitted; Start and End bound its
 	// execution on the simulated VM. True latency is End − Arrival.
 	Arrival, Start, End time.Duration
+}
+
+// Check audits the result's exactly-once ledger against the number of
+// queries submitted to the stream, tagged 0 … submitted−1 (shed ones
+// included): no tag completes more than once, completions and sheds
+// account for every submission, each query ran inside its own lifetime
+// (Arrival ≤ Start ≤ End), outcomes come in completion order (End, then
+// Tag — cloud.Sim.Finish's order), and every drift trigger recorded its
+// arrival index. It is the one owner of these stream invariants: the
+// tests, the chaos and scenario harnesses and the experiment tables all
+// run it.
+func (r *OnlineResult) Check(submitted int) error {
+	if len(r.Outcomes)+r.ShedArrivals != submitted {
+		return fmt.Errorf("core: %d completed + %d shed != %d submitted", len(r.Outcomes), r.ShedArrivals, submitted)
+	}
+	if r.DriftTriggers != len(r.DriftTriggerArrivals) {
+		return fmt.Errorf("core: %d drift triggers but %d trigger arrivals", r.DriftTriggers, len(r.DriftTriggerArrivals))
+	}
+	done := make([]bool, submitted)
+	for i, o := range r.Outcomes {
+		switch {
+		case o.Tag < 0 || o.Tag >= submitted:
+			return fmt.Errorf("core: outcome %d has tag %d outside [0, %d)", i, o.Tag, submitted)
+		case done[o.Tag]:
+			return fmt.Errorf("core: tag %d has two outcomes", o.Tag)
+		case o.Start < o.Arrival || o.End < o.Start:
+			return fmt.Errorf("core: tag %d arrived %v, started %v, ended %v", o.Tag, o.Arrival, o.Start, o.End)
+		case i > 0 && cmp.Or(cmp.Compare(r.Outcomes[i-1].End, o.End), cmp.Compare(r.Outcomes[i-1].Tag, o.Tag)) > 0:
+			return fmt.Errorf("core: outcome %d (tag %d, end %v) out of completion order", i, o.Tag, o.End)
+		}
+		done[o.Tag] = true
+	}
+	return nil
+}
+
+// Fingerprint renders every field of the result the schedule determines —
+// Cost and Penalty as exact bits — so two runs compare equal exactly when
+// they served their arrivals identically. It leaves out the wall-clock
+// fields (SchedulingTime, the PerArrival values, DeadlineMisses) and
+// AdaptReplayed/AdaptSolved, which depend on what the ω-map held when a
+// model was built.
+func (r *OnlineResult) Fingerprint() string {
+	return fmt.Sprintf("cost=%x penalty=%x vms=%d arrivals=%d retrain=%d adapt=%d hits=%d drift=%v suppressed=%d failures=%d degraded=%d/%d shed=%d readmit=%d epoch=%d outcomes=%v",
+		r.Cost, r.Penalty, r.VMsRented, len(r.PerArrival), r.Retrainings, r.Adaptations, r.CacheHits,
+		r.DriftTriggerArrivals, r.DriftSuppressed, r.DriftFailures,
+		r.DegradedArrivals, r.DegradedPlacements, r.ShedArrivals, r.FaultReadmissions, r.FinalEpoch, r.Outcomes)
 }
 
 // augKey identifies a "new template" (§6.3): an original template plus a
@@ -780,7 +824,6 @@ func (s *Stream) Finish() *OnlineResult {
 		outcomes[i] = Outcome{Tag: r.Tag, TemplateID: r.TemplateID, Arrival: arrival, Start: r.Start, End: r.End}
 	}
 	res := s.res
-	res.Perf = perf
 	res.Outcomes = outcomes
 	// The penalty is judged by the stream's own registry: each tier's
 	// streams are scored against that tier's SLA goal.
@@ -814,6 +857,20 @@ func (s *Stream) onArrival(ctx context.Context, t time.Duration, arrived []workl
 		if q.TemplateID < 0 || q.TemplateID >= k {
 			return fmt.Errorf("core: query tag %d references unknown template %d", q.Tag, q.TemplateID)
 		}
+	}
+	// A stream admits each tag once: a repeat would overwrite the earlier
+	// query's arrival, giving it a negative latency and a wrong penalty.
+	// Tags recorded by this event are unrecorded again if a later one
+	// repeats, so a refused event changes nothing.
+	for i, q := range arrived {
+		s.ensureTag(q.Tag)
+		if s.tags[q.Tag].template >= 0 {
+			for _, p := range arrived[:i] {
+				s.tags[p.Tag] = tagState{template: -1}
+			}
+			return fmt.Errorf("core: query tag %d submitted twice", q.Tag)
+		}
+		s.tags[q.Tag] = tagState{arrival: t, template: int32(q.TemplateID)}
 	}
 	// Load the serving epoch once per event: everything this arrival does
 	// uses it, so a hot swap landing mid-event cannot split the batch
@@ -850,10 +907,6 @@ func (s *Stream) onArrival(ctx context.Context, t time.Duration, arrived []workl
 				s.driftEpoch = epoch.Epoch
 			}
 		}
-	}
-	for _, q := range arrived {
-		s.ensureTag(q.Tag)
-		s.tags[q.Tag] = tagState{arrival: t, template: int32(q.TemplateID)}
 	}
 	s.batch = s.batch[:0]
 	for _, vm := range s.sim.VMs() {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -98,14 +99,6 @@ func TestOnlineRunContextCancel(t *testing.T) {
 	cancel2()
 }
 
-// onlineResultFingerprint renders the deterministic fields of a result —
-// everything except wall-clock timings.
-func onlineResultFingerprint(res *OnlineResult) string {
-	return fmt.Sprintf("cost=%.9f penalty=%.9f vms=%d arrivals=%d retrain=%d adapt=%d hits=%d drift=%d epoch=%d perf=%v",
-		res.Cost, res.Penalty, res.VMsRented, len(res.PerArrival),
-		res.Retrainings, res.Adaptations, res.CacheHits, res.DriftTriggers, res.FinalEpoch, res.Perf)
-}
-
 // A fixed-seed multi-tenant run must produce identical per-tenant results
 // at any worker count (the serving-side analogue of the training
 // determinism pin): stream schedules depend only on their own arrivals and
@@ -146,7 +139,7 @@ func tenantFingerprints(t *testing.T, second string) []string {
 			if res.Adaptations == 0 {
 				t.Fatalf("%s tenant %d: 10s gaps with minute-long queries must shift models", label, i)
 			}
-			fp := onlineResultFingerprint(res)
+			fp := res.Fingerprint()
 			if len(baseline) <= i {
 				baseline = append(baseline, fp)
 			} else if fp != baseline[i] {
@@ -201,8 +194,8 @@ func TestDriftDetectorTriggersExactlyOnce(t *testing.T) {
 	if res.FinalEpoch != 1 {
 		t.Fatalf("stream finished on epoch %d, want 1", res.FinalEpoch)
 	}
-	if len(res.Perf) != 100 {
-		t.Fatalf("dropped arrivals across the hot swap: %d of 100 completed", len(res.Perf))
+	if err := res.Check(100); err != nil {
+		t.Fatalf("across the hot swap: %v", err)
 	}
 	// The adapted model targets the observed mix: mass concentrated on the
 	// shifted-to template.
@@ -239,8 +232,8 @@ func TestDriftRetrainFailureKeepsServing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("a failed retrain must not fail the stream, got %v", err)
 	}
-	if len(res.Perf) != 72 {
-		t.Fatalf("%d of 72 arrivals completed across the failed retrain", len(res.Perf))
+	if err := res.Check(72); err != nil {
+		t.Fatalf("across the failed retrain: %v", err)
 	}
 	if res.DriftFailures == 0 {
 		t.Fatal("the stream never recorded the retrain failure")
@@ -293,20 +286,8 @@ func TestHotSwapNoDroppedArrivals(t *testing.T) {
 	}
 	o.Registry().Wait() // drain any in-flight background retrain
 	for i, res := range results {
-		if got, want := len(res.Perf), uniform+skewed; got != want {
-			t.Fatalf("stream %d: %d of %d queries completed across hot swaps", i, got, want)
-		}
-		seen := make([]bool, uniform+skewed)
-		for _, out := range res.Outcomes {
-			if seen[out.Tag] {
-				t.Fatalf("stream %d: query tag %d completed twice (double-scheduled across a hot swap)", i, out.Tag)
-			}
-			seen[out.Tag] = true
-		}
-		for tag, ok := range seen {
-			if !ok {
-				t.Fatalf("stream %d: query tag %d never completed (dropped across a hot swap)", i, tag)
-			}
+		if err := res.Check(uniform + skewed); err != nil {
+			t.Fatalf("stream %d across hot swaps: %v", i, err)
 		}
 	}
 	stats := o.Registry().Stats()
@@ -317,6 +298,82 @@ func TestHotSwapNoDroppedArrivals(t *testing.T) {
 		t.Error("mix shift across 6 streams never produced a hot swap")
 	}
 	t.Logf("registry: %d triggers, %d swaps, final epoch %d", stats.Triggers, stats.Swaps, stats.Epoch)
+}
+
+// A stream admits each tag once. An event repeating a tag the stream holds,
+// or repeating one within itself, is refused whole — its other tags stay
+// free — and the stream ends exactly as if the event had never been sent.
+func TestStreamAdmitsEachTagOnce(t *testing.T) {
+	base := onlineBase(t, 3, 1)
+	o := NewOnlineScheduler(base, DefaultOnlineOptions())
+	const n = 6
+	run := func(repeats bool) *OnlineResult {
+		clk := &SimClock{}
+		s := o.NewStream(clk)
+		defer s.Close()
+		ctx := context.Background()
+		for i := 0; i < n; i++ {
+			clk.Advance(time.Duration(i) * 20 * time.Second)
+			if repeats && i > 0 {
+				for _, event := range [][]workload.Query{
+					{{TemplateID: 0, Tag: i - 1}},
+					{{TemplateID: 1, Tag: i}, {TemplateID: 2, Tag: i}},
+					{{TemplateID: 1, Tag: i}, {TemplateID: 2, Tag: i + 1}, {TemplateID: 0, Tag: 0}},
+				} {
+					if err := s.Submit(ctx, event...); err == nil {
+						t.Fatalf("arrival %d: event %v with a repeated tag was admitted", i, event)
+					}
+				}
+			}
+			if err := s.Submit(ctx, workload.Query{TemplateID: i % 3, Tag: i}); err != nil {
+				t.Fatalf("arrival %d: %v", i, err)
+			}
+		}
+		return s.Finish()
+	}
+	want, got := run(false), run(true)
+	if err := got.Check(n); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := got.Fingerprint(), want.Fingerprint(); a != b {
+		t.Fatalf("refused events changed the result:\nwith:    %s\nwithout: %s", a, b)
+	}
+}
+
+// Check reports each way a result can break the exactly-once ledger, on
+// hand-built results, and passes a valid one.
+func TestOnlineResultCheck(t *testing.T) {
+	m := time.Minute
+	valid := func() *OnlineResult {
+		return &OnlineResult{
+			Outcomes:             []Outcome{{Tag: 2, End: m}, {Tag: 0, Start: m, End: 2 * m}, {Tag: 3, Arrival: m, Start: m, End: 2 * m}},
+			ShedArrivals:         1,
+			DriftTriggers:        1,
+			DriftTriggerArrivals: []int{2},
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(r *OnlineResult)
+		want   string // substring of the error; "" for a valid result
+	}{
+		{"valid", func(*OnlineResult) {}, ""},
+		{"repeated tag", func(r *OnlineResult) { r.Outcomes[2].Tag = 0 }, "two outcomes"},
+		{"tag out of range", func(r *OnlineResult) { r.Outcomes[2].Tag = 4 }, "outside [0, 4)"},
+		{"negative tag", func(r *OnlineResult) { r.Outcomes[0].Tag = -1 }, "outside [0, 4)"},
+		{"completions + shed != submitted", func(r *OnlineResult) { r.ShedArrivals = 0 }, "!= 4 submitted"},
+		{"start before arrival", func(r *OnlineResult) { r.Outcomes[2].Arrival = 90 * time.Second }, "started"},
+		{"end before start", func(r *OnlineResult) { r.Outcomes[1].Start = 3 * m }, "started"},
+		{"ends out of order", func(r *OnlineResult) { r.Outcomes[0].End, r.Outcomes[0].Start = 3*m, 2*m }, "completion order"},
+		{"tags out of order at one end", func(r *OnlineResult) { r.Outcomes[1].Tag = 3; r.Outcomes[2].Tag = 0 }, "completion order"},
+		{"drift count mismatch", func(r *OnlineResult) { r.DriftTriggerArrivals = nil }, "drift"},
+	} {
+		r := valid()
+		tc.mutate(r)
+		if err := r.Check(4); (err == nil) != (tc.want == "") || err != nil && !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
 }
 
 // A hot swap must leave no derived model of a superseded epoch counted by
@@ -385,8 +442,8 @@ func TestWallClockStream(t *testing.T) {
 		t.Fatalf("one open stream, gauge reads %d", got)
 	}
 	res := s.Finish()
-	if len(res.Perf) != 5 || res.Cost <= 0 {
-		t.Fatalf("wall-clock stream: %d completions, cost %.2f", len(res.Perf), res.Cost)
+	if err := res.Check(5); err != nil || res.Cost <= 0 {
+		t.Fatalf("wall-clock stream: %v, cost %.2f", err, res.Cost)
 	}
 	if got := o.ActiveStreams(); got != 0 {
 		t.Fatalf("finished stream still counted: %d", got)
@@ -502,8 +559,8 @@ func TestMultiStreamThroughputScales(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, res := range results {
-			if len(res.Perf) != n {
-				t.Fatalf("tenant %d completed %d of %d queries", i, len(res.Perf), n)
+			if err := res.Check(n); err != nil {
+				t.Fatalf("tenant %d: %v", i, err)
 			}
 		}
 		return elapsed

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -62,8 +61,8 @@ func TestFailedRetrainDoesNotStorm(t *testing.T) {
 	if err != nil {
 		t.Fatalf("a failing retrain path must not fail the stream: %v", err)
 	}
-	if got := len(res.Perf); got != uniform+skewed {
-		t.Fatalf("%d of %d arrivals completed", got, uniform+skewed)
+	if err := res.Check(uniform + skewed); err != nil {
+		t.Fatal(err)
 	}
 	// 400 skewed arrivals with a 16-arrival window allow at most 25 trigger
 	// attempts; backoff and the breaker swallow most of those. Without the
@@ -221,18 +220,11 @@ func TestDegradedFallbackKeepsServing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("degraded stream failed: %v", err)
 	}
-	if len(res.Perf) != 24 {
-		t.Fatalf("%d of 24 arrivals completed through degradation", len(res.Perf))
+	if err := res.Check(24); err != nil {
+		t.Fatalf("through degradation: %v", err)
 	}
 	if res.DegradedArrivals == 0 {
 		t.Fatal("the fallback path never engaged")
-	}
-	seen := make([]bool, 24)
-	for _, out := range res.Outcomes {
-		if seen[out.Tag] {
-			t.Fatalf("tag %d completed twice through the degraded path", out.Tag)
-		}
-		seen[out.Tag] = true
 	}
 	ss := o.ScaleStats()
 	if ss.DegradedArrivals != int64(res.DegradedArrivals) {
@@ -279,8 +271,8 @@ func TestDegradedModeClearsOnNewEpoch(t *testing.T) {
 		t.Fatal("post-swap waited batch never used the shift path")
 	}
 	res := s.Finish()
-	if len(res.Perf) != 5 {
-		t.Fatalf("%d of 5 arrivals completed across degrade/recover", len(res.Perf))
+	if err := res.Check(5); err != nil {
+		t.Fatalf("across degrade/recover: %v", err)
 	}
 }
 
@@ -322,15 +314,8 @@ func TestDegradedShedsAboveBacklog(t *testing.T) {
 	if res.ShedArrivals > 10 {
 		t.Fatalf("only newly arrived queries are sheddable, got %d > 10", res.ShedArrivals)
 	}
-	if got, want := len(res.Outcomes), 32-res.ShedArrivals; got != want {
-		t.Fatalf("%d completions, want %d (32 admitted - %d shed)", got, want, res.ShedArrivals)
-	}
-	seen := map[int]bool{}
-	for _, out := range res.Outcomes {
-		if seen[out.Tag] {
-			t.Fatalf("tag %d completed twice", out.Tag)
-		}
-		seen[out.Tag] = true
+	if err := res.Check(32); err != nil {
+		t.Fatal(err)
 	}
 	if ss := o.ScaleStats(); ss.ShedArrivals != int64(res.ShedArrivals) {
 		t.Fatalf("engine aggregate %d != stream %d shed arrivals", ss.ShedArrivals, res.ShedArrivals)
@@ -384,8 +369,8 @@ func TestPlacementReroutesToFallback(t *testing.T) {
 		t.Fatalf("DegradedPlacements = %d, want 1", s.res.DegradedPlacements)
 	}
 	res := s.Finish()
-	if len(res.Outcomes) != 1 || res.Outcomes[0].Tag != 0 {
-		t.Fatalf("the rerouted query must complete exactly once, got %v", res.Outcomes)
+	if err := res.Check(1); err != nil {
+		t.Fatalf("the rerouted query must complete exactly once: %v", err)
 	}
 }
 
@@ -419,23 +404,14 @@ func TestVMFaultsReadmitExactlyOnceDeterministic(t *testing.T) {
 			}
 		}
 		res := s.Finish()
-		return res, fmt.Sprintf("%s readmit=%d outcomes=%v", onlineResultFingerprint(res), res.FaultReadmissions, res.Outcomes)
+		return res, res.Fingerprint()
 	}
 	res, fp1 := runOnce()
 	if res.FaultReadmissions == 0 {
 		t.Fatal("a 60% failure rate over this stream must kill at least one VM with work on it")
 	}
-	seen := make([]bool, n)
-	for _, out := range res.Outcomes {
-		if seen[out.Tag] {
-			t.Fatalf("tag %d completed twice after VM-failure re-admission", out.Tag)
-		}
-		seen[out.Tag] = true
-	}
-	for tag, ok := range seen {
-		if !ok {
-			t.Fatalf("tag %d lost to a VM failure (never re-admitted)", tag)
-		}
+	if err := res.Check(n); err != nil {
+		t.Fatalf("after VM-failure re-admission: %v", err)
 	}
 	if _, fp2 := runOnce(); fp1 != fp2 {
 		t.Fatalf("chaos run not bit-deterministic under a fixed seed:\nrun 1: %s\nrun 2: %s", fp1, fp2)
@@ -468,7 +444,10 @@ func TestRunTenantsWithFaultsDeterministic(t *testing.T) {
 		}
 		fp := make([]string, len(results))
 		for i, res := range results {
-			fp[i] = fmt.Sprintf("%s readmit=%d", onlineResultFingerprint(res), res.FaultReadmissions)
+			if err := res.Check(20); err != nil {
+				t.Fatalf("parallelism=%d tenant %d: %v", p, i, err)
+			}
+			fp[i] = res.Fingerprint()
 		}
 		fps = append(fps, fp)
 	}

@@ -80,15 +80,8 @@ func TestShardedCacheHotKeyHammerAcrossSwap(t *testing.T) {
 
 	acquisitions := 0
 	for i, res := range results {
-		seen := make([]bool, n)
-		for _, out := range res.Outcomes {
-			if seen[out.Tag] {
-				t.Fatalf("stream %d: tag %d completed twice across a swap", i, out.Tag)
-			}
-			seen[out.Tag] = true
-		}
-		if len(res.Outcomes) != n {
-			t.Fatalf("stream %d completed %d of %d arrivals", i, len(res.Outcomes), n)
+		if err := res.Check(n); err != nil {
+			t.Fatalf("stream %d across swaps: %v", i, err)
 		}
 		acquisitions += res.Adaptations + res.CacheHits
 	}
@@ -260,8 +253,8 @@ func TestRunTenantsAtScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, res := range results {
-		if len(res.Outcomes) != n {
-			t.Fatalf("tenant %d completed %d of %d arrivals", i, len(res.Outcomes), n)
+		if err := res.Check(n); err != nil {
+			t.Fatalf("tenant %d: %v", i, err)
 		}
 	}
 	if got := o.ActiveStreams(); got != 0 {

@@ -254,22 +254,15 @@ func TestFlashCrowdShedDeterministic(t *testing.T) {
 	}
 	for rerun := 0; rerun < 2; rerun++ {
 		again := run()
-		if a, b := onlineResultFingerprint(first), onlineResultFingerprint(again); a != b {
+		if a, b := first.Fingerprint(), again.Fingerprint(); a != b {
 			t.Fatalf("rerun %d diverged:\nfirst: %s\nagain: %s", rerun, a, b)
 		}
 	}
 
 	// Exactly-once under shedding: completions + sheds account for every
 	// generated query, with no tag finishing twice.
-	if got, want := len(first.Outcomes), n-first.ShedArrivals; got != want {
-		t.Fatalf("%d completions, want %d (%d generated - %d shed)", got, want, n, first.ShedArrivals)
-	}
-	seen := make([]bool, n)
-	for _, out := range first.Outcomes {
-		if seen[out.Tag] {
-			t.Fatalf("tag %d completed twice", out.Tag)
-		}
-		seen[out.Tag] = true
+	if err := first.Check(n); err != nil {
+		t.Fatal(err)
 	}
 
 	// Two tenants replaying the identical trace concurrently shed
@@ -284,7 +277,7 @@ func TestFlashCrowdShedDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, res := range results {
-		if a, b := onlineResultFingerprint(res), onlineResultFingerprint(first); a != b {
+		if a, b := res.Fingerprint(), first.Fingerprint(); a != b {
 			t.Errorf("tenant %d diverged from the single-stream run:\ntenant: %s\nsingle: %s", i, a, b)
 		}
 	}
@@ -332,15 +325,8 @@ func TestAdmissionShedSingleLedger(t *testing.T) {
 	if res.ShedArrivals != wantShed {
 		t.Fatalf("stream ledger %d shed, want %d", res.ShedArrivals, wantShed)
 	}
-	if len(res.Outcomes) != admitted {
-		t.Fatalf("%d completions, want %d admitted", len(res.Outcomes), admitted)
-	}
-	seen := map[int]bool{}
-	for _, out := range res.Outcomes {
-		if seen[out.Tag] {
-			t.Fatalf("tag %d completed twice", out.Tag)
-		}
-		seen[out.Tag] = true
+	if err := res.Check(len(w.Queries)); err != nil {
+		t.Fatal(err)
 	}
 	if ss := o.ScaleStats(); ss.ShedArrivals != int64(wantShed) {
 		t.Fatalf("engine ledger %d != %d stream sheds", ss.ShedArrivals, wantShed)

@@ -71,7 +71,7 @@ func TestWarmStartBitDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fp1, fp2 := onlineResultFingerprint(res1), onlineResultFingerprint(res2); fp1 != fp2 {
+	if fp1, fp2 := res1.Fingerprint(), res2.Fingerprint(); fp1 != fp2 {
 		t.Fatalf("warm-started engine diverges from the original:\noriginal:    %s\nwarm-start:  %s", fp1, fp2)
 	}
 }
@@ -107,8 +107,8 @@ func TestCheckpointCrashMidWriteFallsBackToLastGoodEpoch(t *testing.T) {
 		t.Fatalf("a checkpoint failure must never fail serving: %v", err)
 	}
 	eng1.Registry().Wait()
-	if got, want := len(res.Perf), uniform+skewed; got != want {
-		t.Fatalf("%d of %d arrivals completed across the failed checkpoint", got, want)
+	if err := res.Check(uniform + skewed); err != nil {
+		t.Fatalf("across the failed checkpoint: %v", err)
 	}
 	stats := eng1.Registry().Stats()
 	if stats.Epoch != 1 || stats.Swaps != 1 {
@@ -146,20 +146,8 @@ func TestCheckpointCrashMidWriteFallsBackToLastGoodEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng2.Registry().Wait()
-	if got, want := len(res2.Perf), uniform+skewed; got != want {
-		t.Fatalf("resumed stream completed %d of %d arrivals", got, want)
-	}
-	seen := make([]bool, uniform+skewed)
-	for _, out := range res2.Outcomes {
-		if seen[out.Tag] {
-			t.Fatalf("resumed stream double-scheduled tag %d", out.Tag)
-		}
-		seen[out.Tag] = true
-	}
-	for tag, ok := range seen {
-		if !ok {
-			t.Fatalf("resumed stream dropped tag %d", tag)
-		}
+	if err := res2.Check(uniform + skewed); err != nil {
+		t.Fatalf("resumed stream: %v", err)
 	}
 	if latest, ok := ms2.LatestEpoch(); !ok || latest != 1 {
 		t.Fatalf("resumed engine's drift swap was not durably checkpointed: latest %d ok %v", latest, ok)

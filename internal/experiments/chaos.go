@@ -114,22 +114,16 @@ func (c *Config) Chaos() (*Table, error) {
 		var latencies []float64
 		violations, degradedArrivals, arrivalEvents := 0, 0, 0
 		for i, res := range results {
-			seen := make(map[int]bool, n)
+			if err := res.Check(n); err != nil {
+				return row{}, fmt.Errorf("experiments: chaos stream %d: %w", i, err)
+			}
 			for _, out := range res.Outcomes {
-				if seen[out.Tag] {
-					return row{}, fmt.Errorf("experiments: chaos stream %d completed tag %d twice", i, out.Tag)
-				}
-				seen[out.Tag] = true
 				r.completed++
 				lat := out.End - out.Arrival
 				latencies = append(latencies, float64(lat))
 				if lat > goal.Deadline {
 					violations++
 				}
-			}
-			if len(res.Outcomes)+res.ShedArrivals != n {
-				return row{}, fmt.Errorf("experiments: chaos stream %d: %d completed + %d shed != %d arrivals",
-					i, len(res.Outcomes), res.ShedArrivals, n)
 			}
 			r.shed += res.ShedArrivals
 			r.readmitted += res.FaultReadmissions

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"wisedb/internal/heuristics"
+	"wisedb/internal/schedule"
+	"wisedb/internal/sla"
 	"wisedb/internal/workload"
 )
 
@@ -13,6 +15,36 @@ import (
 // above-optimal percentages are then conservative).
 func cappedCell(capped, total int) string {
 	return fmt.Sprintf("%d/%d", capped, total)
+}
+
+// versusOptimal is the Figs. 9-12 comparator: it schedules trials uniform
+// workloads of size queries, drawn in order from sampler, with the goal's
+// model and prices each schedule against the exact optimum. It returns the
+// summed model and optimal costs and how many optimality proofs the
+// expansion cap interrupted.
+func (c *Config) versusOptimal(env *schedule.Env, goal sla.Goal, sampler *workload.Sampler, size, trials int) (sumModel, sumOpt float64, capped int, err error) {
+	model, err := c.model(env, goal)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	for i := 0; i < trials; i++ {
+		w := sampler.Uniform(size)
+		sched, err := model.ScheduleBatch(w)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		mc := sched.Cost(env, goal)
+		oc, proven, err := c.optimalCost(env, goal, w, mc)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		if !proven {
+			capped++
+		}
+		sumModel += mc
+		sumOpt += oc
+	}
+	return sumModel, sumOpt, capped, nil
 }
 
 // Fig9 reproduces Figure 9: the cost of WiSeDB schedules vs the optimal for
@@ -29,28 +61,9 @@ func (c *Config) Fig9() (*Table, error) {
 	}
 	sampler := workload.NewSampler(s.env.Templates, c.Seed+9)
 	for _, g := range s.goals {
-		model, err := c.model(s.env, g.goal)
+		sumModel, sumOpt, capped, err := c.versusOptimal(s.env, g.goal, sampler, size, trials)
 		if err != nil {
 			return nil, err
-		}
-		sumModel, sumOpt := 0.0, 0.0
-		capped := 0
-		for i := 0; i < trials; i++ {
-			w := sampler.Uniform(size)
-			sched, err := model.ScheduleBatch(w)
-			if err != nil {
-				return nil, err
-			}
-			mc := sched.Cost(s.env, g.goal)
-			oc, ok, err := c.optimalCost(s.env, g.goal, w, mc)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				capped++
-			}
-			sumModel += mc
-			sumOpt += oc
 		}
 		row := []string{g.name, cents(sumModel / float64(trials)), cents(sumOpt / float64(trials)), pct(sumModel, sumOpt), cappedCell(capped, trials)}
 		if capped > 0 {
@@ -74,36 +87,18 @@ func (c *Config) Fig10() (*Table, error) {
 		Header: []string{"goal", fmt.Sprintf("%d queries", sizes[0]), fmt.Sprintf("%d queries", sizes[1]), fmt.Sprintf("%d queries", sizes[2]), "capped"},
 	}
 	for _, g := range s.goals {
-		model, err := c.model(s.env, g.goal)
-		if err != nil {
-			return nil, err
-		}
 		row := []string{g.name}
-		capped, total := 0, 0
+		capped := 0
 		for _, size := range sizes {
 			sampler := workload.NewSampler(s.env.Templates, c.Seed+10+int64(size))
-			sumModel, sumOpt := 0.0, 0.0
-			for i := 0; i < trials; i++ {
-				w := sampler.Uniform(size)
-				sched, err := model.ScheduleBatch(w)
-				if err != nil {
-					return nil, err
-				}
-				mc := sched.Cost(s.env, g.goal)
-				oc, ok, err := c.optimalCost(s.env, g.goal, w, mc)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					capped++
-				}
-				total++
-				sumModel += mc
-				sumOpt += oc
+			sumModel, sumOpt, n, err := c.versusOptimal(s.env, g.goal, sampler, size, trials)
+			if err != nil {
+				return nil, err
 			}
+			capped += n
 			row = append(row, pct(sumModel, sumOpt))
 		}
-		t.AddRow(append(row, cappedCell(capped, total))...)
+		t.AddRow(append(row, cappedCell(capped, len(sizes)*trials))...)
 	}
 	t.Fprint(c.Out)
 	return t, nil
@@ -123,36 +118,17 @@ func (c *Config) Fig11() (*Table, error) {
 	}
 	for _, g := range s.goals {
 		row := []string{g.name}
-		capped, total := 0, 0
+		capped := 0
 		for _, p := range factors {
-			goal := g.goal.Tighten(p)
-			model, err := c.model(s.env, goal)
+			sampler := workload.NewSampler(s.env.Templates, c.Seed+11)
+			sumModel, sumOpt, n, err := c.versusOptimal(s.env, g.goal.Tighten(p), sampler, size, trials)
 			if err != nil {
 				return nil, err
 			}
-			sampler := workload.NewSampler(s.env.Templates, c.Seed+11)
-			sumModel, sumOpt := 0.0, 0.0
-			for i := 0; i < trials; i++ {
-				w := sampler.Uniform(size)
-				sched, err := model.ScheduleBatch(w)
-				if err != nil {
-					return nil, err
-				}
-				mc := sched.Cost(s.env, goal)
-				oc, ok, err := c.optimalCost(s.env, goal, w, mc)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					capped++
-				}
-				total++
-				sumModel += mc
-				sumOpt += oc
-			}
+			capped += n
 			row = append(row, pct(sumModel, sumOpt))
 		}
-		t.AddRow(append(row, cappedCell(capped, total))...)
+		t.AddRow(append(row, cappedCell(capped, len(factors)*trials))...)
 	}
 	t.Fprint(c.Out)
 	return t, nil
@@ -168,39 +144,21 @@ func (c *Config) Fig12() (*Table, error) {
 		Title:  fmt.Sprintf("Fig. 12: optimality for multiple VM types (%d queries)", size),
 		Header: []string{"goal", "WiSeDB 1T", "Optimal 1T", "WiSeDB 2T", "Optimal 2T", "capped"},
 	}
+	types := []int{1, 2}
 	for _, gname := range []string{"PerQuery", "Average", "Max", "Percent"} {
 		row := []string{gname}
-		capped, total := 0, 0
-		for _, numTypes := range []int{1, 2} {
+		capped := 0
+		for _, numTypes := range types {
 			s := c.newSetup(c.pick(10, 5), numTypes)
-			goal := s.goal(gname)
-			model, err := c.model(s.env, goal)
+			sampler := workload.NewSampler(s.env.Templates, c.Seed+12)
+			sumModel, sumOpt, n, err := c.versusOptimal(s.env, s.goal(gname), sampler, size, trials)
 			if err != nil {
 				return nil, err
 			}
-			sampler := workload.NewSampler(s.env.Templates, c.Seed+12)
-			sumModel, sumOpt := 0.0, 0.0
-			for i := 0; i < trials; i++ {
-				w := sampler.Uniform(size)
-				sched, err := model.ScheduleBatch(w)
-				if err != nil {
-					return nil, err
-				}
-				mc := sched.Cost(s.env, goal)
-				oc, ok, err := c.optimalCost(s.env, goal, w, mc)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					capped++
-				}
-				total++
-				sumModel += mc
-				sumOpt += oc
-			}
+			capped += n
 			row = append(row, cents(sumModel/float64(trials)), cents(sumOpt/float64(trials)))
 		}
-		t.AddRow(append(row, cappedCell(capped, total))...)
+		t.AddRow(append(row, cappedCell(capped, len(types)*trials))...)
 	}
 	t.Fprint(c.Out)
 	return t, nil

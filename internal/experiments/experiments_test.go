@@ -80,10 +80,8 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-// The quick-mode effectiveness figures must stay in a sane band: the model
-// should be within a factor of 2 of the (possibly bounded) optimal on quick
-// scales. This is a regression tripwire for the scheduling pipeline, not a
-// claim about the paper's 8%.
+// Quick Fig. 9 must hold the band the paper reports for it: every goal's
+// model within 8% of the (possibly bounded) optimal.
 func TestFig9Sanity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -98,8 +96,8 @@ func TestFig9Sanity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("bad percent cell %q", row[3])
 		}
-		if v > 100 {
-			t.Fatalf("%s is %s above optimal; pipeline regression", row[0], row[3])
+		if v > 8 {
+			t.Fatalf("%s is %s above optimal, outside the paper's 8%% band", row[0], row[3])
 		}
 	}
 }

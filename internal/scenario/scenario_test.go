@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"context"
-	"fmt"
 	"reflect"
 	"runtime"
 	"sync"
@@ -70,15 +69,6 @@ func newEngine(t testing.TB, spec *Spec) *core.OnlineScheduler {
 // gaps wide enough that serving stays fast, tight enough that bursts queue.
 func testCatalog() []Spec { return Catalog(11, 24, 5*time.Minute) }
 
-// fingerprint renders the deterministic fields of a result — everything
-// except wall-clock timings.
-func fingerprint(res *core.OnlineResult) string {
-	return fmt.Sprintf("cost=%.9f penalty=%.9f vms=%d arrivals=%d retrain=%d adapt=%d hits=%d drift=%d shed=%d degraded=%d epoch=%d perf=%v",
-		res.Cost, res.Penalty, res.VMsRented, len(res.PerArrival),
-		res.Retrainings, res.Adaptations, res.CacheHits, res.DriftTriggers,
-		res.ShedArrivals, res.DegradedArrivals, res.FinalEpoch, res.Perf)
-}
-
 // Generated traces are pure functions of the Spec: regenerating yields the
 // identical workloads (the committed-trace property CI replays depend on),
 // arrivals come out sorted, and burst injection really produces the
@@ -136,7 +126,7 @@ func TestCatalogBitDeterminism(t *testing.T) {
 					t.Fatalf("parallelism=%d: %v", p, err)
 				}
 				for i, res := range results {
-					fp := fingerprint(res)
+					fp := res.Fingerprint()
 					if len(baseline) <= i {
 						baseline = append(baseline, fp)
 					} else if fp != baseline[i] {
@@ -163,22 +153,11 @@ func TestCatalogExactlyOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, res := range results {
-				n := spec.Tenants[i].Queries
 				if res.ShedArrivals != 0 {
 					t.Errorf("tenant %s shed %d arrivals on the healthy path", spec.Tenants[i].Name, res.ShedArrivals)
 				}
-				if len(res.Outcomes) != n {
-					t.Fatalf("tenant %s completed %d of %d queries", spec.Tenants[i].Name, len(res.Outcomes), n)
-				}
-				seen := make([]bool, n)
-				for _, out := range res.Outcomes {
-					if out.Tag < 0 || out.Tag >= n {
-						t.Fatalf("tenant %s: outcome for unknown tag %d", spec.Tenants[i].Name, out.Tag)
-					}
-					if seen[out.Tag] {
-						t.Fatalf("tenant %s: tag %d completed twice", spec.Tenants[i].Name, out.Tag)
-					}
-					seen[out.Tag] = true
+				if err := res.Check(spec.Tenants[i].Queries); err != nil {
+					t.Fatalf("tenant %s: %v", spec.Tenants[i].Name, err)
 				}
 			}
 		})

@@ -122,16 +122,18 @@ type Options struct {
 	// Cache, when non-nil, consults (and prunes through) the
 	// cross-search transposition cache: a generated state whose
 	// signature has a solved suffix stitches the stored completion
-	// instead of expanding the subtree. Ignored for non-monotonic goals
-	// (see TranspositionCache). The cache must have been populated only
-	// from searches of the same Problem.
+	// instead of expanding the subtree. Only canonical searches (a
+	// monotonic goal, no IncumbentCost) use it; see TranspositionCache
+	// and solver.canonical. The cache must have been populated only from
+	// searches of the same Problem.
 	Cache *TranspositionCache
-	// Record, when non-nil and the goal is monotonic, receives one
+	// Record, when non-nil and the search is canonical, receives one
 	// solved-suffix record per state on the returned optimal path (only
 	// when optimality was proven), less those already held by the cache a
-	// bound Record is committed to (PendingSuffixes.Into). Publish them with
-	// TranspositionCache.Commit; worker pools commit at deterministic
-	// barriers.
+	// bound Record is committed to (PendingSuffixes.Into). A seeded
+	// search's path need not be the canonical completion a cache holds,
+	// so it records nothing. Publish them with TranspositionCache.Commit;
+	// worker pools commit at deterministic barriers.
 	Record *PendingSuffixes
 }
 
@@ -618,22 +620,13 @@ func (sv *solver) consider(st *graph.State, parent *node, label int, g float64, 
 	if sv.cache != nil {
 		if e, ok := sv.cache.lookupHash(ar.sigBuf, sigHash); ok {
 			sv.hits++
+			// Push a pseudo-goal at the full completion cost instead
+			// of adopting an incumbent: the pop order decides
+			// canonically among all completions.
 			cn := sv.openNode(st, id, parent, label, g, g+e.cost, remaining)
-			if sv.canonical {
-				// Push a pseudo-goal at the full completion cost
-				// instead of adopting an incumbent: the pop order
-				// decides canonically among all completions.
-				ar.stitches = append(ar.stitches, e.actions)
-				cn.stitch = int32(len(ar.stitches))
-				ar.open.push(cn)
-				return
-			}
-			// Strict improvement (beyond eps) keeps seeded-incumbent
-			// semantics: a stitched completion merely matching the seed
-			// must still report ErrSeedIsOptimal.
-			if total := g + e.cost; total < sv.incumbentCost-eps {
-				sv.incumbent, sv.incumbentCost, sv.stitched = cn, total, e.actions
-			}
+			ar.stitches = append(ar.stitches, e.actions)
+			cn.stitch = int32(len(ar.stitches))
+			ar.open.push(cn)
 			return
 		}
 		sv.misses++
@@ -686,10 +679,6 @@ func (s *Searcher) Solve(w *workload.Workload, opts Options) (*Result, error) {
 		}
 		arenas.Put(ar)
 	}()
-	if opts.Cache != nil && s.gridded {
-		// Sound for monotonic goals only; see TranspositionCache.
-		sv.cache = opts.Cache
-	}
 	if opts.Reuse != nil && s.gridded && onGrid(opts.Reuse.OldCost) {
 		// Sound for monotonic goals only: non-monotonic penalties are
 		// refundable, so a tightened goal can lower an edge's cost and
@@ -708,6 +697,14 @@ func (s *Searcher) Solve(w *workload.Workload, opts Options) (*Result, error) {
 	// Seeded searches keep the legacy incumbent-bound semantics so
 	// ErrSeedIsOptimal still means "nothing strictly beats the seed".
 	sv.canonical = s.gridded && !sv.seeded
+	// The cache holds canonical completions only, so only a canonical
+	// search may stitch from it or record into it.
+	rec := opts.Record
+	if sv.canonical {
+		sv.cache = opts.Cache
+	} else {
+		rec = nil
+	}
 	// f-costs are in cents; a quantum of a fraction of the cheapest
 	// start-up fee separates the packing plateaus the bounds create while
 	// keeping the bucket count moderate. Outside canonical searches it also
@@ -757,7 +754,7 @@ func (s *Searcher) Solve(w *workload.Workload, opts Options) (*Result, error) {
 			}
 			if n.remaining == 0 {
 				if n.g < sv.incumbentCost {
-					sv.incumbent, sv.incumbentCost, sv.stitched = n, n.g, nil
+					sv.incumbent, sv.incumbentCost = n, n.g
 				}
 				continue
 			}
@@ -819,10 +816,10 @@ func (s *Searcher) Solve(w *workload.Workload, opts Options) (*Result, error) {
 	recActions := actions
 	if s.noPath {
 		walk = ar
-	} else if opts.Record != nil && s.gridded && optimal {
+	} else if rec != nil && optimal {
 		recActions = slices.Clone(actions)
 	}
-	if err := s.buildPath(walk, res, w, opts.Record, recActions, 1e-6); err != nil {
+	if err := s.buildPath(walk, res, w, rec, recActions, 1e-6); err != nil {
 		return nil, err
 	}
 	if opts.KeepClosed {

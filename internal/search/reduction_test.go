@@ -56,6 +56,22 @@ func TestIncumbentSeeding(t *testing.T) {
 	if math.Abs(res.Cost-exact.Cost) > 1e-6 {
 		t.Fatalf("seeded search found %.6f, want %.6f", res.Cost, exact.Cost)
 	}
+	// A seeded search is not canonical: its optimal schedule need not be
+	// the canonical completion a cache holds, so it neither stitches from
+	// a cache nor records into one.
+	var rec PendingSuffixes
+	if _, err := s.Solve(w, Options{Record: &rec}); err != nil {
+		t.Fatal(err)
+	}
+	cache := NewTranspositionCache()
+	cache.Commit(&rec)
+	res, err = s.Solve(w, Options{IncumbentCost: exact.Cost * 2, Cache: cache, Record: &rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Len() != 0 || res.CacheHits+res.CacheMisses != 0 {
+		t.Fatalf("seeded search recorded %d suffixes and made %d cache lookups", rec.Len(), res.CacheHits+res.CacheMisses)
+	}
 }
 
 // The per-goal heuristic lower bounds must never exceed the true optimal

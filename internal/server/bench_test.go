@@ -42,7 +42,7 @@ func BenchmarkNetArrivalSync(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q[0] = wire.Query{Template: uint32(i % 4), Tag: uint32(i % 8)}
+		q[0] = wire.Query{Template: uint32(i % 4), Tag: uint32(i)}
 		if _, _, _, err := c.Submit(q, time.Duration(i)*gap, 0); err != nil {
 			b.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func sendPipelined(c *Client, n, window int) error {
 		return nil
 	}
 	for i := 0; i < n; i++ {
-		q[0] = wire.Query{Template: uint32(i % 4), Tag: uint32(i % 8)}
+		q[0] = wire.Query{Template: uint32(i % 4), Tag: uint32(i)}
 		if err := c.Send(q, time.Duration(i)*gap, 0); err != nil {
 			return err
 		}
