@@ -259,6 +259,9 @@ type Model struct {
 	// scratch pools per-call serving state for ScheduleBatch, so
 	// concurrent batch scheduling allocates O(1) amortized per query.
 	scratch sync.Pool // *servingScratch
+	// memo holds the action paths of the batch compositions served so
+	// far (see decisionMemo).
+	memo decisionMemo
 }
 
 // Env returns the environment the model is bound to.

@@ -31,6 +31,11 @@ import (
 // and the state advances in place — so a schedule of n queries costs O(n·k)
 // time and O(1) amortized allocations per query, at any number of
 // concurrent callers.
+//
+// The walk depends only on the batch's per-template counts, so the model
+// memoizes it for batches of at most TrainingConfig.SampleSize queries
+// (see decisionMemo): a repeated composition costs O(n), replaying the
+// stored actions with no features and no tree walk.
 func (m *Model) ScheduleBatch(w *workload.Workload) (*schedule.Schedule, error) {
 	sched, _, err := m.scheduleBatchInto(w, nil, nil, 1)
 	return sched, err
@@ -62,15 +67,48 @@ func (m *Model) scheduleBatchInto(w *workload.Workload, dst *schedule.Schedule, 
 			return nil, backing, fmt.Errorf("core: query tag %d references unknown template %d", q.Tag, q.TemplateID)
 		}
 	}
-	tables := m.servingTables()
 	sc := m.getScratch()
 	defer m.putScratch(sc)
-	sc.resetState(w, k)
+	sc.countTemplates(w, k)
+	// Only batches of at most m queries, the size the tree was trained
+	// on, are memoized: at most C(m+k, k) keys per price multiplier.
+	memoize := len(w.Queries) <= min(m.TrainingConfig.SampleSize, memoMaxBatch) && k+len(m.env.VMTypes) <= math.MaxUint16+1
+	hit := false
+	if memoize {
+		sc.key = memoKey(sc.key[:0], sc.state.Unassigned, priceMult)
+		var labels string
+		if labels, hit = m.memo.lookup(sc.key); hit {
+			sc.actions = sc.actions[:0]
+			for i := 0; i < len(labels); i += 2 {
+				sc.actions = append(sc.actions, graph.ActionFromLabel(int(labels[i])|int(labels[i+1])<<8, k))
+			}
+		}
+	}
+	if !hit {
+		if err := m.walk(sc, len(w.Queries), priceMult); err != nil {
+			return nil, backing, err
+		}
+		if memoize {
+			m.memo.store(sc.key, sc.actions, k)
+		}
+	}
+	sched, backing := graph.BuildScheduleInto(dst, backing, sc.actions)
+	sc.retag(sched, w)
+	return sched, backing, nil
+}
+
+// walk runs the decision tree from the start vertex whose unassigned counts
+// sc holds (n queries in all) to a goal vertex, leaving the action path in
+// sc.actions.
+func (m *Model) walk(sc *servingScratch, n int, priceMult float64) error {
+	tables := m.servingTables()
+	k := len(m.env.Templates)
+	sc.resetState()
 	state := &sc.state
-	maxSteps := 2*len(w.Queries) + 1
+	maxSteps := 2*n + 1
 	for steps := 0; !state.IsGoal(); steps++ {
 		if steps > maxSteps {
-			return nil, backing, fmt.Errorf("core: scheduler failed to make progress after %d steps", steps)
+			return fmt.Errorf("core: scheduler failed to make progress after %d steps", steps)
 		}
 		sc.feat = sc.fs.AppendTo(sc.feat[:0], state)
 		act := graph.ActionFromLabel(tables.compiled.Predict(sc.feat), k)
@@ -96,9 +134,7 @@ func (m *Model) scheduleBatchInto(w *workload.Workload, dst *schedule.Schedule, 
 		sc.fs.Apply(act)
 		sc.actions = append(sc.actions, act)
 	}
-	sched, backing := graph.BuildScheduleInto(dst, backing, sc.actions)
-	sc.retag(sched, w)
-	return sched, backing, nil
+	return nil
 }
 
 // repair coerces a predicted action into a valid one. Valid predictions

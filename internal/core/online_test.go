@@ -487,9 +487,9 @@ func TestStreamDoubleCloseIsNoOp(t *testing.T) {
 
 // The steady-state per-arrival path of the serving engine must be
 // allocation-free: with bookkeeping capacity reserved and the base model
-// serving (fresh batches), an arrival performs zero heap allocations —
-// revocation, drift observation, tree parsing, schedule materialization,
-// and placement all run in reused storage. The bound of <1 alloc/arrival
+// serving (fresh batches) from its decision memo, an arrival performs zero
+// heap allocations — revocation, drift observation, the memo lookup,
+// schedule materialization, and placement all run in reused storage. The bound of <1 alloc/arrival
 // tolerates a rare sync.Pool refill after a GC; any real per-arrival
 // allocation costs ≥1 and fails.
 func TestOnlineArrivalSteadyStateAllocFree(t *testing.T) {
@@ -518,10 +518,16 @@ func TestOnlineArrivalSteadyStateAllocFree(t *testing.T) {
 	for next < 130 {
 		submit()
 	}
+	memoized := base.memo.len()
 	allocs := testing.AllocsPerRun(60, submit)
 	t.Logf("%.3f allocs per arrival in steady state", allocs)
 	if allocs >= 1 {
 		t.Errorf("steady-state arrival allocates (%.2f allocs/arrival); want 0 (stream scratch regression?)", allocs)
+	}
+	// Every measured arrival was a size-1 batch served from the decision
+	// memo: the warm-up filled it, and a walk would have stored an entry.
+	if got := base.memo.len(); memoized == 0 || got != memoized {
+		t.Errorf("decision memo held %d walks before the measured arrivals and %d after; want the same, nonzero", memoized, got)
 	}
 	s.Finish()
 }

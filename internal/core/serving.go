@@ -74,6 +74,8 @@ type servingScratch struct {
 	fs      *features.State
 	feat    []float64
 	actions []graph.Action
+	// key is the batch's decisionMemo key.
+	key []byte
 	// Retag buffers: tags holds the workload's query tags grouped by
 	// template (a counting sort), next[t] the cursor of the first unhanded
 	// tag of template t, and start[t] the group boundaries.
@@ -97,14 +99,20 @@ func (m *Model) getScratch() *servingScratch {
 // putScratch returns a scratch to the pool.
 func (m *Model) putScratch(sc *servingScratch) { m.scratch.Put(sc) }
 
-// resetState readies the scratch's walked state as the start vertex for w,
-// reusing the backing arrays.
-func (sc *servingScratch) resetState(w *workload.Workload, k int) {
+// countTemplates sets the walked state's unassigned counts to w's
+// per-template counts, reusing the backing array.
+func (sc *servingScratch) countTemplates(w *workload.Workload, k int) {
 	st := &sc.state
 	st.Unassigned = resizeInts(st.Unassigned, k)
 	for _, q := range w.Queries {
 		st.Unassigned[q.TemplateID]++
 	}
+}
+
+// resetState readies the scratch's walked state, whose unassigned counts
+// countTemplates set, as the start vertex, reusing the backing arrays.
+func (sc *servingScratch) resetState() {
+	st := &sc.state
 	st.OpenType = graph.NoVM
 	st.OpenQueue = st.OpenQueue[:0]
 	st.Wait = 0

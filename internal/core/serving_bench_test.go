@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -32,12 +33,14 @@ func benchModel(b *testing.B) *Model {
 }
 
 // BenchmarkScheduleBatch measures the model-serving hot path (§6.2, §7.4):
-// one complete batch schedule per iteration, at the paper's "heavy traffic"
-// sizes. Allocations per op are the serving-path regression signal — the
-// pooled scratch should keep them O(1) amortized per query.
+// one complete batch schedule per iteration. n=5 is at most benchModel's
+// m = 7, so it is served from the decision memo after the warm-up call;
+// n=10/30/100, the paper's "heavy traffic" sizes, walk the tree every time.
+// Allocations per op are the serving-path regression signal — the pooled
+// scratch should keep them O(1) amortized per query.
 func BenchmarkScheduleBatch(b *testing.B) {
 	m := benchModel(b)
-	for _, n := range []int{10, 30, 100} {
+	for _, n := range []int{5, 10, 30, 100} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			w := workload.NewSampler(m.Env().Templates, 11).Uniform(n)
 			if _, err := m.ScheduleBatch(w); err != nil {
@@ -52,6 +55,57 @@ func BenchmarkScheduleBatch(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkScheduleBatchParallel is BenchmarkScheduleBatch from every
+// GOMAXPROCS goroutine at once on one shared model, as an epoch's streams
+// share it: n=5 reads the decision memo concurrently, n=30 walks. Run with
+// -cpu 1,2,... to see whether the memo serializes its readers.
+func BenchmarkScheduleBatchParallel(b *testing.B) {
+	m := benchModel(b)
+	for _, n := range []int{5, 30} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			w := workload.NewSampler(m.Env().Templates, 11).Uniform(n)
+			if _, err := m.ScheduleBatch(w); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					if _, err := m.ScheduleBatch(w); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		})
+	}
+}
+
+// BenchmarkMemoLookupParallel isolates the decision memo's read side: 256
+// memoized keys looked up from every GOMAXPROCS goroutine at once. A read
+// that writes shared memory (a reader count) would slow down as -cpu rises.
+func BenchmarkMemoLookupParallel(b *testing.B) {
+	m := benchModel(b)
+	templates := m.Env().Templates
+	rng := rand.New(rand.NewSource(1))
+	var keys [][]byte
+	for _, c := range memoCompositions(len(templates), m.TrainingConfig.SampleSize, 1)[:256] {
+		if _, err := m.ScheduleBatch(memoWorkload(templates, c, rng)); err != nil {
+			b.Fatal(err)
+		}
+		keys = append(keys, memoKey(nil, c, 1))
+	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			if _, ok := m.memo.lookup(keys[i&255]); !ok {
+				b.Error("memoized key missed")
+				return
+			}
+		}
+	})
 }
 
 // BenchmarkOnlineArrival measures the per-arrival serving overhead of

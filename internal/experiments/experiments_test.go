@@ -80,6 +80,24 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+// Advisor latencies print at 10 ns resolution: a sub-microsecond p50 must
+// not round to "0s", and a microsecond-scale one keeps two decimals.
+func TestAdvisorDurResolution(t *testing.T) {
+	for _, c := range []struct {
+		ns   float64
+		want string
+	}{
+		{432, "430ns"},
+		{1234, "1.23µs"},
+		{863.4, "860ns"},
+		{12_345, "12.35µs"},
+	} {
+		if got := advisorDur(c.ns); got != c.want {
+			t.Errorf("advisorDur(%v) = %q, want %q", c.ns, got, c.want)
+		}
+	}
+}
+
 // Quick Fig. 9 must hold the band the paper reports for it: every goal's
 // model within 8% of the (possibly bounded) optimal.
 func TestFig9Sanity(t *testing.T) {

@@ -87,7 +87,7 @@ func (c *Config) Scenarios() (*Table, error) {
 		t.AddRow(spec.Name,
 			fmt.Sprintf("%d", len(tenants)),
 			fmt.Sprintf("%.0f", float64(completed+sheds)/elapsed.Seconds()),
-			durUS(stats.Percentile(advisor, 99)),
+			advisorDur(stats.Percentile(advisor, 99)),
 			fmt.Sprintf("%.1f%%", 100*float64(violations)/float64(completed)),
 			fmt.Sprintf("%d", sheds),
 			cents(cost))

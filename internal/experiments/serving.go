@@ -71,8 +71,8 @@ func (c *Config) ServeThroughput() (*Table, error) {
 		t.AddRow(fmt.Sprintf("%d", k),
 			fmt.Sprintf("%.0f", perSec),
 			fmt.Sprintf("%.2fx", perSec/baseline),
-			durUS(stats.Percentile(advisor, 50)),
-			durUS(stats.Percentile(advisor, 99)),
+			advisorDur(stats.Percentile(advisor, 50)),
+			advisorDur(stats.Percentile(advisor, 99)),
 			fmt.Sprintf("%.1f%%", 100*float64(violations)/float64(completed)))
 	}
 	t.Note("fixed-seed streams; zero dropped arrivals checked per run; speedup tracks core count (see EXPERIMENTS.md for the recorded runner)")
@@ -80,9 +80,11 @@ func (c *Config) ServeThroughput() (*Table, error) {
 	return t, nil
 }
 
-// durUS renders nanoseconds as rounded microseconds.
-func durUS(ns float64) string {
-	return time.Duration(ns).Round(time.Microsecond).String()
+// advisorDur renders an advisor latency in nanoseconds at 10 ns resolution
+// ("430ns", "1.23µs"): a memoized arrival is served well under a
+// microsecond, which whole microseconds would print as "0s".
+func advisorDur(ns float64) string {
+	return time.Duration(ns).Round(10 * time.Nanosecond).String()
 }
 
 // fixedGapTenants builds k default-registry tenants of n uniform-mix
@@ -329,7 +331,7 @@ func (c *Config) ServeRecovery() (*Table, error) {
 			fmt.Sprintf("%d", p.stale),
 			fmt.Sprintf("%.1f%%", 100*float64(p.violation)/float64(p.arrivals)),
 			(p.latency / time.Duration(p.arrivals)).Round(time.Second).String(),
-			(p.advisor / time.Duration(p.arrivals)).Round(time.Microsecond).String())
+			advisorDur(float64(p.advisor)/float64(p.arrivals)))
 	}
 	t.Note("detection lag: %.1f arrivals after the shift on average (EMD window %d, threshold %.1f); stale-epoch column counts arrivals served before the swap landed",
 		float64(warm.detectLag)/float64(streams), opts.Drift.Window, opts.Drift.Threshold)
