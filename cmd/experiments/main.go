@@ -12,12 +12,14 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"time"
 
 	"wisedb/internal/experiments"
@@ -91,7 +93,35 @@ func run() int {
 	cfg.Parallelism = *parallelism
 	cfg.ExpansionCap = *expansionCap
 
-	figs := map[string]func() error{
+	figs := experimentsFor(cfg)
+	args := flag.Args()
+	if len(args) == 0 {
+		usage()
+		return 2
+	}
+	if len(args) == 1 && args[0] == "all" {
+		args = allOrder(figs)
+	}
+	for _, name := range args {
+		fig, ok := figs[name]
+		if !ok {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
+			usage()
+			return 2
+		}
+		start := time.Now()
+		if err := fig(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+			return 1
+		}
+		fmt.Printf("(%s took %s)\n\n", name, time.Since(start).Round(time.Millisecond))
+	}
+	return 0
+}
+
+// experimentsFor returns every experiment the command runs, by name.
+func experimentsFor(cfg *experiments.Config) map[string]func() error {
+	return map[string]func() error{
 		"fig9":  wrap(cfg.Fig9),
 		"fig10": wrap(cfg.Fig10),
 		"fig11": wrap(cfg.Fig11),
@@ -114,36 +144,15 @@ func run() int {
 		"chaos":     wrap(cfg.Chaos),
 		"scenarios": wrap(cfg.Scenarios),
 	}
+}
 
-	args := flag.Args()
-	if len(args) == 0 {
-		usage()
-		return 2
-	}
-	if len(args) == 1 && args[0] == "all" {
-		args = nil
-		for name := range figs {
-			args = append(args, name)
-		}
-		sort.Slice(args, func(i, j int) bool {
-			return figNum(args[i]) < figNum(args[j])
-		})
-	}
-	for _, name := range args {
-		fig, ok := figs[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
-			usage()
-			return 2
-		}
-		start := time.Now()
-		if err := fig(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			return 1
-		}
-		fmt.Printf("(%s took %s)\n\n", name, time.Since(start).Round(time.Millisecond))
-	}
-	return 0
+// allOrder returns the experiment names in the order `all` runs them: the
+// paper's figures by number, then the rest by name. The order is fixed, so
+// two `all` outputs diff table by table.
+func allOrder(figs map[string]func() error) []string {
+	return slices.SortedFunc(maps.Keys(figs), func(a, b string) int {
+		return cmp.Or(cmp.Compare(figNum(a), figNum(b)), cmp.Compare(a, b))
+	})
 }
 
 func wrap(f func() (*experiments.Table, error)) func() error {

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -86,6 +88,61 @@ func TestSubmitCancelledContextAborts(t *testing.T) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 	s.Close()
+}
+
+// A deadline bounds only acquisition that can wait. Once the ω-map holds
+// the shifted models a backlog asks for, a waited arrival under
+// SubmitDeadline reads its model from a published shift slot, derives no
+// deadline context and allocates nothing, as a fresh one does.
+func TestSubmitDeadlineWaitedArrivalAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
+	}
+	base := onlineBase(t, 5, 1)
+	opts := DefaultOnlineOptions()
+	opts.Degrade = true
+	o := NewOnlineScheduler(base, opts)
+	clk := &SimClock{}
+	s := o.NewStream(clk)
+	s.Reserve(400)
+	ctx := context.Background()
+	k := len(base.Env().Templates)
+	next := 0
+	// 30 s gaps against minute-long queries: most events find a backlog
+	// that has waited, as on a daemon serving a steady stream.
+	submit := func() {
+		clk.Advance(time.Duration(next) * 30 * time.Second)
+		if err := s.SubmitDeadline(ctx, time.Minute, workload.Query{TemplateID: next % k, Tag: next}); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for next < 300 {
+		submit()
+	}
+	// Each shifted model keeps its serving scratch in a sync.Pool, and the
+	// stream cycles through many models. A collection empties the pools,
+	// and a pool's last Put sits in its P's private slot, which Get on
+	// another P cannot see. Either would show as scratch rebuilt for every
+	// model, not as anything the arrival path allocates, so from one last
+	// warm-up pass through the measurement there is one P and no
+	// collection.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for next < 360 {
+		submit()
+	}
+	builds, hits := o.CacheStats(), s.res.CacheHits
+	allocs := testing.AllocsPerRun(60, submit)
+	t.Logf("%.3f allocs per arrival under a deadline; %d of 61 events served from the ω-map", allocs, s.res.CacheHits-hits)
+	if o.CacheStats() != builds || s.res.CacheHits-hits < 30 || s.res.DeadlineMisses != 0 || s.res.DegradedArrivals != 0 {
+		t.Fatalf("measured events built %d models, read %d from the ω-map, missed %d deadlines, degraded %d; the pin needs waited events served from a full ω-map",
+			o.CacheStats()-builds, s.res.CacheHits-hits, s.res.DeadlineMisses, s.res.DegradedArrivals)
+	}
+	if allocs >= 1 {
+		t.Errorf("a waited arrival under a deadline allocates (%.2f allocs/arrival); want 0 (deadline context on a slot hit?)", allocs)
+	}
+	s.Finish()
 }
 
 // Shed folds pre-admission drops (the daemon's token bucket) into the

@@ -575,7 +575,7 @@ type tagState struct {
 // bookkeeping, drift detector, and scratch buffers. Streams of one engine
 // share its registries and their epochs' ω-maps but nothing else mutable,
 // so they run concurrently with no lock on the arrival path beyond an
-// ω-map stripe's. Each stream is bound to one registry at open time — its
+// ω-map stripe's, which a shifted model published in its slot skips. Each stream is bound to one registry at open time — its
 // SLA goal, serving epochs, and drift lifecycle come from that binding.
 //
 // A Stream is single-owner: one goroutine submits and finishes it. Query
@@ -620,21 +620,28 @@ type Stream struct {
 	// scheduler's dominated-placement guard prices fees with it.
 	priceMult float64
 
-	// seen tracks which derived models this stream has already acquired,
-	// making the CacheHits/Adaptations/Retrainings counters stream-local
-	// and scheduling-independent.
-	seen map[seenKey]struct{}
+	// seen, shiftSeen and shiftEpoch track which derived models this
+	// stream has already acquired, making the CacheHits/Adaptations/
+	// Retrainings counters stream-local and scheduling-independent.
+	// shiftSeen is a bitset over the shift slots (see modelCache.shifts)
+	// of epoch shiftEpoch, cleared when the stream's events move to
+	// another epoch; seen holds every other key. Neither holds a model, so
+	// a live stream pins nothing.
+	seen       map[seenKey]struct{}
+	shiftSeen  []uint64
+	shiftEpoch uint64
 
 	// Persistent scratch: the arrival loop re-batches, re-schedules, and
 	// re-places on every event, and these buffers keep that machinery
 	// allocation-free in steady state.
-	batch    []int            // revoked + newly arrived tags
-	queries  []workload.Query // batch rendered as workload queries
-	wl       workload.Workload
-	cands    [][]vmCandidate // per VM type, idle-soonest placement candidates
-	candNext []int           // per VM type, cursor of the next unused candidate
-	sched    *schedule.Schedule
-	backing  []schedule.Placed
+	batch     []int            // revoked + newly arrived tags
+	queries   []workload.Query // batch rendered as workload queries
+	wl        workload.Workload
+	cands     [][]vmCandidate // per VM type, live VMs as placement candidates (see nextCandidate)
+	candNext  []int           // per VM type, cursor of the next unused candidate
+	candReady []int           // per VM type, candidates before it are in placement order
+	sched     *schedule.Schedule
+	backing   []schedule.Placed
 }
 
 // vmCandidate is an active physical VM considered for an abstract VM slot.
@@ -664,6 +671,8 @@ func (o *OnlineScheduler) acquireStreamOn(reg *ModelRegistry, clock Clock) *Stre
 	s.firstFit.Tracker = nil
 	s.eventDeadline = 0
 	clear(s.seen)
+	clear(s.shiftSeen)
+	s.shiftEpoch = 0
 	if o.opts.Drift.enabled() {
 		if s.drift == nil {
 			s.drift = newDriftDetector(len(o.env.Templates), o.opts.Drift)
@@ -771,10 +780,11 @@ func (s *Stream) Submit(ctx context.Context, arrived ...workload.Query) error {
 // viable fallback VM type; without them a missed deadline fails the
 // stream exactly like any other model-path error.
 //
-// The deadline guards only model acquisition — the fresh-batch serving
-// path never blocks, so a deadline adds nothing there (and costs
-// nothing: the steady-state 0 allocs/arrival invariant holds because no
-// context is derived on that path). d <= 0 means no deadline.
+// The deadline guards only model acquisition that can block — neither a
+// fresh batch nor a waited one whose shifted model is already published
+// waits for anything, so a deadline adds nothing there (and costs
+// nothing: no context is derived on those paths, and they stay at 0
+// allocs/arrival). d <= 0 means no deadline.
 func (s *Stream) SubmitDeadline(ctx context.Context, d time.Duration, arrived ...workload.Query) error {
 	s.eventDeadline = d
 	err := s.Submit(ctx, arrived...)
@@ -1082,14 +1092,6 @@ func (s *Stream) scheduleBatch(ctx context.Context, epoch *ModelEpoch, t time.Du
 			maxWait = w
 		}
 	}
-	if !allFresh && s.eventDeadline > 0 {
-		// The per-event deadline bounds only the slow path — model
-		// acquisition for waited batches. The fresh path below never
-		// derives a context, keeping it allocation-free.
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.eventDeadline)
-		defer cancel()
-	}
 	switch {
 	case allFresh:
 		return s.scheduleWith(epoch.Model, batch, nil)
@@ -1100,40 +1102,98 @@ func (s *Stream) scheduleBatch(ctx context.Context, epoch *ModelEpoch, t time.Du
 		}
 		return s.scheduleWith(m, batch, nil)
 	default:
+		ctx, cancel := s.eventContext(ctx)
+		defer cancel()
 		return s.scheduleAugmented(ctx, epoch, t, batch)
 	}
 }
 
+// eventContext bounds ctx by the event's deadline (SubmitDeadline), if it
+// has one. Only a model acquisition that can block derives it: a derived
+// context costs a timer and allocations.
+func (s *Stream) eventContext(ctx context.Context) (context.Context, context.CancelFunc) {
+	if s.eventDeadline <= 0 {
+		return ctx, func() {}
+	}
+	return context.WithTimeout(ctx, s.eventDeadline)
+}
+
 // derived returns the model epoch derives for key, running build for it.
 // With Reuse on, the epoch's ω-map dedups builds across streams (exactly
-// one stream builds; the rest wait for the entry) and a re-acquisition
-// counts as a CacheHit; with Reuse off every call builds. first reports
-// whether this stream is using the model for the first time.
-func (s *Stream) derived(ctx context.Context, epoch *ModelEpoch, key derivedKey, build func() (*Model, error)) (m *Model, first bool, err error) {
+// one stream builds; the rest wait for the entry), a successful build of a
+// shift publishes its model to shift slot slot (−1 for none), and a
+// re-acquisition counts as a CacheHit; with Reuse off every call builds.
+// first reports whether this stream is using the model for the first time.
+func (s *Stream) derived(ctx context.Context, epoch *ModelEpoch, key derivedKey, slot int, build func() (*Model, error)) (m *Model, first bool, err error) {
 	if !s.eng.opts.Reuse {
 		m, err = build()
 		return m, true, err
 	}
-	if m, err = epoch.derived.getOrBuild(ctx, key, &s.eng.builds, build); err != nil {
+	if m, err = epoch.derived.getOrBuild(ctx, key, slot, &s.eng.builds, build); err != nil {
 		return nil, false, err
 	}
-	seen := seenKey{epoch: epoch.Epoch, key: key}
-	if _, ok := s.seen[seen]; ok {
-		s.res.CacheHits++
-		return m, false, nil
+	return m, s.firstUse(epoch.Epoch, key, slot), nil
+}
+
+// firstUse records that the stream uses the derived model of epoch under
+// key (shift slot slot, or −1) and reports whether it is the first time; a
+// re-use counts as a CacheHit. A slot's record is one bit of shiftSeen, the
+// rest go to seen.
+func (s *Stream) firstUse(epoch uint64, key derivedKey, slot int) bool {
+	if slot < 0 || slot >= maxShiftSlots {
+		k := seenKey{epoch: epoch, key: key}
+		if _, ok := s.seen[k]; ok {
+			s.res.CacheHits++
+			return false
+		}
+		s.seen[k] = struct{}{}
+		return true
 	}
-	s.seen[seen] = struct{}{}
-	return m, true, nil
+	if epoch != s.shiftEpoch {
+		clear(s.shiftSeen)
+		s.shiftEpoch = epoch
+	}
+	word, bit := slot/64, uint64(1)<<(slot%64)
+	for len(s.shiftSeen) <= word {
+		s.shiftSeen = append(s.shiftSeen, 0)
+	}
+	if s.shiftSeen[word]&bit != 0 {
+		s.res.CacheHits++
+		return false
+	}
+	s.shiftSeen[word] |= bit
+	return true
 }
 
 // shiftedModel returns a model for the goal shifted by w, adapting the
 // epoch's model (§5) from the nearest smaller wait already in its ω-map.
+// A model published in the epoch's shift slot for w is read with no lock
+// and no deadline; only a miss, which may wait for a build, goes through
+// the striped ω-map under the event's deadline.
 func (s *Stream) shiftedModel(ctx context.Context, epoch *ModelEpoch, w time.Duration) (*Model, error) {
-	m, first, err := s.derived(ctx, epoch, derivedKey{wait: w}, func() (*Model, error) {
-		return epoch.Model.shiftedFrom(ctx, w, epoch.derived.nearestShifted(w))
-	})
-	if err != nil {
-		return nil, err
+	key := derivedKey{wait: w}
+	slot := int(w / s.eng.opts.WaitResolution)
+	var m *Model
+	var first bool
+	if s.eng.opts.Reuse {
+		m = epoch.derived.shifted(slot)
+	}
+	if m != nil {
+		// getOrBuild's check: a dead context fails the event even on a hit.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		first = s.firstUse(epoch.Epoch, key, slot)
+	} else {
+		ctx, cancel := s.eventContext(ctx)
+		defer cancel()
+		var err error
+		m, first, err = s.derived(ctx, epoch, key, slot, func() (*Model, error) {
+			return epoch.Model.shiftedFrom(ctx, w, epoch.derived.nearestShifted(w, slot))
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	if first {
 		s.res.Adaptations++
@@ -1191,7 +1251,7 @@ func (s *Stream) scheduleAugmented(ctx context.Context, epoch *ModelEpoch, t tim
 		}
 		return adv.TrainContext(ctx, goal)
 	}
-	m, first, err := s.derived(ctx, epoch, derivedKey{aug: strings.Join(keyParts, ",")}, build)
+	m, first, err := s.derived(ctx, epoch, derivedKey{aug: strings.Join(keyParts, ",")}, -1, build)
 	if err != nil {
 		return nil, err
 	}
@@ -1255,10 +1315,10 @@ func (s *Stream) scheduleWith(m *Model, batch, tmpl []int) (*schedule.Schedule, 
 }
 
 // place maps the abstract VMs of a schedule onto physical simulator VMs:
-// abstract VM j of type i goes to the free-soonest active physical VM of
-// type i with no queued work, renting a new VM otherwise (DESIGN.md §2,
-// "online scheduling interpretation"). Queries are enqueued with their true
-// execution latency on the physical VM's type.
+// abstract VM j of type i goes to the j-th active physical VM of type i in
+// (free time, rental order), renting a new VM once they run out (DESIGN.md
+// §2, "online scheduling interpretation"). Queries are enqueued with their
+// true execution latency on the physical VM's type.
 //
 // It returns an error if a query's template cannot run on its assigned VM
 // type: the batch scheduler only emits supported placements, so an
@@ -1272,12 +1332,15 @@ func (s *Stream) place(t time.Duration, sched *schedule.Schedule) error {
 	if cap(s.cands) < numTypes {
 		s.cands = make([][]vmCandidate, numTypes)
 		s.candNext = make([]int, numTypes)
+		s.candReady = make([]int, numTypes)
 	}
 	s.cands = s.cands[:numTypes]
 	s.candNext = s.candNext[:numTypes]
+	s.candReady = s.candReady[:numTypes]
 	for ti := range s.cands {
 		s.cands[ti] = s.cands[ti][:0]
 		s.candNext[ti] = 0
+		s.candReady[ti] = 0
 	}
 	for _, vm := range s.sim.VMs() {
 		if vm.Failed() {
@@ -1285,18 +1348,13 @@ func (s *Stream) place(t time.Duration, sched *schedule.Schedule) error {
 		}
 		s.cands[vm.Type.ID] = append(s.cands[vm.Type.ID], vmCandidate{vm: vm, free: vm.NextFree(t)})
 	}
-	for ti := range s.cands {
-		slices.SortFunc(s.cands[ti], func(a, b vmCandidate) int {
-			return cmp.Compare(a.free, b.free)
-		})
-	}
 	for _, avm := range sched.VMs {
 		var target *cloud.SimVM
 		// Consume candidates through a cursor, not by reslicing: an
 		// advanced slice header would abandon the front of the pooled
 		// backing array on every arrival and force periodic regrowth.
-		if next := s.candNext[avm.TypeID]; next < len(s.cands[avm.TypeID]) {
-			target = s.cands[avm.TypeID][next].vm
+		if vm := s.nextCandidate(avm.TypeID); vm != nil {
+			target = vm
 			s.candNext[avm.TypeID]++
 		} else {
 			target = s.sim.Rent(s.eng.env.VMTypes[avm.TypeID], t)
@@ -1331,13 +1389,55 @@ func (s *Stream) place(t time.Duration, sched *schedule.Schedule) error {
 // otherwise. A freshly rented VM joins the candidate list so later reroutes
 // (and later abstract VMs of that type) share it instead of renting again.
 func (s *Stream) rerouteFallback(ft int, t time.Duration) *cloud.SimVM {
-	if next := s.candNext[ft]; next < len(s.cands[ft]) {
-		return s.cands[ft][next].vm
+	if vm := s.nextCandidate(ft); vm != nil {
+		return vm
 	}
 	vm := s.sim.Rent(s.eng.env.VMTypes[ft], t)
 	s.res.VMsRented++
 	s.cands[ft] = append(s.cands[ft], vmCandidate{vm: vm, free: vm.ReadyAt})
 	return vm
+}
+
+// selectSteps is how many candidates of one VM type nextCandidate selects
+// one at a time; past them it sorts the rest once.
+const selectSteps = 2
+
+// nextCandidate returns the unconsumed candidate of VM type ti that comes
+// first in (free time, rental order), moved to the type's cursor but not
+// consumed, or nil when every candidate is consumed. The order is a stable
+// sort by free time, done lazily: place consumes only as many candidates
+// as the schedule has abstract VMs of the type — usually one or two — so
+// the first selectSteps are selected: the earliest free (earliest rented
+// among ties, as candidates are gathered in rental order) moves to the
+// cursor and the ones it passes shift up one place, keeping their order.
+// A type that needs more has the rest sorted stably once, so a schedule
+// with many abstract VMs of one type costs about what sorting them all up
+// front did. Candidates before candReady are in place already, so a second
+// call at one cursor (a fallback reroute's peek) does no work.
+func (s *Stream) nextCandidate(ti int) *cloud.SimVM {
+	c, next := s.cands[ti], s.candNext[ti]
+	switch {
+	case next >= len(c):
+		return nil
+	case next < s.candReady[ti]:
+	case next < selectSteps:
+		best := next
+		for i := next + 1; i < len(c); i++ {
+			if c[i].free < c[best].free {
+				best = i
+			}
+		}
+		picked := c[best]
+		copy(c[next+1:best+1], c[next:best])
+		c[next] = picked
+		s.candReady[ti] = next + 1
+	default:
+		slices.SortStableFunc(c[next:], func(a, b vmCandidate) int {
+			return cmp.Compare(a.free, b.free)
+		})
+		s.candReady[ti] = len(c)
+	}
+	return c[next].vm
 }
 
 // derivedKey identifies a derived model in its epoch's ω-map: a shifted
@@ -1409,7 +1509,23 @@ const cacheStripes = 64
 type modelCache struct {
 	shards []cacheShard
 	mask   uint64
+	// shifts publishes the finished shifted models by shift slot, wait /
+	// WaitResolution, for waits under maxShiftSlots slots: a hit is two
+	// atomic loads, with no lock and no map probe. getOrBuild publishes a
+	// successful build before it wakes the build's waiters, and the stripes
+	// stay the builder and the home of every other key. Publishes serialize
+	// on shiftsMu; one past the end publishes a copy at least twice the
+	// size, and a reader holding the old array misses at worst a newer
+	// model and goes through the stripes.
+	shifts   atomic.Pointer[[]atomic.Pointer[Model]]
+	shiftsMu sync.Mutex
 }
+
+// maxShiftSlots bounds the shift slots of an ω-map, so that one very long
+// wait cannot make every epoch carry a huge array: 16384 slots are 4.5
+// hours at the default 1 s resolution. Longer waits are served by the
+// stripes alone.
+const maxShiftSlots = 1 << 14
 
 // newModelCache returns an empty ω-map, rounding stripes up to a power of
 // two. Epochs use cacheStripes; stripes == 1 degenerates to a single-lock
@@ -1434,11 +1550,59 @@ func (c *modelCache) size() int {
 	return n
 }
 
+// shifted returns the model published in shift slot slot, or nil.
+func (c *modelCache) shifted(slot int) *Model {
+	p := c.shifts.Load()
+	if p == nil || slot < 0 || slot >= len(*p) {
+		return nil
+	}
+	return (*p)[slot].Load()
+}
+
+// publishShift publishes m in shift slot slot, growing the array by
+// doubling when the slot lies past its end. Slots outside
+// [0, maxShiftSlots) are not published.
+func (c *modelCache) publishShift(slot int, m *Model) {
+	if slot < 0 || slot >= maxShiftSlots {
+		return
+	}
+	c.shiftsMu.Lock()
+	defer c.shiftsMu.Unlock()
+	var slots []atomic.Pointer[Model]
+	if p := c.shifts.Load(); p != nil {
+		slots = *p
+	}
+	if slot >= len(slots) {
+		n := max(16, 2*len(slots))
+		for n <= slot {
+			n *= 2
+		}
+		grown := make([]atomic.Pointer[Model], n)
+		for i := range slots {
+			grown[i].Store(slots[i].Load())
+		}
+		c.shifts.Store(&grown)
+		slots = grown
+	}
+	slots[slot].Store(m)
+}
+
 // nearestShifted returns the finished shifted model with the largest wait
-// below wait, or nil: the looser goal whose solved paths a new build
-// replays (Model.shiftedFrom). It runs once per build, never per lookup,
-// and locks one stripe at a time.
-func (c *modelCache) nearestShifted(wait time.Duration) *Model {
+// below wait, whose shift slot is slot, or nil: the looser goal whose
+// solved paths a new build replays (Model.shiftedFrom). It runs once per
+// build, never per lookup. While every smaller wait has a slot it scans the
+// slots downward; past them it locks one stripe at a time.
+func (c *modelCache) nearestShifted(wait time.Duration, slot int) *Model {
+	if slot <= maxShiftSlots {
+		if p := c.shifts.Load(); p != nil {
+			for i := min(slot, len(*p)) - 1; i > 0; i-- {
+				if m := (*p)[i].Load(); m != nil {
+					return m
+				}
+			}
+		}
+		return nil
+	}
 	var near *Model
 	best := time.Duration(0)
 	for i := range c.shards {
@@ -1465,13 +1629,15 @@ func (c *modelCache) nearestShifted(wait time.Duration) *Model {
 // a time across concurrent requesters and counting each build in builds.
 // Only the key's stripe is locked — and only around the map probe, never
 // across a build — so concurrent lookups of unrelated keys proceed in
-// parallel. A failed build (including a cancelled one) is removed, and
+// parallel. A successful build is published to shift slot slot (−1 for
+// none) before its waiters wake. A failed build (including a cancelled
+// one) is never published; it is removed, and
 // waiting requesters do not adopt the failure — another tenant's cancelled
 // context must not abort a healthy stream — they retry, becoming the
 // builder themselves or waiting on a newer build. A builder always returns
 // its own outcome, and a requester whose own ctx expires returns its ctx
 // error without waiting out a build.
-func (c *modelCache) getOrBuild(ctx context.Context, key derivedKey, builds *atomic.Int64, build func() (*Model, error)) (*Model, error) {
+func (c *modelCache) getOrBuild(ctx context.Context, key derivedKey, slot int, builds *atomic.Int64, build func() (*Model, error)) (*Model, error) {
 	s := &c.shards[key.hash()&c.mask]
 	for {
 		if err := ctx.Err(); err != nil {
@@ -1493,6 +1659,8 @@ func (c *modelCache) getOrBuild(ctx context.Context, key derivedKey, builds *ato
 				s.mu.Lock()
 				delete(s.m, key)
 				s.mu.Unlock()
+			} else {
+				c.publishShift(slot, e.m)
 			}
 			close(e.done)
 			return e.m, e.err

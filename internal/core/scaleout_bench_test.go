@@ -23,7 +23,7 @@ func BenchmarkShardedCacheContention(b *testing.B) {
 			keys := make([]derivedKey, 64)
 			for i := range keys {
 				keys[i] = derivedKey{wait: time.Duration(i) * time.Second}
-				if _, err := c.getOrBuild(context.Background(), keys[i], &builds,
+				if _, err := c.getOrBuild(context.Background(), keys[i], -1, &builds,
 					func() (*Model, error) { return m, nil }); err != nil {
 					b.Fatal(err)
 				}
@@ -35,7 +35,7 @@ func BenchmarkShardedCacheContention(b *testing.B) {
 				for pb.Next() {
 					k := keys[i&63]
 					i++
-					if _, err := c.getOrBuild(context.Background(), k, &builds, nil); err != nil {
+					if _, err := c.getOrBuild(context.Background(), k, -1, &builds, nil); err != nil {
 						b.Error(err)
 						return
 					}

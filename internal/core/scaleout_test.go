@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"math"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -97,19 +99,42 @@ func TestShardedCacheHotKeyHammerAcrossSwap(t *testing.T) {
 
 // A hot swap must release what it replaces: once later epochs serve, nothing
 // in the engine may keep a superseded epoch's model or the derived models
-// the ω-map built from it, or memory grows with the number of swaps.
+// the ω-map built from it, or memory grows with the number of swaps. That
+// holds for a stream still open, too: it used epoch 0's shifted models and
+// keeps serving, but records them by slot and epoch number only.
 func TestSwapReleasesSupersededEpochs(t *testing.T) {
 	base := onlineBase(t, 3, 1)
 	o := NewOnlineScheduler(base, DefaultOnlineOptions())
 	reg := o.Registry()
 	// 10s gaps against minute-long queries: every batch after the first has
 	// waited, so the ω-map fills with shifted models of epoch 0.
-	if _, err := o.Run(tenantWorkloads(base.Env().Templates, 1, 15, 10*time.Second, 77)[0]); err != nil {
+	w := tenantWorkloads(base.Env().Templates, 1, 15, 10*time.Second, 77)[0]
+	if _, err := o.Run(w); err != nil {
 		t.Fatal(err)
 	}
-	weakShifted := weak.Make(reg.Current().derived.nearestShifted(math.MaxInt64))
+	weakShifted := weak.Make(reg.Current().derived.nearestShifted(math.MaxInt64, math.MaxInt))
 	if weakShifted.Value() == nil {
 		t.Fatal("the waited stream built no shifted model")
+	}
+	builds := o.CacheStats()
+	clk := &SimClock{}
+	live := o.NewStream(clk)
+	for _, q := range w.Queries {
+		clk.Advance(q.Arrival)
+		if err := live.Submit(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if live.res.Adaptations == 0 || o.CacheStats() != builds {
+		t.Fatalf("the live stream used %d shifted models, %d of them new builds; want some, all from the ω-map",
+			live.res.Adaptations, o.CacheStats()-builds)
+	}
+	var weakUsed []weak.Pointer[Model]
+	slots := *reg.Current().derived.shifts.Load()
+	for i := range slots {
+		if m := slots[i].Load(); m != nil {
+			weakUsed = append(weakUsed, weak.Make(m))
+		}
 	}
 
 	var weakEpoch1 weak.Pointer[Model]
@@ -137,9 +162,89 @@ func TestSwapReleasesSupersededEpochs(t *testing.T) {
 	if weakShifted.Value() != nil {
 		t.Error("a shifted model of epoch 0 is still reachable after the swaps")
 	}
-	// The engine must be live across the collection: an unreachable engine
-	// releases everything and would prove nothing.
+	for i, wm := range weakUsed {
+		if wm.Value() != nil {
+			t.Errorf("shifted model %d of epoch 0, used by the live stream, is still reachable after the swaps", i)
+		}
+	}
+	// The engine and the open stream must be live across the collection:
+	// an unreachable engine releases everything and would prove nothing.
 	runtime.KeepAlive(o)
+	runtime.KeepAlive(live)
+}
+
+// Many streams read the shift slots while builds publish to them, the slot
+// array doubles, and hot swaps replace the ω-map underneath. Every read
+// must see either nothing or the one model built for its slot in its
+// epoch, a build must publish before its waiters wake, and each stream's
+// first use of a slot must count once per epoch. Run under -race this is
+// the shift slots' hammer.
+func TestShiftSlotsConcurrentPublishAcrossSwap(t *testing.T) {
+	base := onlineBase(t, 3, 1)
+	o := NewOnlineScheduler(base, DefaultOnlineOptions())
+	reg := o.Registry()
+	const streams, slots, swaps = 8, 300, 4
+	// The model built for a slot: a placeholder whose identity is all the
+	// slots hold.
+	built := make([]*Model, slots)
+	for i := range built {
+		built[i] = &Model{}
+	}
+	var builds atomic.Int64
+	var wg sync.WaitGroup
+	for g := range streams {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := o.NewStream(&SimClock{})
+			defer s.Close()
+			rng := rand.New(rand.NewSource(int64(g)))
+			used := map[uint64]map[int]bool{} // by epoch, the slots this stream used
+			for round := 0; round <= swaps; round++ {
+				epoch := reg.Current()
+				if used[epoch.Epoch] == nil {
+					used[epoch.Epoch] = map[int]bool{}
+				}
+				for _, slot := range rng.Perm(slots - 1) {
+					slot++ // slot 0 is a zero wait, never shifted
+					key := derivedKey{wait: time.Duration(slot) * time.Second}
+					m := epoch.derived.shifted(slot)
+					if m == nil {
+						var err error
+						m, err = epoch.derived.getOrBuild(context.Background(), key, slot, &builds, func() (*Model, error) {
+							if near := epoch.derived.nearestShifted(key.wait, slot); near != nil && slices.Index(built, near) >= slot {
+								t.Errorf("nearest shift below slot %d is the model of slot %d", slot, slices.Index(built, near))
+							}
+							return built[slot], nil
+						})
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if epoch.derived.shifted(slot) != m {
+							t.Errorf("slot %d: a finished build is not published", slot)
+						}
+					}
+					if m != built[slot] {
+						t.Errorf("slot %d read another slot's model", slot)
+						return
+					}
+					if first := s.firstUse(epoch.Epoch, key, slot); first == used[epoch.Epoch][slot] {
+						t.Errorf("epoch %d, slot %d: first use %v, but the stream had used it: %v", epoch.Epoch, slot, first, used[epoch.Epoch][slot])
+						return
+					}
+					used[epoch.Epoch][slot] = true
+				}
+				if round < swaps && g == 0 {
+					reg.Swap(base, nil)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, epochs := builds.Load(), reg.Current().Epoch+1; got < int64(slots-1) || got > int64(epochs)*int64(slots-1) {
+		t.Errorf("%d builds over %d epochs of %d slots", got, epochs, slots-1)
+	}
 }
 
 // Concurrent AddRegistry calls under one name: exactly one succeeds, and no
