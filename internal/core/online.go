@@ -575,8 +575,9 @@ type tagState struct {
 // bookkeeping, drift detector, and scratch buffers. Streams of one engine
 // share its registries and their epochs' ω-maps but nothing else mutable,
 // so they run concurrently with no lock on the arrival path beyond an
-// ω-map stripe's, which a shifted model published in its slot skips. Each stream is bound to one registry at open time — its
-// SLA goal, serving epochs, and drift lifecycle come from that binding.
+// ω-map stripe's, which a shifted model published in its slot skips. Each
+// stream is bound to one registry at open time — its SLA goal, serving
+// epochs, and drift lifecycle come from that binding.
 //
 // A Stream is single-owner: one goroutine submits and finishes it. Query
 // tags must be small non-negative integers (bookkeeping is indexed by tag);
